@@ -261,10 +261,10 @@ phaseContention()
     const uint64_t n = 1024;
     const size_t items = 8;
 
-    // One batched transform fan-out: 8 sets x 3 towers. On a serial
-    // device that's 8 batched launches with a single occupant each;
-    // on a pooled device it fans into 24 single-ring launches whose
-    // structural occupancy is min(workers, 24) lanes.
+    // One tiled forward dispatch over 8 items x 3 towers: 24 towers
+    // cut into 2 tile groups. On a serial device that's 2 launches
+    // with a single occupant each; a pooled device runs them as one
+    // launchAll whose structural occupancy is min(workers, 2) lanes.
     const auto run = [&](unsigned workers) {
         auto device = std::make_shared<RpuDevice>();
         if (workers > 1)
@@ -281,10 +281,9 @@ phaseContention()
                 xs[i].push_back(std::move(region));
             }
         }
-        auto pending = device->transformTowersBatchAsync(
-            n, moduli, std::move(xs), false);
-        for (auto &p : pending)
-            (void)RpuDevice::collectTowers(std::move(p));
+        (void)device->dispatch(
+            RingOp::Forward, n,
+            std::vector<std::vector<u128>>(items, moduli), std::move(xs));
         return device->stats();
     };
 

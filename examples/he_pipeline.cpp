@@ -218,8 +218,8 @@ main()
                 "multiply\n");
     std::printf("RPU activity: %s\n", bfv_stats.summary().c_str());
     std::printf("  (the add is host tower arithmetic; the multiply is "
-                "one pointwise launch per\n   component against the "
-                "pre-encoded plaintext — the Eval-resident towers "
+                "one pointwise launch for both\n   components against "
+                "the pre-encoded plaintext — the Eval-resident towers "
                 "were\n   never transformed, which the elision ledger "
                 "records)\n");
     if (bfv_stats.forwardTransforms != 0) {

@@ -373,8 +373,8 @@ CkksContext::rescale(const CkksCiphertext &ct) const
 
     if (ct.c0.inEval()) {
         // The scheme's one forced Coeff boundary: only the *dropped*
-        // tower leaves the evaluation domain, as an inverse-NTT
-        // launch on the attached device (host transform otherwise);
+        // tower leaves the evaluation domain, as one inverse dispatch
+        // on the attached device (host transform otherwise);
         // the host half is the shared rescaleFromDropped body, so
         // the serving layer can coalesce many ciphertexts' dropped
         // towers into one launch and still match this bit-for-bit.

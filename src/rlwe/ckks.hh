@@ -23,15 +23,15 @@
  *            levels (a rescaled ciphertext uses its tower prefix).
  *   add      per-tower coefficient adds, domain-preserving (host).
  *   mulPlain a pure pointwise dispatch: both components against the
- *            shared plaintext through one
- *            RpuDevice::pointwiseTowersBatchAsync — zero transforms.
+ *            shared plaintext through one RpuDevice::dispatch
+ *            (RingOp::Pointwise) — zero transforms.
  *   rescale  the only forced (partial) return to Coeff: the dropped
- *            tower is inverse-transformed (a device launch when
- *            attached), its centred lift is re-entered into the
- *            remaining towers via the host transform (the same
- *            engine encrypt/decrypt use), and the subtraction and
- *            q_l^-1 scaling happen pointwise in the evaluation
- *            domain. The ciphertext towers themselves are never
+ *            tower is inverse-transformed (one device dispatch for
+ *            both components when attached), its centred lift is
+ *            re-entered into the remaining towers via the host
+ *            transform (the same engine encrypt/decrypt use), and
+ *            the subtraction and q_l^-1 scaling happen pointwise in
+ *            the evaluation domain. The ciphertext towers themselves are never
  *            forward-transformed again — the device issues zero
  *            forward-NTT launches across a mulPlain->rescale->
  *            mulPlain chain, which DeviceStats proves.
@@ -170,8 +170,8 @@ class CkksContext
      * residues stay Coeff-resident and pay no transform at all. For
      * callers that batch the forward entry themselves — the serving
      * layer coalesces many tenants' plaintext entries into one
-     * batched device launch (RpuDevice::transformCoalesced) instead
-     * of paying one launch per encode.
+     * tiled device dispatch (RpuDevice::dispatch) instead of paying
+     * one launch per encode.
      */
     CkksPlaintext
     encodePlainCoeff(const std::vector<std::complex<double>> &values,
@@ -267,9 +267,8 @@ class CkksContext
      * device half can be batched across ciphertexts: @p dropped must
      * be the Coeff residues of the last active tower of {c0, c1}
      * (exactly what RlweEvaluator::inverseTower({&ct.c0, &ct.c1}, l)
-     * returns — or one item of a coalesced
-     * RpuDevice::transformCoalesced over many ciphertexts' dropped
-     * towers). Bit-identical to rescale(ct), which is now a thin
+     * returns — or one item of a coalesced RpuDevice::dispatch over
+     * many ciphertexts' dropped towers). Bit-identical to rescale(ct), which is now a thin
      * wrapper over this.
      */
     CkksCiphertext

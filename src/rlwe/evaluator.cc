@@ -397,13 +397,14 @@ RlweEvaluator::inverseTower(
                    t);
     }
     if (device_) {
-        const KernelImage &k = device_->kernel(
-            KernelKind::InverseNtt, n_, {basis().prime(t)});
-        std::vector<LaunchFuture> futures;
-        futures.reserve(polys.size());
-        for (const ResiduePoly *p : polys)
-            futures.push_back(device_->launchAsync(k, {p->towers[t]}));
-        auto results = RpuDevice::whenAll(std::move(futures));
+        // One single-tower item per polynomial, all in one dispatch.
+        const std::vector<std::vector<u128>> moduli(
+            polys.size(), {basis().prime(t)});
+        TowerItems xs(polys.size());
+        for (size_t c = 0; c < polys.size(); ++c)
+            xs[c].push_back(polys[c]->towers[t]);
+        auto results = device_->dispatch(RingOp::Inverse, n_, moduli,
+                                         std::move(xs));
         for (size_t c = 0; c < polys.size(); ++c)
             out[c] = std::move(results[c][0]);
         return out;
@@ -432,12 +433,9 @@ RlweEvaluator::forwardTowersAt(std::vector<TowerPoly> xs,
         std::vector<u128> primes(count);
         for (size_t t = 0; t < count; ++t)
             primes[t] = basis().prime(first + t);
-        auto pending = device_->transformTowersBatchAsync(
-            n_, primes, std::move(xs), false);
-        std::vector<TowerPoly> out(pending.size());
-        for (size_t i = 0; i < out.size(); ++i)
-            out[i] = RpuDevice::collectTowers(std::move(pending[i]));
-        return out;
+        const std::vector<std::vector<u128>> moduli(xs.size(), primes);
+        return device_->dispatch(RingOp::Forward, n_, moduli,
+                                 std::move(xs));
     }
     for (TowerPoly &x : xs) {
         for (size_t t = 0; t < count; ++t)

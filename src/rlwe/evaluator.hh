@@ -150,9 +150,7 @@ class RlweEvaluator
      * read in place (no copy, no transform; the skipped conversions
      * land in the device's elision ledger), Coeff-resident ones are
      * converted on copies so the inputs stay untouched; either way
-     * the products go through one pointwise dispatch
-     * (PointwiseMulBatched per pair serially, per-tower PointwiseMul
-     * fan-out on a pooled device).
+     * the products go through one tiled pointwise dispatch.
      */
     std::array<ResiduePoly, 2> mulPlainPair(const ResiduePoly &c0,
                                             const ResiduePoly &c1,
@@ -266,8 +264,8 @@ class RlweEvaluator
 
     /**
      * Inverse-transform tower @p t of each Eval-resident polynomial
-     * (one device launch per polynomial when attached, host
-     * transforms otherwise) and return the Coeff residues; the
+     * (one tiled device dispatch when attached, host transforms
+     * otherwise) and return the Coeff residues; the
      * polynomials themselves are not modified. The dispatch the CKKS
      * rescale issues for the tower it drops.
      */
@@ -279,7 +277,7 @@ class RlweEvaluator
      * Forward-transform each polynomial's coefficient towers
      * against the chain primes starting at offset @p first (so
      * xs[i][t] enters tower first + t's evaluation domain) in one
-     * batched device dispatch (host transforms otherwise). BFV's
+     * tiled device dispatch (host transforms otherwise). BFV's
      * base extension uses this to enter only the auxiliary towers
      * it just computed, reusing the ciphertext's existing Eval
      * towers for the rest of the extended chain.

@@ -1,7 +1,5 @@
 #include "rlwe/residue_poly.hh"
 
-#include <map>
-
 #include "common/logging.hh"
 #include "modmath/simd.hh"
 #include "poly/polynomial.hh"
@@ -58,7 +56,7 @@ ResidueOps::convert(const std::vector<ResiduePoly *> &polys,
     // Split residents from movers. The residents are the lazy win:
     // each would have been transformed by a domain-oblivious caller,
     // so their towers land in the elision ledger.
-    std::map<size_t, std::vector<ResiduePoly *>> groups;
+    std::vector<ResiduePoly *> movers;
     uint64_t elided = 0;
     for (ResiduePoly *p : polys) {
         rpu_assert(p != nullptr, "null polynomial");
@@ -69,38 +67,38 @@ ResidueOps::convert(const std::vector<ResiduePoly *> &polys,
         if (p->domain == target)
             elided += p->towerCount();
         else
-            groups[p->towerCount()].push_back(p);
+            movers.push_back(p);
     }
     if (elided > 0 && device_)
         device_->noteElidedTransforms(elided);
-    if (groups.empty())
+    if (movers.empty())
         return;
 
-    const bool inverse = target == ResidueDomain::Coeff;
-    for (auto &[towers, movers] : groups) {
-        if (device_) {
-            // One dispatch per tower-count group: all movers' towers
-            // through transformTowersBatchAsync (batched all-towers
-            // kernels serially, per-tower fan-out on a pooled device).
-            std::vector<std::vector<std::vector<u128>>> xs;
-            xs.reserve(movers.size());
-            for (ResiduePoly *p : movers)
-                xs.push_back(std::move(p->towers));
-            auto pending = device_->transformTowersBatchAsync(
-                n_, prefixPrimes(towers), std::move(xs), inverse);
-            for (size_t i = 0; i < movers.size(); ++i) {
-                movers[i]->towers =
-                    RpuDevice::collectTowers(std::move(pending[i]));
-            }
-        } else {
-            for (ResiduePoly *p : movers) {
-                for (size_t t = 0; t < towers; ++t)
-                    hostTransform(p->towers[t], t, target);
-            }
+    if (device_) {
+        // Every mover, whatever its tower count, in one tiled
+        // dispatch.
+        std::vector<std::vector<u128>> moduli;
+        TowerItems xs;
+        moduli.reserve(movers.size());
+        xs.reserve(movers.size());
+        for (ResiduePoly *p : movers) {
+            moduli.push_back(prefixPrimes(p->towerCount()));
+            xs.push_back(std::move(p->towers));
         }
-        for (ResiduePoly *p : movers)
-            p->domain = target;
+        auto out = device_->dispatch(target == ResidueDomain::Coeff
+                                         ? RingOp::Inverse
+                                         : RingOp::Forward,
+                                     n_, moduli, std::move(xs));
+        for (size_t i = 0; i < movers.size(); ++i)
+            movers[i]->towers = std::move(out[i]);
+    } else {
+        for (ResiduePoly *p : movers) {
+            for (size_t t = 0; t < p->towerCount(); ++t)
+                hostTransform(p->towers[t], t, target);
+        }
     }
+    for (ResiduePoly *p : movers)
+        p->domain = target;
 }
 
 void
@@ -180,13 +178,14 @@ ResidueOps::collectEvalProducts(
     std::vector<std::vector<std::vector<u128>>> rhs,
     size_t towers) const
 {
-    auto pending = device_->pointwiseTowersBatchAsync(
-        n_, prefixPrimes(towers), std::move(lhs), std::move(rhs));
-    std::vector<ResiduePoly> out(pending.size());
+    const std::vector<std::vector<u128>> moduli(lhs.size(),
+                                                prefixPrimes(towers));
+    auto prods = device_->dispatch(RingOp::Pointwise, n_, moduli,
+                                   std::move(lhs), std::move(rhs));
+    std::vector<ResiduePoly> out(prods.size());
     for (size_t i = 0; i < out.size(); ++i) {
         out[i].domain = ResidueDomain::Eval;
-        out[i].towers =
-            RpuDevice::collectTowers(std::move(pending[i]));
+        out[i].towers = std::move(prods[i]);
     }
     return out;
 }
@@ -304,9 +303,8 @@ ResidueOps::mulEvalPairs(const std::vector<const ResiduePoly *> &as,
         return out;
     }
 
-    // Every pair through one dispatch (PointwiseMulBatched per pair
-    // serially, per-tower fan-out on a pooled device); operands are
-    // copied in because the launches consume their inputs.
+    // Every pair through one tiled dispatch; operands are copied in
+    // because the launches consume their inputs.
     std::vector<std::vector<std::vector<u128>>> lhs, rhs;
     lhs.reserve(as.size());
     rhs.reserve(as.size());

@@ -15,9 +15,9 @@
  * amortisation is observable, not just asserted.
  *
  * Transitions route through an attached RpuDevice when one is set
- * (serial devices launch one batched all-towers kernel per polynomial,
- * pooled devices fan per-tower launches across workers) and through
- * host reference transforms otherwise — bit-identical either way,
+ * (one RpuDevice::dispatch per call: every polynomial's towers tiled
+ * into batched kernels) and through host reference transforms
+ * otherwise — bit-identical either way,
  * which the round-trip tests pin down on every backend.
  */
 
@@ -104,8 +104,8 @@ class ResidueOps
     const RnsBasis &basis() const;
 
     /**
-     * Bring every polynomial to @p target in one device dispatch per
-     * tower-count group (host loop otherwise). Polynomials already
+     * Bring every polynomial to @p target in one device dispatch,
+     * whatever their tower counts (host loop otherwise). Polynomials already
      * resident in the target domain are skipped, and the skip is
      * recorded in the device's transformsElided ledger — this lazy
      * boundary is the whole point of the domain tag.
@@ -133,9 +133,8 @@ class ResidueOps
      * result[i] = as[i] .* b over the first @p towers primes (0 =
      * as[0]'s tower count; b may span more — a full-chain plaintext
      * serves any level). Both ciphertext components against one
-     * encoded plaintext go through a single device dispatch
-     * (PointwiseMulBatched per pair serially, per-tower PointwiseMul
-     * launches on a pooled device). All operands must be Eval; the
+     * encoded plaintext go through a single tiled device dispatch.
+     * All operands must be Eval; the
      * results are Eval. No transform runs anywhere on this path, and
      * operands are only read — the host path copies nothing.
      */
@@ -212,7 +211,8 @@ class ResidueOps
     mulEvalHost(const std::vector<const ResiduePoly *> &as,
                 const ResiduePoly &b, size_t towers) const;
 
-    /** Join one dispatched pair batch into Eval-resident results. */
+    /** Dispatch the pairs' pointwise products over the first
+     *  @p towers primes; the results are Eval-resident. */
     std::vector<ResiduePoly>
     collectEvalProducts(std::vector<std::vector<std::vector<u128>>> lhs,
                         std::vector<std::vector<std::vector<u128>>> rhs,

@@ -1,6 +1,7 @@
 #include "rpu/device.hh"
 
 #include <algorithm>
+#include <exception>
 
 #include "common/logging.hh"
 #include "sim/cycle/simulator.hh"
@@ -743,63 +744,27 @@ RpuDevice::launchAll(const std::vector<LaunchRequest> &batch)
         // Collect in request order: results are deterministic no
         // matter which worker finishes first, and each launch is a
         // pure function of (image, inputs), so the batch is
-        // bit-identical to the serial path. whenAll joins every job
-        // before surfacing any failure — still-queued jobs hold
-        // references into the caller's batch, so unwinding early
+        // bit-identical to the serial path. Every job is joined
+        // before the first failure is rethrown — still-queued jobs
+        // hold references into the caller's batch, so unwinding early
         // would free memory under them.
-        results = whenAll(std::move(futures));
+        std::exception_ptr first_error;
+        for (size_t i = 0; i < futures.size(); ++i) {
+            try {
+                results[i] = futures[i].get();
+            } catch (...) {
+                if (!first_error)
+                    first_error = std::current_exception();
+            }
+        }
+        if (first_error)
+            std::rethrow_exception(first_error);
     } else {
         for (size_t i = 0; i < batch.size(); ++i)
             results[i] = executeValidated(*batch[i].image,
                                           batch[i].inputs);
     }
     return results;
-}
-
-std::vector<std::vector<std::vector<u128>>>
-RpuDevice::whenAll(std::vector<LaunchFuture> futures)
-{
-    // Request-ordered join. Every future is drained before the first
-    // failure is rethrown: a still-running launch must never outlive
-    // an unwinding caller that owns state it references.
-    std::vector<std::vector<std::vector<u128>>> results(futures.size());
-    std::exception_ptr first_error;
-    for (size_t i = 0; i < futures.size(); ++i) {
-        try {
-            results[i] = futures[i].get();
-        } catch (...) {
-            if (!first_error)
-                first_error = std::current_exception();
-        }
-    }
-    if (first_error)
-        std::rethrow_exception(first_error);
-    return results;
-}
-
-LaunchFuture
-RpuDevice::launchAsync(const KernelImage &image,
-                       std::vector<std::vector<u128>> inputs,
-                       unsigned structuralLanes)
-{
-    validateLaunch(image, inputs);
-    if (pool_) {
-        return pool_->submit(
-            [this, &image, in = std::move(inputs), structuralLanes] {
-                return executeValidated(image, in, structuralLanes);
-            });
-    }
-    // Inline execution still reports failure through the future, so
-    // callers handle errors at .get() regardless of the parallelism.
-    // An inline launch occupies exactly one lane whatever the caller
-    // believed the dispatch structure was.
-    std::promise<std::vector<std::vector<u128>>> done;
-    try {
-        done.set_value(executeValidated(image, inputs));
-    } catch (...) {
-        done.set_exception(std::current_exception());
-    }
-    return done.get_future();
 }
 
 std::vector<u128>
@@ -813,118 +778,6 @@ RpuDevice::ntt(uint64_t n, u128 q, const std::vector<u128> &x,
 }
 
 std::vector<u128>
-RpuDevice::negacyclicMul(uint64_t n, u128 q, const std::vector<u128> &a,
-                         const std::vector<u128> &b,
-                         const NttCodegenOptions &opts)
-{
-    const KernelImage &k = kernel(KernelKind::PolyMul, n, {q}, opts);
-    return launch(k, {a, b})[0];
-}
-
-std::vector<std::vector<u128>>
-RpuDevice::mulTowers(uint64_t n, const std::vector<u128> &moduli,
-                     std::vector<std::vector<u128>> a,
-                     std::vector<std::vector<u128>> b,
-                     const NttCodegenOptions &opts)
-{
-    std::vector<std::vector<std::vector<u128>>> as, bs;
-    as.push_back(std::move(a));
-    bs.push_back(std::move(b));
-    return std::move(
-        mulTowersBatch(n, moduli, std::move(as), std::move(bs),
-                       opts)[0]);
-}
-
-std::vector<std::vector<std::vector<u128>>>
-RpuDevice::mulTowersBatch(
-    uint64_t n, const std::vector<u128> &moduli,
-    std::vector<std::vector<std::vector<u128>>> a,
-    std::vector<std::vector<std::vector<u128>>> b,
-    const NttCodegenOptions &opts)
-{
-    auto pending = mulTowersBatchAsync(n, moduli, std::move(a),
-                                       std::move(b), opts);
-    std::vector<std::vector<std::vector<u128>>> out(pending.size());
-    for (size_t p = 0; p < pending.size(); ++p)
-        out[p] = collectTowers(std::move(pending[p]));
-    return out;
-}
-
-std::vector<PendingTowerProducts>
-RpuDevice::pairProductsBatchAsync(
-    KernelKind single, KernelKind batched, uint64_t n,
-    const std::vector<u128> &moduli,
-    std::vector<std::vector<std::vector<u128>>> a,
-    std::vector<std::vector<std::vector<u128>>> b,
-    const NttCodegenOptions &opts)
-{
-    rpu_assert(a.size() == b.size(), "operand pair count mismatch");
-    const size_t pairs = a.size();
-    const size_t towers = moduli.size();
-    for (size_t p = 0; p < pairs; ++p) {
-        rpu_assert(a[p].size() == towers && b[p].size() == towers,
-                   "tower count mismatch");
-    }
-
-    std::vector<PendingTowerProducts> pending(pairs);
-    for (auto &p : pending)
-        p.towers = towers;
-
-    if (pool_ && pairs * towers > 1) {
-        // One single-ring launch per (pair, tower), so every
-        // independent product overlaps across the worker pool — the
-        // paper's "process different towers simultaneously", realised
-        // in host wall-clock time. Operand vectors are moved into the
-        // launches, which own them until their futures resolve.
-        const unsigned lanes = unsigned(
-            std::min<size_t>(pool_->workers(), pairs * towers));
-        std::vector<const KernelImage *> tower_kernels(towers);
-        for (size_t t = 0; t < towers; ++t)
-            tower_kernels[t] = &kernel(single, n, {moduli[t]}, opts);
-        for (size_t p = 0; p < pairs; ++p) {
-            pending[p].futures.reserve(towers);
-            for (size_t t = 0; t < towers; ++t) {
-                std::vector<std::vector<u128>> in;
-                in.reserve(2);
-                in.push_back(std::move(a[p][t]));
-                in.push_back(std::move(b[p][t]));
-                pending[p].futures.push_back(launchAsync(
-                    *tower_kernels[t], std::move(in), lanes));
-            }
-        }
-        return pending;
-    }
-
-    // Serial: one batched all-towers launch per pair (executed inline
-    // by launchAsync when there is no pool, so the returned futures
-    // are already ready). Region order is t0.a, t0.b, t1.a, t1.b, ...
-    const KernelImage &k = kernel(batched, n, moduli, opts);
-    for (size_t p = 0; p < pairs; ++p) {
-        std::vector<std::vector<u128>> in;
-        in.reserve(2 * towers);
-        for (size_t t = 0; t < towers; ++t) {
-            in.push_back(std::move(a[p][t]));
-            in.push_back(std::move(b[p][t]));
-        }
-        pending[p].futures.push_back(launchAsync(k, std::move(in)));
-    }
-    return pending;
-}
-
-std::vector<PendingTowerProducts>
-RpuDevice::mulTowersBatchAsync(
-    uint64_t n, const std::vector<u128> &moduli,
-    std::vector<std::vector<std::vector<u128>>> a,
-    std::vector<std::vector<std::vector<u128>>> b,
-    const NttCodegenOptions &opts)
-{
-    return pairProductsBatchAsync(KernelKind::PolyMul,
-                                  KernelKind::BatchedPolyMul, n,
-                                  moduli, std::move(a), std::move(b),
-                                  opts);
-}
-
-std::vector<u128>
 RpuDevice::pointwiseMul(uint64_t n, u128 q, const std::vector<u128> &a,
                         const std::vector<u128> &b,
                         const NttCodegenOptions &opts)
@@ -933,202 +786,120 @@ RpuDevice::pointwiseMul(uint64_t n, u128 q, const std::vector<u128> &a,
     return launch(k, {a, b})[0];
 }
 
-std::vector<PendingTowerProducts>
-RpuDevice::transformTowersBatchAsync(
-    uint64_t n, const std::vector<u128> &moduli,
-    std::vector<std::vector<std::vector<u128>>> xs, bool inverse,
-    const NttCodegenOptions &opts)
+TowerItems
+RpuDevice::dispatch(RingOp op, uint64_t n,
+                    const std::vector<std::vector<u128>> &moduli,
+                    TowerItems a, TowerItems b,
+                    const NttCodegenOptions &opts)
 {
-    const size_t towers = moduli.size();
-    const size_t sets = xs.size();
-    for (size_t s = 0; s < sets; ++s)
-        rpu_assert(xs[s].size() == towers, "tower count mismatch");
-
-    std::vector<PendingTowerProducts> pending(sets);
-    for (auto &p : pending)
-        p.towers = towers;
-
-    if (pool_ && sets * towers > 1) {
-        // One single-ring transform per (set, tower), fanned across
-        // the worker pool — the same policy split as the fused tower
-        // products.
-        const unsigned lanes = unsigned(
-            std::min<size_t>(pool_->workers(), sets * towers));
-        std::vector<const KernelImage *> tower_kernels(towers);
-        for (size_t t = 0; t < towers; ++t) {
-            tower_kernels[t] = &kernel(inverse ? KernelKind::InverseNtt
-                                               : KernelKind::ForwardNtt,
-                                       n, {moduli[t]}, opts);
-        }
-        for (size_t s = 0; s < sets; ++s) {
-            pending[s].futures.reserve(towers);
-            for (size_t t = 0; t < towers; ++t) {
-                pending[s].futures.push_back(
-                    launchAsync(*tower_kernels[t],
-                                {std::move(xs[s][t])}, lanes));
-            }
-        }
-        return pending;
-    }
-
-    // Serial: one batched all-towers transform launch per set.
-    const KernelImage &k =
-        kernel(inverse ? KernelKind::BatchedInverseNtt
-                       : KernelKind::BatchedForwardNtt,
-               n, moduli, opts);
-    for (size_t s = 0; s < sets; ++s) {
-        std::vector<std::vector<u128>> in;
-        in.reserve(towers);
-        for (size_t t = 0; t < towers; ++t)
-            in.push_back(std::move(xs[s][t]));
-        pending[s].futures.push_back(launchAsync(k, std::move(in)));
-    }
-    return pending;
+    DispatchTiles tiles(op, moduli, std::move(a), std::move(b));
+    std::vector<size_t> all(tiles.groups());
+    for (size_t g = 0; g < all.size(); ++g)
+        all[g] = g;
+    tiles.launch(*this, n, all, opts);
+    return tiles.reassemble();
 }
 
-std::vector<PendingTowerProducts>
-RpuDevice::pointwiseTowersBatchAsync(
-    uint64_t n, const std::vector<u128> &moduli,
-    std::vector<std::vector<std::vector<u128>>> a,
-    std::vector<std::vector<std::vector<u128>>> b,
-    const NttCodegenOptions &opts)
+// ----------------------------------------------------------------------
+// DispatchTiles
+// ----------------------------------------------------------------------
+
+KernelKind
+batchedKind(RingOp op)
 {
-    return pairProductsBatchAsync(KernelKind::PointwiseMul,
-                                  KernelKind::PointwiseMulBatched, n,
-                                  moduli, std::move(a), std::move(b),
-                                  opts);
-}
-
-std::vector<std::vector<std::vector<u128>>>
-RpuDevice::transformCoalesced(
-    uint64_t n, const std::vector<std::vector<u128>> &moduli,
-    std::vector<std::vector<std::vector<u128>>> xs, bool inverse,
-    const NttCodegenOptions &opts)
-{
-    const size_t items = moduli.size();
-    rpu_assert(xs.size() == items, "item count mismatch");
-
-    std::vector<u128> tiled;
-    for (size_t i = 0; i < items; ++i) {
-        rpu_assert(xs[i].size() == moduli[i].size(),
-                   "tower count mismatch in item %zu", i);
-        tiled.insert(tiled.end(), moduli[i].begin(), moduli[i].end());
+    switch (op) {
+      case RingOp::Forward:
+        return KernelKind::BatchedForwardNtt;
+      case RingOp::Inverse:
+        return KernelKind::BatchedInverseNtt;
+      case RingOp::Pointwise:
+        return KernelKind::PointwiseMulBatched;
     }
-
-    std::vector<std::vector<u128>> in;
-    in.reserve(tiled.size());
-    for (auto &item : xs)
-        for (auto &tower : item)
-            in.push_back(std::move(tower));
-
-    // One launch per <= kMaxBatchedTowers group of the tiled chain
-    // (the batched-kernel register budget), so a chunk costs
-    // ceil(towers / budget) launches however many items it merged.
-    std::vector<std::vector<u128>> flat;
-    flat.reserve(tiled.size());
-    for (size_t g = 0; g < tiled.size(); g += kMaxBatchedTowers) {
-        const size_t end =
-            std::min(tiled.size(), g + kMaxBatchedTowers);
-        const std::vector<u128> group(tiled.begin() + g,
-                                      tiled.begin() + end);
-        const KernelImage &k =
-            kernel(inverse ? KernelKind::BatchedInverseNtt
-                           : KernelKind::BatchedForwardNtt,
-                   n, group, opts);
-        std::vector<std::vector<u128>> part = launch(
-            k, std::vector<std::vector<u128>>(
-                   std::make_move_iterator(in.begin() + g),
-                   std::make_move_iterator(in.begin() + end)));
-        for (auto &r : part)
-            flat.push_back(std::move(r));
-    }
-
-    std::vector<std::vector<std::vector<u128>>> out(items);
-    size_t f = 0;
-    for (size_t i = 0; i < items; ++i) {
-        out[i].reserve(moduli[i].size());
-        for (size_t t = 0; t < moduli[i].size(); ++t)
-            out[i].push_back(std::move(flat[f++]));
-    }
-    return out;
-}
-
-std::vector<std::vector<std::vector<u128>>>
-RpuDevice::pointwiseCoalesced(
-    uint64_t n, const std::vector<std::vector<u128>> &moduli,
-    std::vector<std::vector<std::vector<u128>>> a,
-    std::vector<std::vector<std::vector<u128>>> b,
-    const NttCodegenOptions &opts)
-{
-    const size_t items = moduli.size();
-    rpu_assert(a.size() == items && b.size() == items,
-               "item count mismatch");
-
-    std::vector<u128> tiled;
-    for (size_t i = 0; i < items; ++i) {
-        rpu_assert(a[i].size() == moduli[i].size() &&
-                       b[i].size() == moduli[i].size(),
-                   "tower count mismatch in item %zu", i);
-        tiled.insert(tiled.end(), moduli[i].begin(), moduli[i].end());
-    }
-
-    // Same region layout as one PointwiseMulBatched pair: per flat
-    // tower, the a operand then the b operand.
-    std::vector<std::vector<u128>> in;
-    in.reserve(2 * tiled.size());
-    for (size_t i = 0; i < items; ++i) {
-        for (size_t t = 0; t < moduli[i].size(); ++t) {
-            in.push_back(std::move(a[i][t]));
-            in.push_back(std::move(b[i][t]));
-        }
-    }
-
-    // Tiled into <= kMaxBatchedTowers launches like the transforms;
-    // a tower's a/b regions always land in the same group.
-    std::vector<std::vector<u128>> flat;
-    flat.reserve(tiled.size());
-    for (size_t g = 0; g < tiled.size(); g += kMaxBatchedTowers) {
-        const size_t end =
-            std::min(tiled.size(), g + kMaxBatchedTowers);
-        const std::vector<u128> group(tiled.begin() + g,
-                                      tiled.begin() + end);
-        const KernelImage &k =
-            kernel(KernelKind::PointwiseMulBatched, n, group, opts);
-        std::vector<std::vector<u128>> part = launch(
-            k, std::vector<std::vector<u128>>(
-                   std::make_move_iterator(in.begin() + 2 * g),
-                   std::make_move_iterator(in.begin() + 2 * end)));
-        for (auto &r : part)
-            flat.push_back(std::move(r));
-    }
-
-    std::vector<std::vector<std::vector<u128>>> out(items);
-    size_t f = 0;
-    for (size_t i = 0; i < items; ++i) {
-        out[i].reserve(moduli[i].size());
-        for (size_t t = 0; t < moduli[i].size(); ++t)
-            out[i].push_back(std::move(flat[f++]));
-    }
-    return out;
+    rpu_fatal("unknown ring operation %d", int(op));
 }
 
 std::vector<std::vector<u128>>
-RpuDevice::collectTowers(PendingTowerProducts pending)
+DispatchTiles::cut(const std::vector<std::vector<u128>> &moduli)
 {
-    // Both dispatch shapes flatten to one region per tower: the
-    // batched kernel is one future whose outputs are the towers'
-    // "t<i>.a" regions in basis order, the per-tower fan-out is one
-    // single-region future per tower in the same order.
-    auto results = whenAll(std::move(pending.futures));
-    std::vector<std::vector<u128>> out;
-    out.reserve(pending.towers);
-    for (auto &regions : results) {
-        for (auto &r : regions)
-            out.push_back(std::move(r));
+    std::vector<std::vector<u128>> groups;
+    for (const std::vector<u128> &item : moduli) {
+        for (u128 q : item) {
+            if (groups.empty() ||
+                groups.back().size() == RpuDevice::kMaxBatchedTowers)
+                groups.emplace_back();
+            groups.back().push_back(q);
+        }
     }
-    rpu_assert(out.size() == pending.towers,
-               "pending pair resolved to %zu regions, expected %zu",
-               out.size(), pending.towers);
+    return groups;
+}
+
+DispatchTiles::DispatchTiles(RingOp op,
+                             const std::vector<std::vector<u128>> &moduli,
+                             TowerItems a, TowerItems b)
+    : kind(batchedKind(op)), groupModuli(cut(moduli))
+{
+    const bool pointwise = op == RingOp::Pointwise;
+    const size_t items = moduli.size();
+    rpu_assert(a.size() == items && b.size() == (pointwise ? items : 0),
+               "operand item counts do not match %zu moduli items",
+               items);
+
+    // Region layout per tower: x for the transforms, a then b for a
+    // PointwiseMulBatched pair — the group kernels' input order.
+    groupInputs.resize(groupModuli.size());
+    groupOutputs.resize(groupModuli.size());
+    itemTowers.reserve(items);
+    size_t flat = 0;
+    for (size_t i = 0; i < items; ++i) {
+        const size_t towers = moduli[i].size();
+        rpu_assert(a[i].size() == towers &&
+                       (!pointwise || b[i].size() == towers),
+                   "tower count mismatch in item %zu", i);
+        itemTowers.push_back(towers);
+        for (size_t t = 0; t < towers; ++t, ++flat) {
+            auto &in = groupInputs[flat / RpuDevice::kMaxBatchedTowers];
+            in.push_back(std::move(a[i][t]));
+            if (pointwise)
+                in.push_back(std::move(b[i][t]));
+        }
+    }
+}
+
+void
+DispatchTiles::launch(RpuDevice &dev, uint64_t n,
+                      const std::vector<size_t> &which,
+                      const NttCodegenOptions &opts)
+{
+    std::vector<LaunchRequest> batch(which.size());
+    for (size_t j = 0; j < which.size(); ++j) {
+        const size_t g = which[j];
+        batch[j].image = &dev.kernel(kind, n, groupModuli[g], opts);
+        batch[j].inputs = std::move(groupInputs[g]);
+    }
+    auto results = dev.launchAll(batch);
+    for (size_t j = 0; j < which.size(); ++j)
+        groupOutputs[which[j]] = std::move(results[j]);
+}
+
+TowerItems
+DispatchTiles::reassemble()
+{
+    // Every group returns one region per tower, in tile order, so the
+    // flat output sequence cuts back at the item boundaries.
+    TowerItems out(itemTowers.size());
+    size_t g = 0, r = 0;
+    for (size_t i = 0; i < itemTowers.size(); ++i) {
+        out[i].reserve(itemTowers[i]);
+        for (size_t t = 0; t < itemTowers[i]; ++t) {
+            while (g < groupOutputs.size() && r == groupOutputs[g].size()) {
+                ++g;
+                r = 0;
+            }
+            rpu_assert(g < groupOutputs.size(),
+                       "tile groups returned fewer regions than towers");
+            out[i].push_back(std::move(groupOutputs[g][r++]));
+        }
+    }
     return out;
 }
 

@@ -18,12 +18,15 @@
  *    bit-exact functional simulator and the CPU reference baseline.
  *    Both consume the same KernelImage, so any kernel can be checked
  *    bit-for-bit across backends;
- *  - batched launches (launchAll) that push many independent tower
- *    launches through one backend, the software counterpart of the
- *    paper's "process different towers simultaneously" — and, with
- *    setParallelism(w > 1), actually execute them concurrently on a
- *    worker pool, with request-ordered results bit-identical to the
- *    serial path.
+ *  - batched launches (launchAll) that push many independent
+ *    launches through one backend — and, with setParallelism(w > 1),
+ *    actually execute them concurrently on a worker pool, with
+ *    request-ordered results bit-identical to the serial path;
+ *  - one tiled ring dispatch (dispatch) that runs a forward, inverse
+ *    or pointwise operation over many items' RNS towers as batched
+ *    kernels of at most kMaxBatchedTowers towers each, the software
+ *    counterpart of the paper's "process different towers
+ *    simultaneously".
  */
 
 #ifndef RPU_RPU_DEVICE_HH
@@ -32,7 +35,6 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -369,22 +371,20 @@ struct LaunchRequest
     std::vector<std::vector<u128>> inputs;
 };
 
-/** The future every asynchronous launch path resolves to. */
-using LaunchFuture = std::future<std::vector<std::vector<u128>>>;
-
-/**
- * The still-running tower products of one operand pair, as returned
- * by mulTowersBatchAsync(). Joining (collectTowers) yields one
- * product polynomial per tower, in basis order, regardless of whether
- * the pair ran as one batched all-towers launch (one future, one
- * output region per tower) or as per-tower launches fanned across the
- * worker pool (one single-region future per tower).
- */
-struct PendingTowerProducts
+/** The ring operations RpuDevice::dispatch runs, each as one batched
+ *  kernel kind over a tile group of towers. */
+enum class RingOp
 {
-    std::vector<LaunchFuture> futures;
-    size_t towers = 0;
+    Forward,   ///< x <- NTT(x)  (BatchedForwardNtt)
+    Inverse,   ///< x <- INTT(x) (BatchedInverseNtt)
+    Pointwise, ///< a <- a .* b  (PointwiseMulBatched)
 };
+
+/** The batched kernel kind that runs @p op. */
+KernelKind batchedKind(RingOp op);
+
+/** Per-item tower sets: items[i][t] is tower t of item i. */
+using TowerItems = std::vector<std::vector<std::vector<u128>>>;
 
 /** An RPU: kernel cache + context caches + execution backend. */
 class RpuDevice
@@ -471,8 +471,8 @@ class RpuDevice
     /**
      * Number of worker threads independent launches fan out across.
      * 1 (the default) executes every batch serially on the caller's
-     * thread; w > 1 starts a worker pool and launchAll()/launchAsync()
-     * (and the RNS tower paths built on them) overlap independent
+     * thread; w > 1 starts a worker pool and launchAll() (and the
+     * dispatch() tile groups built on it) overlap independent
      * launches. Results are request-ordered and bit-identical to the
      * serial path regardless of the setting. Capped at 64 workers
      * (the per-worker launch ledger's width) so passing
@@ -541,205 +541,53 @@ class RpuDevice
     std::vector<std::vector<std::vector<u128>>>
     launchAll(const std::vector<LaunchRequest> &batch);
 
-    /**
-     * Asynchronous launch: validates on the calling thread, then
-     * executes on the worker pool (or inline when parallelism() == 1,
-     * in which case the returned future is already ready).
-     * @p image is captured by reference and must stay alive until the
-     * future resolves — kernels from kernel() satisfy this for the
-     * device's lifetime.
-     *
-     * @p structuralLanes is the dispatch-structure occupancy hint for
-     * the contention ledger: how many lanes the *call site* knows it
-     * is filling concurrently (a batch of m independent launches over
-     * a w-worker pool occupies min(w, m) lanes at steady state). The
-     * ledger uses max(hint, observed in-flight launches), so the
-     * modelled contention is deterministic for structured fan-outs
-     * even when OS scheduling would serialise the real threads.
-     */
-    LaunchFuture launchAsync(const KernelImage &image,
-                             std::vector<std::vector<u128>> inputs,
-                             unsigned structuralLanes = 1);
-
-    /**
-     * Join a batch of asynchronous launches: results in request
-     * order, one entry per future (the launch's output regions).
-     * Every future is joined before the first failure (if any) is
-     * rethrown, so no launch is left running with dangling state.
-     * The building block that lets callers overlap host-side
-     * post-processing (e.g. CRT reconstruction of an early operand
-     * pair) with launches that are still in flight: join one group of
-     * futures while the rest keep running.
-     */
-    static std::vector<std::vector<std::vector<u128>>>
-    whenAll(std::vector<LaunchFuture> futures);
-
-    // -- Convenience ring operations -------------------------------------
+    // -- Single-ring test references -----------------------------------
 
     /** Transform @p x on the device via the cached (n, q) kernel. */
     std::vector<u128> ntt(uint64_t n, u128 q, const std::vector<u128> &x,
                           bool inverse = false,
                           const NttCodegenOptions &opts = {});
 
-    /** Fused negacyclic product of @p a and @p b in one launch. */
-    std::vector<u128> negacyclicMul(uint64_t n, u128 q,
-                                    const std::vector<u128> &a,
-                                    const std::vector<u128> &b,
-                                    const NttCodegenOptions &opts = {});
-
-    /**
-     * All towers' negacyclic products:
-     * result[t] = INTT_t(NTT_t(a[t]) .* NTT_t(b[t])) mod moduli[t].
-     * Serially this is one batched kernel launch; with
-     * parallelism() > 1 each tower becomes its own single-ring launch
-     * and the towers overlap across the worker pool (bit-identical
-     * results either way). Operands are taken by value: pass rvalues
-     * to avoid the copy.
-     */
-    std::vector<std::vector<u128>>
-    mulTowers(uint64_t n, const std::vector<u128> &moduli,
-              std::vector<std::vector<u128>> a,
-              std::vector<std::vector<u128>> b,
-              const NttCodegenOptions &opts = {});
-
-    /**
-     * Many independent multi-tower products over one basis in a
-     * single dispatch decision:
-     * result[p][t] = INTT_t(NTT_t(a[p][t]) .* NTT_t(b[p][t])).
-     * Serially each pair is one batched all-towers launch, pushed
-     * through the backend as one batch; with parallelism() > 1 every
-     * (pair, tower) product becomes its own single-ring launch and
-     * they all overlap across the worker pool — keeping the dispatch
-     * policy here rather than in callers. Operand tower sets are
-     * consumed: taken by value and moved into the launch requests, so
-     * rvalue operands are never copied.
-     */
-    std::vector<std::vector<std::vector<u128>>>
-    mulTowersBatch(uint64_t n, const std::vector<u128> &moduli,
-                   std::vector<std::vector<std::vector<u128>>> a,
-                   std::vector<std::vector<std::vector<u128>>> b,
-                   const NttCodegenOptions &opts = {});
-
-    /**
-     * Asynchronous mulTowersBatch: same operands, same dispatch
-     * policy (serial devices stage one batched all-towers launch per
-     * pair, pooled devices one single-ring launch per (pair, tower)),
-     * but returns per-pair pending futures instead of joining. BFV
-     * and CKKS use this to overlap the CRT reconstruction / residue
-     * assembly of early pairs with launches that are still running.
-     * Join each pair with collectTowers, in any order.
-     */
-    std::vector<PendingTowerProducts>
-    mulTowersBatchAsync(uint64_t n, const std::vector<u128> &moduli,
-                        std::vector<std::vector<std::vector<u128>>> a,
-                        std::vector<std::vector<std::vector<u128>>> b,
-                        const NttCodegenOptions &opts = {});
-
-    /** Join one pending pair into its tower products (basis order). */
-    static std::vector<std::vector<u128>>
-    collectTowers(PendingTowerProducts pending);
-
-    /**
-     * Pointwise (evaluation-domain) product a .* b in one launch —
-     * the whole homomorphic multiply once operands are NTT-resident.
-     */
+    /** Pointwise (evaluation-domain) product a .* b in one launch. */
     std::vector<u128> pointwiseMul(uint64_t n, u128 q,
                                    const std::vector<u128> &a,
                                    const std::vector<u128> &b,
                                    const NttCodegenOptions &opts = {});
 
-    /**
-     * Forward or inverse NTT of every tower of several residue
-     * polynomials in one dispatch decision — the launch stream a
-     * domain-resident ciphertext issues at a Coeff<->Eval boundary.
-     * Serially each set is one batched all-towers launch; with
-     * parallelism() > 1 every (set, tower) transform becomes its own
-     * single-ring launch across the worker pool (bit-identical either
-     * way). Join each set with collectTowers, in any order.
-     */
-    std::vector<PendingTowerProducts>
-    transformTowersBatchAsync(uint64_t n, const std::vector<u128> &moduli,
-                              std::vector<std::vector<std::vector<u128>>> xs,
-                              bool inverse,
-                              const NttCodegenOptions &opts = {});
-
-    /**
-     * Pointwise tower products of many operand pairs over one basis:
-     * result[p][t] = a[p][t] .* b[p][t] mod moduli[t], with the same
-     * dispatch policy split as mulTowersBatchAsync (serial: one
-     * PointwiseMulBatched launch per pair; pooled: one PointwiseMul
-     * launch per (pair, tower)). This is mulTowersBatchAsync minus
-     * every butterfly stage — what the ciphertext hot loop launches
-     * when both operands are evaluation-domain resident.
-     */
-    std::vector<PendingTowerProducts>
-    pointwiseTowersBatchAsync(uint64_t n, const std::vector<u128> &moduli,
-                              std::vector<std::vector<std::vector<u128>>> a,
-                              std::vector<std::vector<std::vector<u128>>> b,
-                              const NttCodegenOptions &opts = {});
-
-    // -- Cross-item coalescing -------------------------------------------
+    // -- Tiled ring dispatch ---------------------------------------------
     //
-    // The serving layer's batching hooks: many *independent* items —
-    // typically requests from different tenants whose parameter sets
-    // share the ring dimension and (a prefix of) the same modulus
-    // chain — merge into batched kernels over the concatenated
-    // (tiled) moduli list, split only where the batched-kernel
-    // register budget forces it: ceil(towers / kMaxBatchedTowers)
-    // launches per call, however many items were merged. The batched
-    // kernel kinds already compute each region's ring independently,
-    // so the result is bit-identical to launching the items
-    // separately (a tier-1 test pins this); what changes is the
-    // ledger: a handful of launches where the uncoalesced path pays
-    // at least one per item, while the semantic tower-granular
-    // transform/pointwise counts stay exactly equal. Items may have
-    // different tower counts (tenants at different levels); results
-    // come back per item, in item order.
+    // The one ring-operation entry point, the software counterpart of
+    // the paper's "process different towers simultaneously": every
+    // item's towers (a polynomial, a ciphertext component, a tenant's
+    // request — items may span different tower counts and moduli) are
+    // laid end to end and cut into tile groups of at most
+    // kMaxBatchedTowers, and each group runs as one batched launch.
+    // The batched kinds compute each region's ring independently, so
+    // results are bit-identical to per-item single-ring launches
+    // however the items tile; the tower-granular transform/pointwise
+    // counters are exactly the per-item totals, and a call costs
+    // ceil(towers / kMaxBatchedTowers) launches however many items it
+    // carries.
 
     /** Towers one batched kernel can carry — the per-tower modulus /
      *  scalar / data-pointer register budget in the codegen. */
     static constexpr size_t kMaxBatchedTowers = 16;
 
     /**
-     * Forward or inverse NTT of every tower of every item:
-     * result[i][t] = NTT_{moduli[i][t]}(xs[i][t]) (or the inverse).
-     * BatchedForward/InverseNtt launches over the tiled moduli,
-     * regardless of parallelism — coalescing trades the pool fan-out
-     * for launch-count reduction by design.
+     * Run @p op on every tower of every item and return the results
+     * per item, in item order: result[i][t] = op over moduli[i][t] of
+     * a[i][t] (Forward / Inverse) or of a[i][t], b[i][t] (Pointwise;
+     * b is empty for the transforms). Operands are consumed — pass
+     * rvalues to avoid the copy. The tile groups go through launchAll,
+     * so a pooled device overlaps them on min(workers, groups) lanes;
+     * RpuTopology::dispatch runs the same tiling across devices.
      */
-    std::vector<std::vector<std::vector<u128>>>
-    transformCoalesced(uint64_t n,
-                       const std::vector<std::vector<u128>> &moduli,
-                       std::vector<std::vector<std::vector<u128>>> xs,
-                       bool inverse, const NttCodegenOptions &opts = {});
-
-    /**
-     * Pointwise tower products of every item: result[i][t] =
-     * a[i][t] .* b[i][t] mod moduli[i][t], as PointwiseMulBatched
-     * launches over the tiled moduli.
-     */
-    std::vector<std::vector<std::vector<u128>>>
-    pointwiseCoalesced(uint64_t n,
-                       const std::vector<std::vector<u128>> &moduli,
-                       std::vector<std::vector<std::vector<u128>>> a,
-                       std::vector<std::vector<std::vector<u128>>> b,
-                       const NttCodegenOptions &opts = {});
+    TowerItems dispatch(RingOp op, uint64_t n,
+                        const std::vector<std::vector<u128>> &moduli,
+                        TowerItems a, TowerItems b = {},
+                        const NttCodegenOptions &opts = {});
 
   private:
-    /**
-     * Shared body of the two pair-product dispatch families
-     * (mulTowersBatchAsync / pointwiseTowersBatchAsync): the policy
-     * split — one @p batched all-towers launch per pair serially,
-     * one @p single launch per (pair, tower) across the pool — lives
-     * here exactly once.
-     */
-    std::vector<PendingTowerProducts>
-    pairProductsBatchAsync(KernelKind single, KernelKind batched,
-                           uint64_t n, const std::vector<u128> &moduli,
-                           std::vector<std::vector<std::vector<u128>>> a,
-                           std::vector<std::vector<std::vector<u128>>> b,
-                           const NttCodegenOptions &opts);
-
     std::string kernelKey(KernelKind kind, uint64_t n,
                           const std::vector<u128> &moduli,
                           const NttCodegenOptions &opts) const;
@@ -778,6 +626,51 @@ class RpuDevice
     // joins any still-queued async launches while the caches, mutexes,
     // and backend they use are all still alive.
     std::unique_ptr<ThreadPool> pool_;
+};
+
+/**
+ * One dispatch flattened and cut into launch groups — the single copy
+ * of the tiling that RpuDevice::dispatch, RpuTopology::dispatch and
+ * the serving layer's kernel prewarm share. Every item's towers are
+ * laid end to end and cut every kMaxBatchedTowers; group g runs as
+ * one batchedKind(op) launch over groupModuli[g]. A Pointwise tower
+ * contributes its a and b regions, always to the same group.
+ */
+struct DispatchTiles
+{
+    KernelKind kind = KernelKind::BatchedForwardNtt;
+    /** Moduli of each group, in tile order. */
+    std::vector<std::vector<u128>> groupModuli;
+    /** Input regions of each group, consumed by launch(). */
+    std::vector<std::vector<std::vector<u128>>> groupInputs;
+    /** Output regions of each group (one per tower), from launch(). */
+    std::vector<std::vector<std::vector<u128>>> groupOutputs;
+    /** Tower count of each item, for reassemble(). */
+    std::vector<size_t> itemTowers;
+
+    /** Flatten @p a (and, for Pointwise, @p b) over @p moduli and
+     *  cut it into groups. Operands are moved in. */
+    DispatchTiles(RingOp op, const std::vector<std::vector<u128>> &moduli,
+                  TowerItems a, TowerItems b);
+
+    /** The group moduli alone: the kernel shapes a dispatch over
+     *  @p moduli launches, for warming a kernel cache. */
+    static std::vector<std::vector<u128>>
+    cut(const std::vector<std::vector<u128>> &moduli);
+
+    size_t groups() const { return groupModuli.size(); }
+
+    /**
+     * Run @p which (group indices) on @p dev as one launchAll. Calls
+     * for disjoint group sets may run concurrently on different
+     * devices: each touches only its own groups' slots.
+     */
+    void launch(RpuDevice &dev, uint64_t n,
+                const std::vector<size_t> &which,
+                const NttCodegenOptions &opts);
+
+    /** The group outputs, back per item in item order. */
+    TowerItems reassemble();
 };
 
 } // namespace rpu

@@ -22,14 +22,13 @@
  *    makespan of the same work on one device — the capacity-planning
  *    signal the sharding bench sweeps.
  *
- * Finally, the sharded coalesced hooks (transformSharded /
- * pointwiseSharded) take the serving layer's tiled batched launches
- * and spread the <= kMaxBatchedTowers tile groups across devices
- * according to a placement plan, overlapping devices on real threads.
- * Group boundaries are identical to the single-device coalesced path
- * and every group's math is independent, so results are bit-identical
- * to RpuDevice::transformCoalesced / pointwiseCoalesced whatever the
- * plan — only the ledger (which device paid which launches) moves.
+ * Finally, dispatch() is RpuDevice::dispatch spread across devices:
+ * the same flatten/tile/reassemble helper (DispatchTiles), with each
+ * <= kMaxBatchedTowers tile group executed on the device a placement
+ * plan names, devices overlapping on real threads. Group boundaries
+ * and every group's math are the single-device ones, so results are
+ * bit-identical to RpuDevice::dispatch whatever the plan — only the
+ * ledger (which device paid which launches) moves.
  */
 
 #ifndef RPU_RPU_TOPOLOGY_HH
@@ -108,11 +107,11 @@ class RpuTopology
         return makespanCycles(snapshot());
     }
 
-    // -- Sharded coalesced launches --------------------------------------
+    // -- Tiled dispatch across devices -----------------------------------
 
     /** Tile-group count of a @p towers-long tiled chain: the number
-     *  of launches the coalesced hooks split it into, and the length
-     *  of a placement plan. */
+     *  of launches a dispatch splits it into, and the length of a
+     *  placement plan. */
     static size_t tileGroups(size_t towers)
     {
         return (towers + RpuDevice::kMaxBatchedTowers - 1) /
@@ -121,7 +120,7 @@ class RpuTopology
 
     /** Tower count of each tile group of a @p towers-long tiled
      *  chain — full kMaxBatchedTowers groups plus the remainder.
-     *  Matches the group boundaries the coalesced hooks cut, so a
+     *  Matches the group boundaries DispatchTiles cuts, so a
      *  planner can weigh each launch of a stage before building its
      *  plan. */
     static std::vector<size_t> groupTowerCounts(size_t towers)
@@ -145,47 +144,21 @@ class RpuTopology
     }
 
     /**
-     * RpuDevice::transformCoalesced with the tiled launches spread
-     * across the topology: group g of the flattened chain executes on
-     * device plan[g]. plan.size() must equal tileGroups(total
-     * towers); groups placed on different devices run concurrently
-     * (one thread per occupied device), groups on the same device run
-     * in tile order on it. A uniform plan routes the whole call to
-     * that one device's coalesced hook — the 1-device degeneracy is
-     * the identical code path, not a lookalike.
+     * RpuDevice::dispatch with the tile groups spread across the
+     * topology: group g executes on device plan[g], and plan.size()
+     * must equal tileGroups(total towers). Each occupied device runs
+     * its groups, in tile order, as one launchAll; devices overlap on
+     * real threads (the caller's thread runs the first occupied
+     * device). A uniform plan is exactly that device's own dispatch.
      */
-    std::vector<std::vector<std::vector<u128>>>
-    transformSharded(const std::vector<size_t> &plan, uint64_t n,
-                     const std::vector<std::vector<u128>> &moduli,
-                     std::vector<std::vector<std::vector<u128>>> xs,
-                     bool inverse,
-                     const NttCodegenOptions &opts = {});
-
-    /** RpuDevice::pointwiseCoalesced, sharded the same way. */
-    std::vector<std::vector<std::vector<u128>>>
-    pointwiseSharded(const std::vector<size_t> &plan, uint64_t n,
-                     const std::vector<std::vector<u128>> &moduli,
-                     std::vector<std::vector<std::vector<u128>>> a,
-                     std::vector<std::vector<std::vector<u128>>> b,
-                     const NttCodegenOptions &opts = {});
+    TowerItems dispatch(const std::vector<size_t> &plan, RingOp op,
+                        uint64_t n,
+                        const std::vector<std::vector<u128>> &moduli,
+                        TowerItems a, TowerItems b = {},
+                        const NttCodegenOptions &opts = {});
 
   private:
     RpuTopology() = default;
-
-    /**
-     * Shared body of the sharded hooks: execute each tile group of
-     * the flattened chain @p tiled on its planned device (transform:
-     * one input region per tower; pointwise: a/b region pairs) and
-     * return the flat per-tower outputs in tile order. @p pointwise
-     * selects the kernel kind and region layout; callers reassemble
-     * per item.
-     */
-    std::vector<std::vector<u128>>
-    runShardedFlat(const std::vector<size_t> &plan, uint64_t n,
-                   const std::vector<u128> &tiled,
-                   std::vector<std::vector<u128>> regions,
-                   bool pointwise, bool inverse,
-                   const NttCodegenOptions &opts);
 
     std::vector<std::shared_ptr<RpuDevice>> devices_;
 };

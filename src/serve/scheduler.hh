@@ -161,7 +161,7 @@ class MakespanScheduler
      * Split policy: convert @p p's whole-chunk booking into
      * per-tile-group bookings and return one device plan per stage
      * (plans[s][g] = device executing group g of stage s, feedable
-     * straight into RpuTopology::transformSharded/pointwiseSharded).
+     * straight into RpuTopology::dispatch).
      * @p stageWeights holds one relative cost weight per group per
      * stage (tower count x the kind weight above); groups are
      * assigned jointly, largest first, to the least-loaded unpaused

@@ -202,46 +202,26 @@ HeServer::prewarm()
                 execContext(*s, d);
         }
 
-        // Uncoalesced path on a serial device: plaintext entry, the
-        // per-pair pointwise dispatch, the dropped-tower inverses.
-        device_->kernel(KernelKind::BatchedForwardNtt, n, primes);
-        device_->kernel(KernelKind::PointwiseMulBatched, n, primes);
-        device_->kernel(KernelKind::InverseNtt, n, {q_l});
-        // A pooled device fans the same work per tower.
-        if (device_->parallelism() > 1) {
-            for (u128 q : primes) {
-                device_->kernel(KernelKind::ForwardNtt, n, {q});
-                device_->kernel(KernelKind::PointwiseMul, n, {q});
-            }
-        }
-        if (!cfg_.coalesce)
-            continue;
-
-        // Coalesced chunk shapes: chunks come in power-of-two sizes
-        // and the coalesced hooks split tiled chains at the batched
-        // register budget, so warm exactly the per-group shapes those
-        // splits produce — the cache stays logarithmic in maxCoalesce
-        // per class and stage, not one entry per observed batch size.
-        const auto warmTiled = [&](KernelKind kind,
-                                   const std::vector<u128> &tiled) {
-            const size_t step = RpuDevice::kMaxBatchedTowers;
-            for (size_t g = 0; g < tiled.size(); g += step) {
-                const size_t end = std::min(tiled.size(), g + step);
-                device_->kernel(kind, n,
-                                std::vector<u128>(tiled.begin() + g,
-                                                  tiled.begin() + end));
-            }
+        // A MulPlainRescale chunk of k requests runs three tiled
+        // dispatches — plaintext entry (k items over the chain),
+        // component products (2k items) and dropped-tower inverses
+        // (2k single-tower items) — and a serial request is exactly
+        // the k = 1 shape. Chunks come in power-of-two sizes, so warm
+        // those shapes' tile groups, cut by the helper the dispatch
+        // itself uses: the cache stays logarithmic in maxCoalesce per
+        // class and stage, not one entry per observed batch size.
+        const auto warm = [&](RingOp op, size_t items,
+                              const std::vector<u128> &chain) {
+            const std::vector<std::vector<u128>> moduli(items, chain);
+            for (const auto &group : DispatchTiles::cut(moduli))
+                device_->kernel(batchedKind(op), n, group);
         };
-        for (size_t k = 2; k <= pow2Floor(cfg_.maxCoalesce); k *= 2) {
-            std::vector<u128> entry, pw;
-            for (size_t i = 0; i < k; ++i)
-                entry.insert(entry.end(), primes.begin(), primes.end());
-            for (size_t i = 0; i < 2 * k; ++i)
-                pw.insert(pw.end(), primes.begin(), primes.end());
-            warmTiled(KernelKind::BatchedForwardNtt, entry);
-            warmTiled(KernelKind::PointwiseMulBatched, pw);
-            warmTiled(KernelKind::BatchedInverseNtt,
-                      std::vector<u128>(2 * k, q_l));
+        const size_t max_k =
+            cfg_.coalesce ? pow2Floor(cfg_.maxCoalesce) : 1;
+        for (size_t k = 1; k <= max_k; k *= 2) {
+            warm(RingOp::Forward, k, primes);
+            warm(RingOp::Pointwise, 2 * k, primes);
+            warm(RingOp::Inverse, 2 * k, {q_l});
         }
     }
 }
@@ -584,17 +564,16 @@ HeServer::coalescedMulPlain(MakespanScheduler::Placement &placement,
                             std::vector<ServeResponse> &responses)
 {
     // The cross-tenant batched MulPlainRescale pipeline: the same
-    // math as Session::runSerial, with every device dispatch merged
-    // across the chunk — three launches total where the serial path
-    // pays five per request on a serial device (encode entry, two
-    // component pointwise launches, two dropped-tower inverses).
+    // math and the same three dispatches as Session::runSerial (encode
+    // entry, both component products, both dropped-tower inverses),
+    // each merged across the chunk.
     // Bit-identity with the serial path rests on the batched kernel
     // kinds computing each region's ring independently — the same
     // per-region math whether a tower rides its own launch or a
     // tiled one (test_serve pins this end to end). Each stage's tile
     // groups spread across the topology per the scheduler's stage
-    // plan; on a 1-device topology every plan is uniform and the
-    // stages are the device's own coalesced hooks, unchanged.
+    // plan; on a 1-device topology every plan is uniform and each
+    // stage is exactly the device's own dispatch.
     const size_t k = chunk.size();
     const uint64_t n = sessions[0]->config().params.n;
 
@@ -657,8 +636,8 @@ HeServer::coalescedMulPlain(MakespanScheduler::Placement &placement,
     std::vector<std::vector<std::vector<u128>>> pt_in(k);
     for (size_t i = 0; i < k; ++i)
         pt_in[i] = std::move(pts[i].rp.towers);
-    auto pt_eval = topology_->transformSharded(
-        plans[0], n, moduli, std::move(pt_in), false);
+    auto pt_eval = topology_->dispatch(plans[0], RingOp::Forward, n,
+                                       moduli, std::move(pt_in));
 
     // Launch 2: both components of every ciphertext against its
     // plaintext — 2k items. The ciphertexts are read in place just
@@ -677,8 +656,9 @@ HeServer::coalescedMulPlain(MakespanScheduler::Placement &placement,
         sessions[i]->ctx().residueOps().noteElidedConversions(
             2 * moduli[i].size());
     }
-    auto prods = topology_->pointwiseSharded(
-        plans[1], n, pw_moduli, std::move(lhs), std::move(rhs));
+    auto prods = topology_->dispatch(plans[1], RingOp::Pointwise, n,
+                                     pw_moduli, std::move(lhs),
+                                     std::move(rhs));
 
     std::vector<CkksCiphertext> prod(k);
     for (size_t i = 0; i < k; ++i) {
@@ -699,8 +679,8 @@ HeServer::coalescedMulPlain(MakespanScheduler::Placement &placement,
         inv_in[2 * i] = {prod[i].c0.towers.back()};
         inv_in[2 * i + 1] = {prod[i].c1.towers.back()};
     }
-    auto dropped = topology_->transformSharded(
-        plans[2], n, inv_moduli, std::move(inv_in), true);
+    auto dropped = topology_->dispatch(plans[2], RingOp::Inverse, n,
+                                       inv_moduli, std::move(inv_in));
 
     // Host half, per request: finish the rescale and decrypt.
     for (size_t i = 0; i < k; ++i) {

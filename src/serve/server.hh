@@ -31,13 +31,12 @@
  *    identical launches and ledger). A chunk of compatible
  *    MulPlainRescale requests — typically from *different tenants*,
  *    since each tenant's lane is capped per batch — executes as
- *    three coalesced device dispatches (plaintext Eval entry,
- *    both-component pointwise multiply, dropped-tower inverse), each
- *    split only where the batched-kernel tower budget forces it,
- *    where the uncoalesced path pays five launches per request on a
- *    serial device. Launch-count
- *    reduction is the whole point and is ledger-verified by bench
- *    and tests; results are bit-identical to per-tenant serial
+ *    the same three tiled device dispatches a serial request runs
+ *    (plaintext Eval entry, both-component pointwise multiply,
+ *    dropped-tower inverse), each split only where the batched-kernel
+ *    tower budget forces it, where the uncoalesced path pays three
+ *    launches per request. Launch-count reduction is the whole point
+ *    and is ledger-verified by bench and tests; results are bit-identical to per-tenant serial
  *    execution because the batched kernels compute each region's
  *    ring independently and all randomness is (tenant, seq)-derived.
  *    Chunks of one, MulCtRescale requests, and coalesce=false all
@@ -176,8 +175,9 @@ class HeServer
                       std::vector<std::complex<double>> b);
 
     /**
-     * Pre-generate the kernels every serving path launches (single
-     * and coalesced shapes for each tenant kernel class), so first
+     * Pre-generate the kernels every MulPlainRescale chunk launches
+     * (chunks of 1 up to maxCoalesce, for each tenant kernel class,
+     * tiled by the helper dispatch itself uses), so first
      * requests don't pay codegen+scheduling latency. Optional —
      * kernels generate on demand otherwise — but benches call it to
      * keep tail latencies about serving, not warmup.

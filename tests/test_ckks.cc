@@ -286,12 +286,13 @@ TEST(CkksOnDevice, MulPlainBitIdenticalToHostOnEveryTower)
 
     // The device really did the work, and only the minimal work: one
     // batched forward transform for the plaintext encode, then one
-    // batched pointwise launch per ciphertext component — the
+    // tiled pointwise launch for both ciphertext components — the
     // Eval-resident ciphertext itself was never transformed (the
     // elision ledger shows both components skipped).
     const size_t L = ctx.params().towers;
     const DeviceStats s = device->stats();
-    EXPECT_EQ(s.launches, 3u);
+    // 3 -> 2: the serial path now tiles across items.
+    EXPECT_EQ(s.launches, 2u);
     EXPECT_EQ(s.towerLaunches, 3 * L);
     EXPECT_EQ(s.kernelMisses, 2u);
     EXPECT_EQ(s.forwardTransforms, L);
@@ -330,10 +331,11 @@ TEST(CkksOnDevice, RescaleBitIdenticalToHostOnEveryTower)
     EXPECT_DOUBLE_EQ(via_rpu.scale, via_host.scale);
 
     // An Eval-resident rescale's only device work is the forced
-    // return to coefficients of the *dropped* tower: one inverse-NTT
-    // launch per component, zero forward transforms.
+    // return to coefficients of the *dropped* tower: both components'
+    // inverse NTTs in one tiled launch, zero forward transforms.
     const DeviceStats s = device->stats();
-    EXPECT_EQ(s.launches, 2u);
+    // 2 -> 1: the serial path now tiles across items.
+    EXPECT_EQ(s.launches, 1u);
     EXPECT_EQ(s.kernelMisses, 1u);
     EXPECT_EQ(s.inverseTransforms, 2u);
     EXPECT_EQ(s.forwardTransforms, 0u);
@@ -403,7 +405,9 @@ TEST(CkksOnDevice, ChainedMulPlainRescaleIssuesMinimalTransforms)
         << "a forward NTT ran inside the chained hot path";
     EXPECT_EQ(s.inverseTransforms, 2u); // rescale's dropped tower x2
     EXPECT_EQ(s.pointwiseMuls, 2 * L + 2 * l);
-    EXPECT_EQ(s.launches, 6u); // 2 pointwise + 2 intt + 2 pointwise
+    // 6 -> 3: serial path now tiles across items —
+    // pointwise + intt + pointwise, one launch each.
+    EXPECT_EQ(s.launches, 3u);
     EXPECT_EQ(s.transformsElided, 2 * L + 2 * l);
 
     // The chain still computes z * w * w at the right scale.

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <functional>
 #include <thread>
 
@@ -104,12 +103,31 @@ TEST_P(BackendEquivalence, FunctionalSimMatchesCpuReference)
     EXPECT_EQ(fwd_sim, ref.ntt(n, q, a));
     EXPECT_EQ(sim.ntt(n, q, fwd_sim, true),
               ref.ntt(n, q, fwd_sim, true));
-    EXPECT_EQ(sim.negacyclicMul(n, q, a, b),
-              ref.negacyclicMul(n, q, a, b));
+    const auto polyMul = [&](RpuDevice &dev) {
+        return dev.launch(dev.kernel(KernelKind::PolyMul, n, {q}),
+                          {a, b})[0];
+    };
+    EXPECT_EQ(polyMul(sim), polyMul(ref));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, BackendEquivalence,
                          testing::Values(1024ull, 2048ull, 4096ull));
+
+/** One BatchedPolyMul launch over @p primes: region order t0.a, t0.b,
+ *  t1.a, t1.b, ...; returns one product per tower. */
+std::vector<std::vector<u128>>
+batchedPolyMul(RpuDevice &dev, uint64_t n, const std::vector<u128> &primes,
+               const std::vector<std::vector<u128>> &a,
+               const std::vector<std::vector<u128>> &b)
+{
+    std::vector<std::vector<u128>> in;
+    for (size_t t = 0; t < primes.size(); ++t) {
+        in.push_back(a[t]);
+        in.push_back(b[t]);
+    }
+    return dev.launch(dev.kernel(KernelKind::BatchedPolyMul, n, primes),
+                      in);
+}
 
 TEST(BatchedPolyMul, MatchesPerTowerReference)
 {
@@ -126,7 +144,7 @@ TEST(BatchedPolyMul, MatchesPerTowerReference)
         b.push_back(randomPoly(mod, n, rng));
     }
 
-    const auto products = dev.mulTowers(n, primes, a, b);
+    const auto products = batchedPolyMul(dev, n, primes, a, b);
     ASSERT_EQ(products.size(), towers);
     EXPECT_EQ(dev.counters().launches, 1u);
     EXPECT_EQ(dev.counters().towerLaunches, towers);
@@ -154,8 +172,8 @@ TEST(BatchedPolyMul, EquivalentAcrossBackends)
         a.push_back(randomPoly(mod, n, rng));
         b.push_back(randomPoly(mod, n, rng));
     }
-    EXPECT_EQ(sim.mulTowers(n, primes, a, b),
-              ref.mulTowers(n, primes, a, b));
+    EXPECT_EQ(batchedPolyMul(sim, n, primes, a, b),
+              batchedPolyMul(ref, n, primes, a, b));
 }
 
 TEST(KernelCache, EveryScheduleFieldIsKeyed)
@@ -267,55 +285,39 @@ TEST(ParallelLaunch, BitIdenticalToSerial)
     EXPECT_EQ(dev.launchAll(batch), serial);
 }
 
-TEST(ParallelLaunch, MulTowersMatchesSerial)
+TEST(ParallelLaunch, DispatchGroupsOverlapOnThePool)
 {
+    // 8 items x 3 towers tile into two groups: a serial device runs
+    // them back to back, a pooled device runs them as one launchAll
+    // across two workers — same launches, same results.
     const uint64_t n = 1024;
-    const auto primes = nttPrimes(58, n, 4);
+    const auto primes = nttPrimes(58, n, 3);
+    const std::vector<std::vector<u128>> moduli(8, primes);
 
     Rng rng(23);
-    std::vector<std::vector<u128>> a, b;
-    for (u128 q : primes) {
-        const Modulus mod(q);
-        a.push_back(randomPoly(mod, n, rng));
-        b.push_back(randomPoly(mod, n, rng));
-    }
+    TowerItems xs(moduli.size());
+    for (auto &item : xs)
+        for (u128 q : primes)
+            item.push_back(randomPoly(Modulus(q), n, rng));
 
     RpuDevice serial_dev;
-    const auto serial = serial_dev.mulTowers(n, primes, a, b);
+    const auto serial =
+        serial_dev.dispatch(RingOp::Forward, n, moduli, xs);
 
     RpuDevice parallel_dev;
     parallel_dev.setParallelism(4);
-    const auto parallel = parallel_dev.mulTowers(n, primes, a, b);
+    const auto parallel =
+        parallel_dev.dispatch(RingOp::Forward, n, moduli, xs);
     EXPECT_EQ(parallel, serial);
 
-    // The parallel path fans one launch per tower.
-    EXPECT_EQ(parallel_dev.counters().launches, primes.size());
-    EXPECT_EQ(parallel_dev.counters().towerLaunches, primes.size());
-}
-
-TEST(ParallelLaunch, LaunchAsyncMatchesSync)
-{
-    const uint64_t n = 1024;
-    const u128 q = nttPrime(60, n);
-    RpuDevice dev;
-    const KernelImage &k = dev.kernel(KernelKind::PolyMul, n, {q});
-
-    Rng rng(29);
-    const Modulus mod(q);
-    const auto a = randomPoly(mod, n, rng);
-    const auto b = randomPoly(mod, n, rng);
-    const auto expected = dev.launch(k, {a, b});
-
-    // Serial device: the future is already resolved.
-    auto fut = dev.launchAsync(k, {a, b});
-    EXPECT_EQ(fut.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-    EXPECT_EQ(fut.get(), expected);
-
-    // Pooled device: same result through a worker.
-    dev.setParallelism(2);
-    auto pooled = dev.launchAsync(k, {a, b});
-    EXPECT_EQ(pooled.get(), expected);
+    // ceil(24 / 16) launches either way; the pooled ones ran on
+    // workers, never inline, two lanes at once.
+    EXPECT_EQ(serial_dev.counters().launches, 2u);
+    const DeviceStats s = parallel_dev.stats();
+    EXPECT_EQ(s.launches, 2u);
+    EXPECT_EQ(s.towerLaunches, 24u);
+    EXPECT_EQ(s.perWorkerLaunches[0], 0u);
+    EXPECT_EQ(s.maxOccupiedLanes, 2u);
 }
 
 TEST(ParallelLaunch, ConcurrentCallersStress)
@@ -346,7 +348,8 @@ TEST(ParallelLaunch, ConcurrentCallersStress)
             for (size_t r = 0; r < rounds; ++r) {
                 const auto a = randomPoly(mod, n, rng);
                 const auto b = randomPoly(mod, n, rng);
-                const auto got = dev.negacyclicMul(n, q, a, b);
+                const auto got = dev.launch(
+                    dev.kernel(KernelKind::PolyMul, n, {q}), {a, b})[0];
                 if (got != negacyclicMulNtt(ntt, a, b))
                     ++failures[c];
             }
@@ -360,65 +363,6 @@ TEST(ParallelLaunch, ConcurrentCallersStress)
     // Every launch was counted exactly once despite the contention.
     EXPECT_EQ(dev.counters().launches, callers * rounds);
     EXPECT_EQ(dev.counters().kernelMisses, callers);
-}
-
-TEST(WhenAll, JoinsAsyncLaunchesInRequestOrder)
-{
-    const uint64_t n = 1024;
-    const auto primes = nttPrimes(60, n, 3);
-    RpuDevice dev;
-    dev.setParallelism(2);
-
-    Rng rng(61);
-    std::vector<LaunchFuture> futures;
-    std::vector<std::vector<std::vector<u128>>> expected;
-    for (u128 q : primes) {
-        const KernelImage &k = dev.kernel(KernelKind::PolyMul, n, {q});
-        const Modulus mod(q);
-        const auto a = randomPoly(mod, n, rng);
-        const auto b = randomPoly(mod, n, rng);
-        expected.push_back(dev.launch(k, {a, b}));
-        futures.push_back(dev.launchAsync(k, {a, b}));
-    }
-    EXPECT_EQ(RpuDevice::whenAll(std::move(futures)), expected);
-}
-
-TEST(WhenAll, MulTowersBatchAsyncMatchesSyncBatch)
-{
-    // The async dispatch must resolve, pair by pair in any join
-    // order, to exactly what the synchronous batch returns — on both
-    // a serial device and a pooled one.
-    const uint64_t n = 1024;
-    const auto primes = nttPrimes(58, n, 3);
-
-    const auto make_pairs = [&](uint64_t seed) {
-        std::vector<std::vector<std::vector<u128>>> pairs(2);
-        Rng rng(seed);
-        for (auto &towers : pairs) {
-            for (u128 q : primes)
-                towers.push_back(randomPoly(Modulus(q), n, rng));
-        }
-        return pairs;
-    };
-    const auto as = make_pairs(67);
-    const auto bs = make_pairs(71);
-
-    RpuDevice sync_dev;
-    const auto sync = sync_dev.mulTowersBatch(n, primes, as, bs);
-
-    for (unsigned workers : {1u, 4u}) {
-        RpuDevice dev;
-        dev.setParallelism(workers);
-        auto pending = dev.mulTowersBatchAsync(n, primes, as, bs);
-        ASSERT_EQ(pending.size(), 2u);
-        // Join the later pair first: order must not matter.
-        const auto second =
-            RpuDevice::collectTowers(std::move(pending[1]));
-        const auto first =
-            RpuDevice::collectTowers(std::move(pending[0]));
-        EXPECT_EQ(first, sync[0]) << workers << " workers";
-        EXPECT_EQ(second, sync[1]) << workers << " workers";
-    }
 }
 
 TEST(KernelCache, SameKeyRaceGeneratesOnce)
@@ -532,13 +476,15 @@ TEST(BfvOnDevice, PlaintextMultiplyExecutesOnTheRpu)
 
     // The device did the work, and only the minimal work: one
     // batched forward transform for the plaintext encode, then one
-    // batched pointwise launch per ciphertext component — the
+    // tiled pointwise launch for both ciphertext components — the
     // Eval-resident ciphertext itself was never transformed (the
     // elision ledger shows both components skipped).
     const size_t towers = ctx.basis().towers();
     {
         const DeviceStats s = device->stats();
-        EXPECT_EQ(s.launches, 3u);
+        // 3 -> 2: the serial path now tiles across items (both
+        // components share one pointwise launch).
+        EXPECT_EQ(s.launches, 2u);
         EXPECT_EQ(s.kernelMisses, 2u);
         EXPECT_EQ(s.towerLaunches, 3 * towers);
         EXPECT_EQ(s.forwardTransforms, towers);
@@ -551,7 +497,7 @@ TEST(BfvOnDevice, PlaintextMultiplyExecutesOnTheRpu)
     const Ciphertext again = ctx.mulPlain(ct, plain);
     EXPECT_EQ(again.c0, via_host.c0);
     const DeviceCounters &c = device->counters();
-    EXPECT_EQ(c.launches, 6u);
+    EXPECT_EQ(c.launches, 4u); // 6 -> 4: serial path tiles across items
     EXPECT_EQ(c.kernelMisses, 2u);
     EXPECT_EQ(c.kernelHits, 2u);
 
@@ -563,9 +509,8 @@ TEST(BfvOnDevice, PlaintextMultiplyExecutesOnTheRpu)
 
 TEST(BfvOnDevice, ParallelDeviceBitIdenticalToSerial)
 {
-    // The whole Eval-resident pipeline — per-tower pointwise
-    // products fanned across the worker pool — must be bit-identical
-    // to both the serial device and the host path.
+    // The whole Eval-resident pipeline on a pooled device must be
+    // bit-identical to both the serial device and the host path.
     BfvContext ctx(smallParams());
     const SecretKey sk = ctx.keygen();
 
@@ -585,10 +530,10 @@ TEST(BfvOnDevice, ParallelDeviceBitIdenticalToSerial)
     EXPECT_EQ(via_pool.c0, via_host.c0);
     EXPECT_EQ(via_pool.c1, via_host.c1);
 
-    // One single-tower launch per (polynomial, tower): the encode's
-    // forward fan-out plus both components' pointwise products.
-    EXPECT_EQ(device->counters().launches,
-              3 * ctx.basis().towers());
+    // 6 -> 2: a pooled device runs the same tile groups as a serial
+    // one (the per-tower fan-out is gone) — the encode's forward
+    // launch plus one pointwise launch for both components.
+    EXPECT_EQ(device->counters().launches, 2u);
 
     device->setParallelism(1);
     const Ciphertext via_serial = ctx.mulPlain(ct, plain);
@@ -674,7 +619,7 @@ TEST(PointwiseKernel, BatchedMatchesPerTowerAcrossBackends)
     RpuDevice ref(std::make_unique<CpuReferenceBackend>());
 
     Rng rng(89);
-    std::vector<std::vector<std::vector<u128>>> a(1), b(1);
+    TowerItems a(1), b(1);
     for (u128 q : primes) {
         const Modulus mod(q);
         a[0].push_back(randomPoly(mod, n, rng));
@@ -682,11 +627,10 @@ TEST(PointwiseKernel, BatchedMatchesPerTowerAcrossBackends)
     }
 
     for (RpuDevice *dev : {&sim, &ref}) {
-        auto pending =
-            dev->pointwiseTowersBatchAsync(n, primes, a, b);
-        ASSERT_EQ(pending.size(), 1u);
-        const auto towers =
-            RpuDevice::collectTowers(std::move(pending[0]));
+        const auto out =
+            dev->dispatch(RingOp::Pointwise, n, {primes}, a, b);
+        ASSERT_EQ(out.size(), 1u);
+        const auto &towers = out[0];
         ASSERT_EQ(towers.size(), primes.size());
         for (size_t t = 0; t < primes.size(); ++t) {
             EXPECT_EQ(towers[t],
@@ -712,17 +656,11 @@ TEST(TransformTowers, BatchedInverseUndoesBatchedForward)
         original.push_back(randomPoly(Modulus(q), n, rng));
 
     const auto round_trip = [&](RpuDevice &dev) {
-        std::vector<std::vector<std::vector<u128>>> xs(1);
-        xs[0] = original;
-        auto fwd = dev.transformTowersBatchAsync(n, primes,
-                                                 std::move(xs), false);
-        std::vector<std::vector<std::vector<u128>>> ys(1);
-        ys[0] = RpuDevice::collectTowers(std::move(fwd[0]));
+        auto ys = dev.dispatch(RingOp::Forward, n, {primes}, {original});
         // The evaluation form is not the coefficient form.
         EXPECT_NE(ys[0], original) << dev.backend().name();
-        auto inv = dev.transformTowersBatchAsync(n, primes,
-                                                 std::move(ys), true);
-        return RpuDevice::collectTowers(std::move(inv[0]));
+        return dev.dispatch(RingOp::Inverse, n, {primes},
+                            std::move(ys))[0];
     };
 
     RpuDevice serial;
@@ -752,7 +690,7 @@ TEST(DeviceStats, AggregatesLaunchesTransformsAndWorkers)
 
     // Serial: one batched polymul launch (2 fwd + 1 inv + 1 pointwise
     // per tower) plus one explicitly elided conversion.
-    dev.mulTowers(n, primes, a, b);
+    batchedPolyMul(dev, n, primes, a, b);
     dev.noteElidedTransforms(primes.size());
     {
         const DeviceStats s = dev.stats();
@@ -776,11 +714,13 @@ TEST(DeviceStats, AggregatesLaunchesTransformsAndWorkers)
         EXPECT_FALSE(s.summary().empty());
     }
 
-    // Pooled: per-tower launches spread across workers; the
-    // per-worker ledger must account for every launch exactly once.
+    // Pooled: a batch of per-tower launches spread across workers;
+    // the per-worker ledger must account for every launch exactly
+    // once.
+    const auto batch = towerBatch(dev, n, primes, 101);
     dev.resetCounters();
     dev.setParallelism(2);
-    dev.mulTowers(n, primes, a, b);
+    dev.launchAll(batch);
     {
         const DeviceStats s = dev.stats();
         EXPECT_EQ(s.launches, primes.size());
@@ -828,7 +768,8 @@ TEST(BfvOnDevice, SharedDeviceAccumulatesAcrossContexts)
     NttRunner runner = NttRunner::withModulus(
         ctx.params().n, ctx.basis().prime(0), device);
 
-    // encode (1 batched forward launch) + mulPlain (2 pointwise).
+    // encode (1 batched forward launch) + mulPlain (1 tiled
+    // pointwise launch for both components).
     const SecretKey sk = ctx.keygen();
     std::vector<uint64_t> msg(ctx.params().n, 1), plain(ctx.params().n,
                                                         2);
@@ -838,7 +779,8 @@ TEST(BfvOnDevice, SharedDeviceAccumulatesAcrossContexts)
     Rng rng(41);
     runner.execute(fwd, randomPoly(Modulus(ctx.basis().prime(0)),
                                    ctx.params().n, rng));
-    EXPECT_EQ(device->counters().launches, 4u);
+    // 4 -> 3: the serial path now tiles across items.
+    EXPECT_EQ(device->counters().launches, 3u);
     EXPECT_GT(device->modulusCache().size(), 0u);
 }
 

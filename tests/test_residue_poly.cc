@@ -141,8 +141,14 @@ TEST(ResiduePoly, EvalPointwiseMatchesFusedNegacyclicProduct)
     ResiduePoly prod = fx.ops.mulEval(a, b);
     fx.ops.toCoeff(prod);
 
-    const auto fused = device->mulTowers(kN, fx.basis.primes(),
-                                         a0.towers, b0.towers);
+    const std::vector<u128> primes = fx.basis.primes();
+    std::vector<std::vector<u128>> in;
+    for (size_t t = 0; t < towers; ++t) {
+        in.push_back(a0.towers[t]);
+        in.push_back(b0.towers[t]);
+    }
+    const auto fused = device->launch(
+        device->kernel(KernelKind::BatchedPolyMul, kN, primes), in);
     for (size_t t = 0; t < towers; ++t)
         EXPECT_EQ(prod.towers[t], fused[t]) << "tower " << t;
 }

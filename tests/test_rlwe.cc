@@ -313,7 +313,7 @@ TEST(BfvResidency, ChainedBfvAddMulPlainIssuesMinimalTransforms)
     // encrypt -> add -> mulPlain -> add against a pre-encoded
     // plaintext, the device issues *zero* forward (and inverse) NTT
     // launches — the adds are host tower arithmetic, the multiply is
-    // two pointwise launches — while the elision ledger records the
+    // one tiled pointwise launch — while the elision ledger records the
     // conversions the old wide-modulus representation used to pay on
     // every single product.
     BfvContext ctx(smallParams());
@@ -343,7 +343,9 @@ TEST(BfvResidency, ChainedBfvAddMulPlainIssuesMinimalTransforms)
     EXPECT_EQ(s.inverseTransforms, 0u)
         << "an inverse NTT ran inside the chained hot path";
     EXPECT_EQ(s.pointwiseMuls, 2 * L);
-    EXPECT_EQ(s.launches, 2u); // one pointwise launch per component
+    // 2 -> 1: serial path now tiles across items (both components in
+    // one pointwise launch).
+    EXPECT_EQ(s.launches, 1u);
     EXPECT_EQ(s.transformsElided, 2 * L);
 
     // And the chain still computes (a+b)*p + b mod t.

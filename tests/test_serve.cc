@@ -3,7 +3,7 @@
  * The multi-tenant serving front-end: admission backpressure and
  * graceful-drain semantics of the bounded queue, the round-robin
  * fairness bound under a hog tenant, deterministic session seeding,
- * DeviceStats windowed deltas, the coalesced device hooks, and —
+ * DeviceStats windowed deltas, the tiled device dispatch, and —
  * the load-bearing property — bit-identity of cross-tenant coalesced
  * execution against per-tenant serial execution, with the
  * ledger-verified launch-count reduction that motivates it.
@@ -15,8 +15,11 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "modmath/primegen.hh"
+#include "modmath/simd.hh"
 #include "rpu/device.hh"
 #include "serve/server.hh"
 
@@ -188,8 +191,23 @@ TEST(DeviceStatsDelta, PerWorkerVectorsPadWhenPoolWidens)
 }
 
 // ----------------------------------------------------------------------
-// Coalesced device hooks
+// Tiled device dispatch
 // ----------------------------------------------------------------------
+
+/** Restores the host-SIMD mode on scope exit (tests must not leak). */
+class ModeGuard
+{
+  public:
+    explicit ModeGuard(simd::HostSimdMode mode)
+        : saved_(simd::hostSimdMode())
+    {
+        simd::setHostSimdMode(mode);
+    }
+    ~ModeGuard() { simd::setHostSimdMode(saved_); }
+
+  private:
+    simd::HostSimdMode saved_;
+};
 
 TEST(CoalescedLaunches, BitIdenticalToPerItemLaunchesInOneLaunch)
 {
@@ -233,7 +251,7 @@ TEST(CoalescedLaunches, BitIdenticalToPerItemLaunchesInOneLaunch)
     }
 
     DeviceStats before = dev.stats();
-    const auto fwd = dev.transformCoalesced(n, moduli, xs, false);
+    const auto fwd = dev.dispatch(RingOp::Forward, n, moduli, xs);
     DeviceStats delta = dev.statsSince(before);
     EXPECT_EQ(delta.launches, 1u);
     EXPECT_EQ(delta.forwardTransforms, 6u); // 2 + 3 + 1 towers
@@ -241,18 +259,88 @@ TEST(CoalescedLaunches, BitIdenticalToPerItemLaunchesInOneLaunch)
 
     // Round-trip through the coalesced inverse as well.
     before = dev.stats();
-    const auto back = dev.transformCoalesced(n, moduli, fwd, true);
+    const auto back = dev.dispatch(RingOp::Inverse, n, moduli, fwd);
     delta = dev.statsSince(before);
     EXPECT_EQ(delta.launches, 1u);
     EXPECT_EQ(delta.inverseTransforms, 6u);
     EXPECT_EQ(back, xs);
 
     before = dev.stats();
-    const auto pw = dev.pointwiseCoalesced(n, moduli, a, b);
+    const auto pw = dev.dispatch(RingOp::Pointwise, n, moduli, a, b);
     delta = dev.statsSince(before);
     EXPECT_EQ(delta.launches, 1u);
     EXPECT_EQ(delta.pointwiseMuls, 6u);
     EXPECT_EQ(pw, expect_pw);
+}
+
+TEST(CoalescedLaunches, TileBoundaryMidItemOnEveryDeviceKind)
+{
+    // Items of 3, 5, 9 and 1 towers: 18 towers tile into two groups,
+    // and the kMaxBatchedTowers boundary falls inside the 9-tower
+    // item. Every op must match per-item single-ring launches bit for
+    // bit on a serial device, a 4-worker pooled device and the CPU
+    // reference backend, under both host-SIMD modes.
+    const uint64_t n = 1024;
+    const std::vector<size_t> counts = {3, 5, 9, 1};
+    const auto primes = nttPrimes(50, n, 9);
+    std::vector<std::vector<u128>> moduli;
+    TowerItems xs, a, b;
+    Rng rng(77);
+    for (size_t i = 0; i < counts.size(); ++i) {
+        moduli.emplace_back();
+        xs.emplace_back();
+        a.emplace_back();
+        b.emplace_back();
+        for (size_t t = 0; t < counts[i]; ++t) {
+            const u128 q = primes[(i + t) % primes.size()];
+            moduli[i].push_back(q);
+            xs[i].push_back(randomPoly(Modulus(q), n, rng));
+            a[i].push_back(randomPoly(Modulus(q), n, rng));
+            b[i].push_back(randomPoly(Modulus(q), n, rng));
+        }
+    }
+    ASSERT_EQ(DispatchTiles::cut(moduli).size(), 2u);
+
+    RpuDevice single;
+    TowerItems want_fwd = xs, want_inv = xs, want_pw = a;
+    for (size_t i = 0; i < moduli.size(); ++i) {
+        for (size_t t = 0; t < moduli[i].size(); ++t) {
+            const u128 q = moduli[i][t];
+            want_fwd[i][t] = single.ntt(n, q, xs[i][t]);
+            want_inv[i][t] = single.ntt(n, q, xs[i][t], true);
+            want_pw[i][t] = single.pointwiseMul(n, q, a[i][t], b[i][t]);
+        }
+    }
+
+    for (const auto mode :
+         {simd::HostSimdMode::Scalar, simd::HostSimdMode::Native}) {
+        const ModeGuard guard(mode);
+        RpuDevice serial;
+        RpuDevice pooled;
+        pooled.setParallelism(4);
+        RpuDevice cpu_ref(std::make_unique<CpuReferenceBackend>());
+        for (RpuDevice *dev : {&serial, &pooled, &cpu_ref}) {
+            const std::string where =
+                std::string(dev->backend().name()) + " x" +
+                std::to_string(dev->parallelism()) + " " +
+                simd::hostSimdModeName();
+            const DeviceStats before = dev->stats();
+            EXPECT_EQ(dev->dispatch(RingOp::Forward, n, moduli, xs),
+                      want_fwd)
+                << where;
+            EXPECT_EQ(dev->dispatch(RingOp::Inverse, n, moduli, xs),
+                      want_inv)
+                << where;
+            EXPECT_EQ(dev->dispatch(RingOp::Pointwise, n, moduli, a, b),
+                      want_pw)
+                << where;
+            const DeviceStats d = dev->statsSince(before);
+            EXPECT_EQ(d.launches, 6u) << where; // 2 groups per op
+            EXPECT_EQ(d.forwardTransforms, 18u) << where;
+            EXPECT_EQ(d.inverseTransforms, 18u) << where;
+            EXPECT_EQ(d.pointwiseMuls, 18u) << where;
+        }
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -426,12 +514,14 @@ TEST(HeServer, CoalescingReducesLaunchesOnTheLedger)
     }
 
     // The point of the subsystem: strictly fewer device launches for
-    // identical results. 16 serial mul-plain requests cost 5 launches
-    // each; the set coalesces into two chunks of 8, each three
-    // dispatches split at the 16-tower batched-kernel budget —
-    // ceil(24/16) + ceil(48/16) + ceil(16/16) = 6 launches a chunk.
+    // identical results. 16 serial mul-plain requests cost 3 launches
+    // each (80 -> 48: the serial path now tiles across items, one
+    // launch per dispatch); the set coalesces into two chunks of 8,
+    // each three dispatches split at the 16-tower batched-kernel
+    // budget — ceil(24/16) + ceil(48/16) + ceil(16/16) = 6 launches a
+    // chunk.
     EXPECT_EQ(values_on, values_off);
-    EXPECT_EQ(launches_off, 5u * tenants * per_tenant);
+    EXPECT_EQ(launches_off, 3u * tenants * per_tenant);
     EXPECT_EQ(launches_on, 12u);
 }
 
@@ -574,13 +664,14 @@ TEST(HeServer, AccountingSplitsDeviceDeltasAcrossTenants)
     EXPECT_EQ(acct1.pointwiseMuls + acct2.pointwiseMuls,
               total.pointwiseMuls);
     // ...and the shares add up to the device's window — here exactly
-    // 5 serial launches per request.
+    // 3 serial launches per request (5 -> 3: the serial path now
+    // tiles across items).
     EXPECT_NEAR(acct1.launchShare + acct2.launchShare,
                 double(total.launches), 1e-9);
     EXPECT_NEAR(acct1.cycleShare + acct2.cycleShare,
                 double(total.cycleTotal()), 1e-6);
-    EXPECT_NEAR(acct1.launchShare, 20.0, 1e-9);
-    EXPECT_NEAR(acct2.launchShare, 5.0, 1e-9);
+    EXPECT_NEAR(acct1.launchShare, 12.0, 1e-9);
+    EXPECT_NEAR(acct2.launchShare, 3.0, 1e-9);
 }
 
 } // namespace

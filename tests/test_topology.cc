@@ -4,8 +4,8 @@
  * across devices ("generate once, launch anywhere"), the
  * HBM-contention refinement of the per-worker cycle ledger, the
  * topology stats roll-up (padding-correct summing, makespan as a max
- * over devices), bit-identity of the sharded coalesced hooks against
- * the single-device path, the makespan scheduler's placement rules
+ * over devices), bit-identity of the sharded tiled dispatch against
+ * per-item single-ring launches, the makespan scheduler's placement rules
  * (paused devices never selected, load-correcting bookings), and the
  * load-bearing degeneracy: a 1-device-topology server is
  * bit-identical — outputs and launch ledger — to the single-device
@@ -19,6 +19,8 @@
 #include <memory>
 #include <vector>
 
+#include "modmath/primegen.hh"
+#include "modmath/simd.hh"
 #include "model/contention.hh"
 #include "rlwe/ckks.hh"
 #include "rpu/device.hh"
@@ -59,6 +61,21 @@ slotValues(size_t count, uint64_t seed)
         z = {2.0 * rng.nextDouble() - 1.0, 2.0 * rng.nextDouble() - 1.0};
     return v;
 }
+
+/** Restores the host-SIMD mode on scope exit (tests must not leak). */
+class ModeGuard
+{
+  public:
+    explicit ModeGuard(simd::HostSimdMode mode)
+        : saved_(simd::hostSimdMode())
+    {
+        simd::setHostSimdMode(mode);
+    }
+    ~ModeGuard() { simd::setHostSimdMode(saved_); }
+
+  private:
+    simd::HostSimdMode saved_;
+};
 
 /** @p items coalesced-transform inputs over the standard 3-tower
  *  basis: items x towers regions of ring randomness. */
@@ -175,11 +192,11 @@ TEST(RpuTopology, WindowedStatsSumAndMakespanIsTheDeviceMax)
 
     const RpuTopology::Snapshot before = topo.snapshot();
     auto xs = coalescedInputs(2, primes, n, 17);
-    (void)topo.device(0)->transformCoalesced(
-        n, {primes, primes}, std::move(xs), false);
+    (void)topo.device(0)->dispatch(RingOp::Forward, n, {primes, primes},
+                                   std::move(xs));
     auto ys = coalescedInputs(1, primes, n, 18);
-    (void)topo.device(1)->transformCoalesced(n, {primes},
-                                             std::move(ys), false);
+    (void)topo.device(1)->dispatch(RingOp::Forward, n, {primes},
+                                   std::move(ys));
 
     const RpuTopology::Snapshot window = topo.since(before);
     ASSERT_EQ(window.size(), 2u);
@@ -211,14 +228,16 @@ TEST(RpuTopology, ContentionLedgerIsStrictExactlyWhenLanesOverlap)
     const std::vector<u128> primes = ctx.basis().primes();
     const uint64_t n = 1024;
 
+    // 6 items x 3 towers tile into two groups: one lane at a time on
+    // a serial device, two concurrent lanes on a pooled one.
     const auto run = [&](unsigned workers) {
         auto device = std::make_shared<RpuDevice>();
         if (workers > 1)
             device->setParallelism(workers);
-        auto pending = device->transformTowersBatchAsync(
-            n, primes, coalescedInputs(6, primes, n, 23), false);
-        for (auto &p : pending)
-            (void)RpuDevice::collectTowers(std::move(p));
+        (void)device->dispatch(
+            RingOp::Forward, n,
+            std::vector<std::vector<u128>>(6, primes),
+            coalescedInputs(6, primes, n, 23));
         return device->stats();
     };
 
@@ -230,75 +249,94 @@ TEST(RpuTopology, ContentionLedgerIsStrictExactlyWhenLanesOverlap)
     const DeviceStats pooled = run(4);
     EXPECT_GT(pooled.contendedLaunches, 0u);
     EXPECT_GT(pooled.busyMakespanCycles(), pooled.makespanCycles());
-    EXPECT_GE(pooled.maxOccupiedLanes, 2u);
+    EXPECT_EQ(pooled.maxOccupiedLanes, 2u);
 }
 
 // ----------------------------------------------------------------------
-// Sharded coalesced hooks
+// Tiled dispatch across devices
 // ----------------------------------------------------------------------
 
-TEST(RpuTopology, TransformShardedMatchesSingleDeviceCoalesced)
+TEST(RpuTopology, ShardedDispatchMatchesPerItemSingleRingLaunches)
+{
+    // Items of 3, 5, 9 and 1 towers: 18 towers tile into two groups,
+    // the boundary inside the 9-tower item. Every op, placed by a
+    // non-uniform plan in either order, must match per-item
+    // single-ring launches bit for bit under both host-SIMD modes,
+    // and each device must pay exactly its planned group.
+    const uint64_t n = 1024;
+    const std::vector<size_t> counts = {3, 5, 9, 1};
+    const auto primes = nttPrimes(50, n, 9);
+    std::vector<std::vector<u128>> moduli;
+    TowerItems xs, a, b;
+    Rng rng(91);
+    for (size_t i = 0; i < counts.size(); ++i) {
+        moduli.emplace_back();
+        xs.emplace_back();
+        a.emplace_back();
+        b.emplace_back();
+        for (size_t t = 0; t < counts[i]; ++t) {
+            const u128 q = primes[(i + t) % primes.size()];
+            moduli[i].push_back(q);
+            xs[i].push_back(randomPoly(Modulus(q), n, rng));
+            a[i].push_back(randomPoly(Modulus(q), n, rng));
+            b[i].push_back(randomPoly(Modulus(q), n, rng));
+        }
+    }
+    ASSERT_EQ(RpuTopology::tileGroups(18), 2u);
+
+    RpuDevice single;
+    TowerItems want_fwd = xs, want_inv = xs, want_pw = a;
+    for (size_t i = 0; i < moduli.size(); ++i) {
+        for (size_t t = 0; t < moduli[i].size(); ++t) {
+            const u128 q = moduli[i][t];
+            want_fwd[i][t] = single.ntt(n, q, xs[i][t]);
+            want_inv[i][t] = single.ntt(n, q, xs[i][t], true);
+            want_pw[i][t] = single.pointwiseMul(n, q, a[i][t], b[i][t]);
+        }
+    }
+
+    for (const auto mode :
+         {simd::HostSimdMode::Scalar, simd::HostSimdMode::Native}) {
+        const ModeGuard guard(mode);
+        for (const std::vector<size_t> &plan :
+             {std::vector<size_t>{0, 1}, std::vector<size_t>{1, 0}}) {
+            RpuTopology topo(2);
+            const RpuTopology::Snapshot before = topo.snapshot();
+            EXPECT_EQ(topo.dispatch(plan, RingOp::Forward, n, moduli, xs),
+                      want_fwd);
+            EXPECT_EQ(topo.dispatch(plan, RingOp::Inverse, n, moduli, xs),
+                      want_inv);
+            EXPECT_EQ(
+                topo.dispatch(plan, RingOp::Pointwise, n, moduli, a, b),
+                want_pw);
+            const RpuTopology::Snapshot window = topo.since(before);
+            EXPECT_EQ(window[0].launches, 3u);
+            EXPECT_EQ(window[1].launches, 3u);
+            EXPECT_EQ(RpuTopology::aggregate(window).pointwiseMuls, 18u);
+        }
+    }
+}
+
+TEST(RpuTopology, UniformPlanIsTheDeviceOwnDispatch)
 {
     const CkksContext ctx(topoParams(), 5);
     const std::vector<u128> primes = ctx.basis().primes();
     const uint64_t n = 1024;
-    // 8 items x 3 towers = 24 towers -> 2 tile groups: a real split.
-    const size_t items = 8;
-    const std::vector<std::vector<u128>> moduli(items, primes);
-    ASSERT_EQ(RpuTopology::tileGroups(items * primes.size()), 2u);
+    // 8 items x 3 towers = 24 towers -> 2 tile groups.
+    const std::vector<std::vector<u128>> moduli(8, primes);
 
-    RpuTopology single(1);
-    const auto want = single.device(0)->transformCoalesced(
-        n, moduli, coalescedInputs(items, primes, n, 31), false);
+    RpuDevice single;
+    const auto want = single.dispatch(RingOp::Forward, n, moduli,
+                                      coalescedInputs(8, primes, n, 51));
 
     RpuTopology topo(2);
     const RpuTopology::Snapshot before = topo.snapshot();
-    const auto got = topo.transformSharded(
-        {0, 1}, n, moduli, coalescedInputs(items, primes, n, 31),
-        false);
+    const auto got = topo.dispatch({1, 1}, RingOp::Forward, n, moduli,
+                                   coalescedInputs(8, primes, n, 51));
     EXPECT_EQ(got, want);
-
-    // Each device really executed its group.
     const RpuTopology::Snapshot window = topo.since(before);
-    EXPECT_GT(window[0].launches, 0u);
-    EXPECT_GT(window[1].launches, 0u);
-}
-
-TEST(RpuTopology, PointwiseShardedMatchesSingleDeviceCoalesced)
-{
-    const CkksContext ctx(topoParams(), 5);
-    const std::vector<u128> primes = ctx.basis().primes();
-    const uint64_t n = 1024;
-    const size_t items = 8;
-    const std::vector<std::vector<u128>> moduli(items, primes);
-
-    RpuTopology single(1);
-    const auto want = single.device(0)->pointwiseCoalesced(
-        n, moduli, coalescedInputs(items, primes, n, 41),
-        coalescedInputs(items, primes, n, 42));
-
-    RpuTopology topo(2);
-    const auto got = topo.pointwiseSharded(
-        {1, 0}, n, moduli, coalescedInputs(items, primes, n, 41),
-        coalescedInputs(items, primes, n, 42));
-    EXPECT_EQ(got, want);
-}
-
-TEST(RpuTopology, UniformPlanIsTheDeviceOwnCoalescedPath)
-{
-    const CkksContext ctx(topoParams(), 5);
-    const std::vector<u128> primes = ctx.basis().primes();
-    const uint64_t n = 1024;
-    const std::vector<std::vector<u128>> moduli(2, primes);
-
-    RpuTopology topo(2);
-    const RpuTopology::Snapshot before = topo.snapshot();
-    (void)topo.transformSharded({0}, n, moduli,
-                                coalescedInputs(2, primes, n, 51),
-                                false);
-    const RpuTopology::Snapshot window = topo.since(before);
-    EXPECT_GT(window[0].launches, 0u);
-    EXPECT_EQ(window[1].launches, 0u);
+    EXPECT_EQ(window[0].launches, 0u);
+    EXPECT_EQ(window[1].launches, single.stats().launches);
 }
 
 // ----------------------------------------------------------------------
