@@ -13,12 +13,45 @@ namespace rpu {
 // Backends
 // ----------------------------------------------------------------------
 
+std::unique_ptr<ArchState>
+FunctionalSimBackend::acquireState(size_t vdm_bytes)
+{
+    {
+        std::lock_guard<std::mutex> lock(free_mutex_);
+        auto it = free_states_.find(vdm_bytes);
+        if (it != free_states_.end() && !it->second.empty()) {
+            std::unique_ptr<ArchState> state = std::move(it->second.back());
+            it->second.pop_back();
+            return state;
+        }
+    }
+    return std::make_unique<ArchState>(vdm_bytes);
+}
+
+void
+FunctionalSimBackend::releaseState(std::unique_ptr<ArchState> state)
+{
+    state->reset(); // outside the lock: zeroing is the expensive part
+    const size_t vdm_bytes = state->vdmWords() * arch::kWordBytes;
+    std::lock_guard<std::mutex> lock(free_mutex_);
+    free_states_[vdm_bytes].push_back(std::move(state));
+}
+
 std::vector<std::vector<u128>>
 FunctionalSimBackend::execute(RpuDevice &dev, const KernelImage &image,
                               const std::vector<std::vector<u128>> &inputs)
 {
+    // Hand the state back on every exit path, the throwing ones too:
+    // reset() clears whatever a partial launch wrote.
+    struct Lease
+    {
+        FunctionalSimBackend &backend;
+        std::unique_ptr<ArchState> state;
+        ~Lease() { backend.releaseState(std::move(state)); }
+    } lease{*this, acquireState(image.vdmBytesRequired)};
+    ArchState &state = *lease.state;
+
     // Launch code: stage constants and data into the scratchpads.
-    ArchState state(image.vdmBytesRequired);
     for (size_t i = 0; i < image.sdmImage.size(); ++i)
         state.writeSdm(i, image.sdmImage[i]);
     state.loadVdm(image.twPlanBase, image.twPlanImage);

@@ -111,6 +111,16 @@ class ExecutionBackend
 /**
  * Bit-exact functional simulation of the B512 program — the paper's
  * verification path and this repository's default execution engine.
+ *
+ * State reuse: building and zero-filling a multi-MiB ArchState per
+ * launch would cost more than many kernels take to run, so the
+ * backend keeps a mutex-guarded free list of states keyed by VDM
+ * size. A launch takes one (or builds one when none is free), and
+ * hands it back after reset(), which zeroes only what the launch
+ * wrote (ArchState's dirty-range contract) and leaves it
+ * indistinguishable from a fresh state. Concurrent launches on a
+ * pooled device each hold their own state, so the list grows to the
+ * peak number of launches in flight per VDM size.
  */
 class FunctionalSimBackend : public ExecutionBackend
 {
@@ -120,6 +130,16 @@ class FunctionalSimBackend : public ExecutionBackend
     std::vector<std::vector<u128>>
     execute(RpuDevice &dev, const KernelImage &image,
             const std::vector<std::vector<u128>> &inputs) override;
+
+  private:
+    /** A zeroed state of @p vdm_bytes: from the free list, else new. */
+    std::unique_ptr<ArchState> acquireState(size_t vdm_bytes);
+
+    /** Reset @p state and return it to the free list. */
+    void releaseState(std::unique_ptr<ArchState> state);
+
+    std::mutex free_mutex_;
+    std::map<size_t, std::vector<std::unique_ptr<ArchState>>> free_states_;
 };
 
 /**

@@ -1,11 +1,16 @@
 #include "sim/functional/executor.hh"
 
+#include <algorithm>
+#include <utility>
+
 #include "common/logging.hh"
 #include "modmath/simd.hh"
 
 namespace rpu {
 
 namespace {
+
+constexpr unsigned VL = arch::kVectorLength;
 
 /**
  * The narrow lane kernels are exact only for canonical inputs: a lane
@@ -16,14 +21,42 @@ namespace {
  * verify before narrowing and fall back to the scalar loop otherwise.
  */
 bool
-narrowLanes(const ArchState::Vreg &v, u128 q, uint64_t *out)
+narrowLanes(const u128 *v, u128 q, uint64_t *out)
 {
-    for (unsigned i = 0; i < arch::kVectorLength; ++i) {
+    for (unsigned i = 0; i < VL; ++i) {
         if (v[i] >= q)
             return false;
         out[i] = uint64_t(v[i]);
     }
     return true;
+}
+
+void
+widenLanes(const uint64_t *v, u128 *out)
+{
+    for (unsigned i = 0; i < VL; ++i)
+        out[i] = v[i];
+}
+
+/**
+ * Mode values below this keep every lane offset of a vector access
+ * under 2^41, so no offset wraps and base + offset cannot overflow
+ * once base is in VDM.
+ */
+constexpr unsigned kBulkModeValueLimit = 32;
+
+/**
+ * The word count [base, base + span) one vector access touches. Lane
+ * offsets are monotone in the lane in all four addressing modes and
+ * lane 0 sits at offset 0, so the last lane bounds the range. Zero
+ * (no bulk access) for mode values where that argument does not hold.
+ */
+uint64_t
+accessSpan(AddrMode mode, unsigned value)
+{
+    if (value >= kBulkModeValueLimit)
+        return 0;
+    return FunctionalSimulator::laneOffset(mode, value, VL - 1) + 1;
 }
 
 } // namespace
@@ -88,32 +121,61 @@ FunctionalSimulator::run(const Program &prog)
 }
 
 void
+FunctionalSimulator::execVload(const Instruction &instr)
+{
+    const AddrMode mode = instr.mode;
+    const unsigned value = instr.modeValue;
+    const uint64_t base = state_.areg(instr.rm) + instr.address;
+    const uint64_t span = accessSpan(mode, value);
+    const u128 *src = span ? state_.vdmSpan(base, span) : nullptr;
+    u128 *dst = state_.vreg(instr.vd).data();
+    if (!src) {
+        // Not provably in bounds: word at a time, so the first
+        // out-of-range lane faults exactly as it always has.
+        for (unsigned i = 0; i < VL; ++i)
+            dst[i] = state_.readVdm(base + laneOffset(mode, value, i));
+    } else if (mode == AddrMode::CONTIGUOUS) {
+        std::copy(src, src + VL, dst);
+    } else {
+        for (unsigned i = 0; i < VL; ++i)
+            dst[i] = src[laneOffset(mode, value, i)];
+    }
+    counts_.vdmWordsRead += VL;
+}
+
+void
+FunctionalSimulator::execVstore(const Instruction &instr)
+{
+    const AddrMode mode = instr.mode;
+    const unsigned value = instr.modeValue;
+    if (mode == AddrMode::REPEATED)
+        rpu_fatal("REPEATED mode is not defined for stores");
+    const uint64_t base = state_.areg(instr.rm) + instr.address;
+    const uint64_t span = accessSpan(mode, value);
+    u128 *dst = span ? state_.vdmSpanForWrite(base, span) : nullptr;
+    const u128 *src = std::as_const(state_).vreg(instr.vs).data();
+    if (!dst) {
+        for (unsigned i = 0; i < VL; ++i)
+            state_.writeVdm(base + laneOffset(mode, value, i), src[i]);
+    } else if (mode == AddrMode::CONTIGUOUS) {
+        std::copy(src, src + VL, dst);
+    } else {
+        for (unsigned i = 0; i < VL; ++i)
+            dst[laneOffset(mode, value, i)] = src[i];
+    }
+    counts_.vdmWordsWritten += VL;
+}
+
+void
 FunctionalSimulator::execLoadStore(const Instruction &instr)
 {
-    constexpr unsigned VL = arch::kVectorLength;
     switch (instr.op) {
-      case Opcode::VLOAD: {
-        const uint64_t base = state_.areg(instr.rm) + instr.address;
-        auto &dst = state_.vreg(instr.vd);
-        for (unsigned i = 0; i < VL; ++i) {
-            dst[i] = state_.readVdm(
-                base + laneOffset(instr.mode, instr.modeValue, i));
-        }
-        counts_.vdmWordsRead += VL;
+      case Opcode::VLOAD:
+        execVload(instr);
         break;
-      }
-      case Opcode::VSTORE: {
-        if (instr.mode == AddrMode::REPEATED)
-            rpu_fatal("REPEATED mode is not defined for stores");
-        const uint64_t base = state_.areg(instr.rm) + instr.address;
-        const auto &src = state_.vreg(instr.vs);
-        for (unsigned i = 0; i < VL; ++i) {
-            state_.writeVdm(
-                base + laneOffset(instr.mode, instr.modeValue, i), src[i]);
-        }
-        counts_.vdmWordsWritten += VL;
+      case Opcode::VSTORE:
+        execVstore(instr);
         break;
-      }
       case Opcode::VBCAST: {
         const uint64_t addr = state_.areg(instr.rm) + instr.address;
         const u128 v = state_.readSdm(addr);
@@ -141,67 +203,65 @@ FunctionalSimulator::execLoadStore(const Instruction &instr)
 void
 FunctionalSimulator::execCompute(const Instruction &instr)
 {
-    constexpr unsigned VL = arch::kVectorLength;
-    const Modulus &mod = modulusFor(state_.mreg(instr.rm));
-
-    // Read all sources before writing any destination so that
-    // destination aliasing (vd == vs etc.) behaves like hardware with
-    // read-before-write register file timing.
-    const ArchState::Vreg vs = state_.vreg(instr.vs);
-
+    // Sources are read in place through the const view (reads never
+    // mark a register dirty); every lane reads all of its sources
+    // before it writes, per the aliasing rule in executor.hh.
+    const ArchState &in = state_;
+    const Modulus &mod = modulusFor(in.mreg(instr.rm));
+    const u128 q = mod.value();
     const simd::NarrowModulus *nm =
         simd::narrowLanesActive() ? mod.narrow() : nullptr;
+    const u128 *vs = in.vreg(instr.vs).data();
 
     if (instr.isButterfly()) {
-        const ArchState::Vreg vt = state_.vreg(instr.vt);
-        const ArchState::Vreg vt1 = state_.vreg(instr.vt1);
-        ArchState::Vreg sum, diff;
+        const u128 *vt = in.vreg(instr.vt).data();
+        const u128 *vt1 = in.vreg(instr.vt1).data();
+        u128 *sum = state_.vreg(instr.vd).data();
+        u128 *diff = state_.vreg(instr.vd1).data();
         uint64_t nx[VL], ny[VL], nw[VL];
-        if (nm && narrowLanes(vs, mod.value(), nx) &&
-            narrowLanes(vt, mod.value(), ny) &&
-            narrowLanes(vt1, mod.value(), nw)) {
+        if (nm && narrowLanes(vs, q, nx) && narrowLanes(vt, q, ny) &&
+            narrowLanes(vt1, q, nw)) {
             uint64_t ns[VL], nd[VL];
             simd::butterflyMulModSpan(nx, ny, nw, ns, nd, VL, *nm);
-            for (unsigned i = 0; i < VL; ++i) {
-                sum[i] = ns[i];
-                diff[i] = nd[i];
-            }
+            widenLanes(ns, sum);
+            widenLanes(nd, diff);
         } else {
             for (unsigned i = 0; i < VL; ++i) {
+                const u128 x = vs[i];
                 const u128 t = mod.mul(vt1[i], vt[i]);
-                sum[i] = mod.add(vs[i], t);
-                diff[i] = mod.sub(vs[i], t);
+                sum[i] = mod.add(x, t);
+                diff[i] = mod.sub(x, t);
             }
         }
-        state_.vreg(instr.vd) = sum;
-        state_.vreg(instr.vd1) = diff;
         counts_.laneMuls += VL;
         counts_.laneAdds += 2ull * VL;
         return;
     }
 
-    ArchState::Vreg out;
+    u128 *out = state_.vreg(instr.vd).data();
     switch (instr.op) {
       case Opcode::VADDMOD:
       case Opcode::VSUBMOD:
       case Opcode::VMULMOD: {
-        const ArchState::Vreg vt = state_.vreg(instr.vt);
+        const u128 *vt = in.vreg(instr.vt).data();
         uint64_t na[VL], nb[VL];
-        if (instr.op == Opcode::VMULMOD && nm &&
-            narrowLanes(vs, mod.value(), na) &&
-            narrowLanes(vt, mod.value(), nb)) {
+        if (nm && narrowLanes(vs, q, na) && narrowLanes(vt, q, nb)) {
             uint64_t no[VL];
-            simd::mulModSpan(na, nb, no, VL, *nm);
-            for (unsigned i = 0; i < VL; ++i)
-                out[i] = no[i];
-            break;
-        }
-        for (unsigned i = 0; i < VL; ++i) {
             if (instr.op == Opcode::VADDMOD)
-                out[i] = mod.add(vs[i], vt[i]);
+                simd::addModSpan(na, nb, no, VL, nm->q);
             else if (instr.op == Opcode::VSUBMOD)
-                out[i] = mod.sub(vs[i], vt[i]);
+                simd::subModSpan(na, nb, no, VL, nm->q);
             else
+                simd::mulModSpan(na, nb, no, VL, *nm);
+            widenLanes(no, out);
+        } else if (instr.op == Opcode::VADDMOD) {
+            for (unsigned i = 0; i < VL; ++i)
+                out[i] = mod.add(vs[i], vt[i]);
+        } else if (instr.op == Opcode::VSUBMOD) {
+            for (unsigned i = 0; i < VL; ++i)
+                out[i] = mod.sub(vs[i], vt[i]);
+        } else {
+            for (unsigned i = 0; i < VL; ++i)
                 out[i] = mod.mul(vs[i], vt[i]);
         }
         break;
@@ -209,26 +269,25 @@ FunctionalSimulator::execCompute(const Instruction &instr)
       case Opcode::VSADDMOD:
       case Opcode::VSSUBMOD:
       case Opcode::VSMULMOD: {
-        const u128 s = state_.sreg(instr.rt);
+        const u128 s = in.sreg(instr.rt);
         uint64_t na[VL];
-        if (instr.op == Opcode::VSMULMOD && nm && s < mod.value() &&
-            narrowLanes(vs, mod.value(), na)) {
+        if (instr.op == Opcode::VSMULMOD && nm && s < q &&
+            narrowLanes(vs, q, na)) {
             // Per-instruction Shoup precompute: one 128/64 division
             // amortised over all kVectorLength lanes.
             const uint64_t w = uint64_t(s);
             const uint64_t wShoup = simd::shoupPrecompute64(w, nm->q);
             uint64_t no[VL];
             simd::mulShoupSpan(na, no, VL, w, wShoup, nm->q);
+            widenLanes(no, out);
+        } else if (instr.op == Opcode::VSADDMOD) {
             for (unsigned i = 0; i < VL; ++i)
-                out[i] = no[i];
-            break;
-        }
-        for (unsigned i = 0; i < VL; ++i) {
-            if (instr.op == Opcode::VSADDMOD)
                 out[i] = mod.add(vs[i], s);
-            else if (instr.op == Opcode::VSSUBMOD)
+        } else if (instr.op == Opcode::VSSUBMOD) {
+            for (unsigned i = 0; i < VL; ++i)
                 out[i] = mod.sub(vs[i], s);
-            else
+        } else {
+            for (unsigned i = 0; i < VL; ++i)
                 out[i] = mod.mul(vs[i], s);
         }
         break;
@@ -236,7 +295,6 @@ FunctionalSimulator::execCompute(const Instruction &instr)
       default:
         rpu_panic("not a compute op");
     }
-    state_.vreg(instr.vd) = out;
 
     if (instr.op == Opcode::VMULMOD || instr.op == Opcode::VSMULMOD)
         counts_.laneMuls += VL;
@@ -247,11 +305,16 @@ FunctionalSimulator::execCompute(const Instruction &instr)
 void
 FunctionalSimulator::execShuffle(const Instruction &instr)
 {
-    constexpr unsigned VL = arch::kVectorLength;
     constexpr unsigned H = VL / 2;
-    const ArchState::Vreg vs = state_.vreg(instr.vs);
-    const ArchState::Vreg vt = state_.vreg(instr.vt);
-    ArchState::Vreg out;
+    const ArchState &in = state_;
+    const u128 *vs = in.vreg(instr.vs).data();
+    const u128 *vt = in.vreg(instr.vt).data();
+
+    // Lanes move across the register, so an aliased destination would
+    // overwrite sources still to be read: build that result aside.
+    const bool aliased = instr.vd == instr.vs || instr.vd == instr.vt;
+    ArchState::Vreg scratch;
+    u128 *out = aliased ? scratch.data() : state_.vreg(instr.vd).data();
 
     switch (instr.op) {
       case Opcode::UNPKLO:
@@ -286,7 +349,8 @@ FunctionalSimulator::execShuffle(const Instruction &instr)
       default:
         rpu_panic("not a shuffle op");
     }
-    state_.vreg(instr.vd) = out;
+    if (aliased)
+        state_.vreg(instr.vd) = scratch;
     counts_.shuffleWords += VL;
 }
 

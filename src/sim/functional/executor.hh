@@ -72,6 +72,18 @@ class ModulusContextCache
 
 /**
  * Executes B512 programs against an ArchState.
+ *
+ * Lane-wise aliasing rule: a destination register may alias any of
+ * its instruction's sources, and the result is what hardware with
+ * read-before-write register file timing produces, computed from the
+ * sources as they stood before the instruction. Compute ops get this
+ * without copying registers because lane i of every destination
+ * depends only on lane i of the sources: each lane reads all its
+ * sources before it writes (the narrow u64 path copies every source
+ * into its own buffer first). When a butterfly's two destinations
+ * coincide, the difference lands last. Shuffles move values across
+ * lanes, so they build their result in a scratch register, but only
+ * when the destination aliases a source.
  */
 class FunctionalSimulator
 {
@@ -111,6 +123,8 @@ class FunctionalSimulator
     const Modulus &modulusFor(u128 q);
 
     void execLoadStore(const Instruction &instr);
+    void execVload(const Instruction &instr);
+    void execVstore(const Instruction &instr);
     void execCompute(const Instruction &instr);
     void execShuffle(const Instruction &instr);
 

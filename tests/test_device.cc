@@ -784,5 +784,106 @@ TEST(BfvOnDevice, SharedDeviceAccumulatesAcrossContexts)
     EXPECT_GT(device->modulusCache().size(), 0u);
 }
 
+// ----------------------------------------------------------------------
+// Launch-state reuse
+// ----------------------------------------------------------------------
+
+constexpr size_t kReuseVdmBytes = 8192 * arch::kWordBytes;
+constexpr unsigned kLanes = arch::kVectorLength;
+
+/**
+ * Launch A: leaves state behind everywhere a later launch on a reused
+ * ArchState could see it. It stores its input outside its own regions
+ * (VDM words 4096..4607), fills SDM words 0..7 from its image, and
+ * sets v1, v5, v7, s3, a3 and m1.
+ */
+KernelImage
+stateDirtyingKernel(u128 q)
+{
+    KernelImage k;
+    k.program = Program("dirty_state");
+    k.moduli = {q};
+    k.vdmBytesRequired = kReuseVdmBytes;
+    k.regions = {{"a", 0, kLanes, true, false},
+                 {"a.out", 1024, kLanes, false, true}};
+    k.sdmImage = {q, 77, 2048, 3, 4, 99, 6, 7};
+    Program &p = k.program;
+    p.append(Instruction::mload(1, 0));
+    p.append(Instruction::sload(3, 1));
+    p.append(Instruction::aload(3, 2));
+    p.append(Instruction::vload(1, 0, 0));
+    p.append(Instruction::vbcast(7, 0, 5));
+    p.append(Instruction::shuffle(Opcode::UNPKLO, 5, 1, 7));
+    p.append(Instruction::vstore(1, 0, 4096));
+    p.append(Instruction::vstore(5, 0, 1024));
+    return k;
+}
+
+/**
+ * Launch B: copies into its output region what a fresh state holds
+ * where A left state behind — v1, VDM word 4096.., SDM word 5,
+ * s3 (as v5 + s3 mod q, v5 unwritten), the a3-based load (which would
+ * hit B's own nonzero input at 6144 were a3 stale), and v7. On a
+ * correctly reset state every output word is zero.
+ */
+KernelImage
+stateReadingKernel(u128 q)
+{
+    KernelImage k;
+    k.program = Program("read_state");
+    k.moduli = {q};
+    k.vdmBytesRequired = kReuseVdmBytes;
+    k.regions = {{"in", 6144, kLanes, true, false},
+                 {"out", 1024, 6 * kLanes, false, true}};
+    k.sdmImage = {q};
+    Program &p = k.program;
+    p.append(Instruction::vstore(1, 0, 1024));
+    p.append(Instruction::vload(2, 0, 4096));
+    p.append(Instruction::vstore(2, 0, 1024 + kLanes));
+    p.append(Instruction::vbcast(3, 0, 5));
+    p.append(Instruction::vstore(3, 0, 1024 + 2 * kLanes));
+    p.append(Instruction::mload(1, 0));
+    p.append(Instruction::vs_(Opcode::VSADDMOD, 4, 5, 3, 1));
+    p.append(Instruction::vstore(4, 0, 1024 + 3 * kLanes));
+    p.append(Instruction::vload(6, 3, 4096));
+    p.append(Instruction::vstore(6, 0, 1024 + 4 * kLanes));
+    p.append(Instruction::vstore(7, 0, 1024 + 5 * kLanes));
+    return k;
+}
+
+TEST(StateReuse, LaterLaunchSeesOnlyZeros)
+{
+    const u128 q = nttPrime(60, 1024);
+    const KernelImage dirty = stateDirtyingKernel(q);
+    const KernelImage reader = stateReadingKernel(q);
+    const std::vector<u128> a_in(kLanes, 12345);
+    const std::vector<u128> b_in(kLanes, 6789);
+
+    // Serial: one launch at a time, so B runs on the state A used.
+    RpuDevice serial;
+    const auto a_out = serial.launch(dirty, {a_in});
+    const auto b_out = serial.launch(reader, {b_in});
+    ASSERT_EQ(b_out.size(), 1u);
+    EXPECT_EQ(b_out[0], std::vector<u128>(6 * kLanes, 0));
+    ASSERT_EQ(a_out.size(), 1u);
+    EXPECT_EQ(a_out[0][0], u128(12345)); // A really ran
+    EXPECT_EQ(a_out[0][1], u128(99));
+
+    // Pooled: an interleaved batch on four workers reuses states in
+    // whatever order the workers pick them up; the results must match
+    // the serial ones bit for bit.
+    RpuDevice pooled;
+    pooled.setParallelism(4);
+    std::vector<LaunchRequest> batch;
+    for (int i = 0; i < 12; ++i) {
+        batch.push_back({&dirty, {a_in}});
+        batch.push_back({&reader, {b_in}});
+    }
+    const auto results = pooled.launchAll(batch);
+    ASSERT_EQ(results.size(), batch.size());
+    for (size_t i = 0; i < results.size(); ++i)
+        EXPECT_EQ(results[i], i % 2 ? b_out : a_out) << "launch " << i;
+}
+
 } // namespace
 } // namespace rpu

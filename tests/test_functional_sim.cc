@@ -1,14 +1,18 @@
 /**
  * @file
  * Functional simulator tests: exact semantics of every B512
- * instruction, all four addressing modes, destination aliasing, and
- * bounds faulting.
+ * instruction, all four addressing modes, destination aliasing in
+ * both host-SIMD modes, bounds faulting (bulk and partial), and state
+ * reset.
  */
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "isa/assembler.hh"
 #include "modmath/primegen.hh"
+#include "modmath/simd.hh"
 #include "sim/functional/executor.hh"
 
 namespace rpu {
@@ -96,6 +100,58 @@ TEST_F(FunctionalSim, VdmOutOfBoundsFaults)
 {
     state.setAreg(7, state.vdmWords());
     EXPECT_EXIT(sim.step(Instruction::vload(2, 7, 0)),
+                testing::ExitedWithCode(1), "out of bounds");
+}
+
+TEST_F(FunctionalSim, PartiallyOutOfBoundsAccessFaults)
+{
+    // Lane 0 is in range, lane 511 is not: the bulk range check must
+    // route these to the word-at-a-time path and its fault.
+    const uint64_t words = state.vdmWords();
+    state.setAreg(7, words - 600);
+    EXPECT_EXIT(sim.step(Instruction::vload(2, 7, 0, AddrMode::STRIDED, 1)),
+                testing::ExitedWithCode(1), "out of bounds");
+    EXPECT_EXIT(
+        sim.step(Instruction::vload(2, 7, 0, AddrMode::STRIDED_SKIP, 2)),
+        testing::ExitedWithCode(1), "out of bounds");
+    EXPECT_EXIT(
+        sim.step(Instruction::vstore(2, 7, 0, AddrMode::STRIDED, 1)),
+        testing::ExitedWithCode(1), "out of bounds");
+    EXPECT_EXIT(
+        sim.step(Instruction::vstore(2, 7, 0, AddrMode::STRIDED_SKIP, 2)),
+        testing::ExitedWithCode(1), "out of bounds");
+    EXPECT_EXIT(sim.step(Instruction::vstore(2, 7, 0,
+                                             AddrMode::REPEATED, 1)),
+                testing::ExitedWithCode(1), "REPEATED");
+
+    // Lane 511 on the last word exactly: in bounds, no fault.
+    state.setAreg(7, words - 1 - 2 * (VL - 1));
+    sim.step(Instruction::vload(2, 7, 0));
+    sim.step(Instruction::vstore(2, 7, 0, AddrMode::STRIDED, 1));
+    sim.step(Instruction::vload(3, 7, 0, AddrMode::STRIDED, 1));
+    EXPECT_EQ(state.vreg(3), state.vreg(2));
+    EXPECT_EQ(state.readVdm(words - 1), state.vreg(2)[VL - 1]);
+}
+
+TEST_F(FunctionalSim, BulkAccessNearTopOfAddressSpaceFaults)
+{
+    // word_addr + count wraps past 2^64 here; the checks must not.
+    const uint64_t top = ~uint64_t(0);
+    const std::vector<u128> data(8, 1);
+    EXPECT_EXIT(state.loadVdm(top - 3, data), testing::ExitedWithCode(1),
+                "out of bounds");
+    EXPECT_EXIT((void)state.dumpVdm(top - 3, 8),
+                testing::ExitedWithCode(1), "out of bounds");
+    EXPECT_EXIT((void)state.dumpVdm(4, top), testing::ExitedWithCode(1),
+                "out of bounds");
+    EXPECT_EQ(state.vdmSpan(top - 3, 8), nullptr);
+    EXPECT_EQ(state.vdmSpan(4, top), nullptr);
+    EXPECT_EQ(state.vdmSpanForWrite(top - 3, 8), nullptr);
+
+    state.setAreg(7, top - 3);
+    EXPECT_EXIT(sim.step(Instruction::vload(2, 7, 0)),
+                testing::ExitedWithCode(1), "out of bounds");
+    EXPECT_EXIT(sim.step(Instruction::vstore(2, 7, 0)),
                 testing::ExitedWithCode(1), "out of bounds");
 }
 
@@ -336,6 +392,231 @@ TEST_F(FunctionalSim, AssembledProgramRuns)
     for (unsigned i = 0; i < VL; ++i)
         EXPECT_EQ(state.readVdm(2048 + i), mod.add(i, 512 + i));
 }
+
+// -- State reset ---------------------------------------------------------
+
+/** Every architecturally visible word of @p a equals that of @p b. */
+void
+expectSameState(const ArchState &a, const ArchState &b)
+{
+    ASSERT_EQ(a.vdmWords(), b.vdmWords());
+    EXPECT_EQ(a.dumpVdm(0, a.vdmWords()), b.dumpVdm(0, b.vdmWords()));
+    for (uint64_t i = 0; i < arch::kSdmWords; ++i)
+        EXPECT_EQ(a.readSdm(i), b.readSdm(i)) << "SDM word " << i;
+    for (unsigned i = 0; i < arch::kNumVregs; ++i)
+        EXPECT_EQ(a.vreg(i), b.vreg(i)) << "v" << i;
+    for (unsigned i = 0; i < arch::kNumSregs; ++i)
+        EXPECT_EQ(a.sreg(i), b.sreg(i)) << "s" << i;
+    for (unsigned i = 0; i < arch::kNumAregs; ++i)
+        EXPECT_EQ(a.areg(i), b.areg(i)) << "a" << i;
+    for (unsigned i = 0; i < arch::kNumMregs; ++i)
+        EXPECT_EQ(a.mreg(i), b.mreg(i)) << "m" << i;
+}
+
+TEST(ArchStateReset, ReusedStateMatchesAFreshOne)
+{
+    constexpr size_t kBytes = 4096 * arch::kWordBytes;
+    const ArchState fresh(kBytes);
+    ArchState used(kBytes);
+
+    // Two rounds with disjoint footprints: the second must not
+    // inherit the first round's dirty range or registers.
+    for (uint64_t round = 0; round < 2; ++round) {
+        const uint64_t at = round * 2000;
+        used.writeVdm(at + 5, 1);
+        used.loadVdm(at + 100, std::vector<u128>(300, round + 2));
+        u128 *w = used.vdmSpanForWrite(at + 1500, 10);
+        ASSERT_NE(w, nullptr);
+        std::fill(w, w + 10, u128(7));
+        used.writeSdm(at % arch::kSdmWords + 3, 11);
+        used.vreg(unsigned(round * 63))[VL - 1] = 9;
+        used.vreg(unsigned(round + 1)).fill(4);
+        used.setSreg(unsigned(round + 60), 5);
+        used.setAreg(unsigned(round + 30), 6);
+        used.setMreg(unsigned(round), 8);
+        used.reset();
+        expectSameState(used, fresh);
+    }
+}
+
+// -- Destination aliasing and non-canonical lanes, both SIMD modes ------
+
+using Vreg = ArchState::Vreg;
+
+/** Restores the host-SIMD mode on scope exit (tests must not leak). */
+class ModeGuard
+{
+  public:
+    explicit ModeGuard(simd::HostSimdMode mode)
+        : saved_(simd::hostSimdMode())
+    {
+        simd::setHostSimdMode(mode);
+    }
+    ~ModeGuard() { simd::setHostSimdMode(saved_); }
+
+  private:
+    simd::HostSimdMode saved_;
+};
+
+/**
+ * The lane-wise u128 reference for one compute or shuffle step, taken
+ * from the registers as they stood before it: each register the step
+ * writes, with its expected contents, in write order.
+ */
+std::vector<std::pair<unsigned, Vreg>>
+referenceStep(const std::vector<Vreg> &before, const Instruction &in,
+              const Modulus &mod, u128 s)
+{
+    constexpr unsigned H = VL / 2;
+    const Vreg &a = before[in.vs];
+    const Vreg &b = before[in.vt];
+    Vreg out{}, out1{};
+    for (unsigned i = 0; i < VL; ++i) {
+        if (in.isButterfly()) {
+            const u128 t = mod.mul(before[in.vt1][i], b[i]);
+            out[i] = mod.add(a[i], t);
+            out1[i] = mod.sub(a[i], t);
+            continue;
+        }
+        switch (in.op) {
+          case Opcode::VADDMOD: out[i] = mod.add(a[i], b[i]); break;
+          case Opcode::VSUBMOD: out[i] = mod.sub(a[i], b[i]); break;
+          case Opcode::VMULMOD: out[i] = mod.mul(a[i], b[i]); break;
+          case Opcode::VSADDMOD: out[i] = mod.add(a[i], s); break;
+          case Opcode::VSSUBMOD: out[i] = mod.sub(a[i], s); break;
+          case Opcode::VSMULMOD: out[i] = mod.mul(a[i], s); break;
+          case Opcode::UNPKLO: out[i] = (i % 2 ? b : a)[i / 2]; break;
+          case Opcode::UNPKHI: out[i] = (i % 2 ? b : a)[H + i / 2]; break;
+          case Opcode::PKLO:
+            out[i] = i < H ? a[2 * i] : b[2 * (i - H)];
+            break;
+          case Opcode::PKHI:
+            out[i] = i < H ? a[2 * i + 1] : b[2 * (i - H) + 1];
+            break;
+          default:
+            ADD_FAILURE() << "no reference for " << in.toString();
+        }
+    }
+    if (in.isButterfly())
+        return {{in.vd, out}, {in.vd1, out1}};
+    return {{in.vd, out}};
+}
+
+class LaneAliasing : public testing::TestWithParam<simd::HostSimdMode>
+{
+  protected:
+    LaneAliasing()
+        : guard(GetParam()), sim(state), q(nttPrime(60, 1024)), mod(q)
+    {
+        state.setMreg(1, q);
+        state.setSreg(9, q - 5);
+        state.setSreg(10, q + 3); // non-canonical scalar
+        for (unsigned r = 1; r <= 4; ++r) {
+            for (unsigned i = 0; i < VL; ++i) {
+                state.vreg(r)[i] =
+                    u128(i + 1) * 0x9E3779B97F4A7C15ull * r % q;
+            }
+        }
+    }
+
+    /**
+     * Make register @p r non-canonical: lanes i % 3 == 0 hold q + i
+     * and lanes i % 3 == 1 hold 2^64 + i, which a u64 narrowing would
+     * silently truncate.
+     */
+    void
+    makeNonCanonical(unsigned r)
+    {
+        for (unsigned i = 0; i < VL; i += 3) {
+            state.vreg(r)[i] = q + i;
+            if (i + 1 < VL)
+                state.vreg(r)[i + 1] = (u128(1) << 64) + i;
+        }
+    }
+
+    /** Step @p in; every register must match the reference. */
+    void
+    stepAndCheck(const Instruction &in)
+    {
+        const ArchState &view = state;
+        std::vector<Vreg> want;
+        for (unsigned r = 0; r < arch::kNumVregs; ++r)
+            want.push_back(view.vreg(r));
+        const auto written =
+            referenceStep(want, in, mod, view.sreg(in.rt));
+        for (const auto &[reg, value] : written)
+            want[reg] = value;
+
+        sim.step(in);
+        for (unsigned r = 0; r < arch::kNumVregs; ++r)
+            EXPECT_EQ(view.vreg(r), want[r]) << in.toString() << ": v" << r;
+    }
+
+    ModeGuard guard;
+    ArchState state;
+    FunctionalSimulator sim;
+    u128 q;
+    Modulus mod;
+};
+
+TEST_P(LaneAliasing, LaneWiseOpsWithDestinationAliasingASource)
+{
+    for (Opcode op : {Opcode::VADDMOD, Opcode::VSUBMOD, Opcode::VMULMOD}) {
+        stepAndCheck(Instruction::vv(op, 1, 1, 2, 1)); // vd == vs
+        stepAndCheck(Instruction::vv(op, 2, 1, 2, 1)); // vd == vt
+        stepAndCheck(Instruction::vv(op, 3, 3, 3, 1)); // vd == vs == vt
+    }
+    for (Opcode op :
+         {Opcode::VSADDMOD, Opcode::VSSUBMOD, Opcode::VSMULMOD})
+        stepAndCheck(Instruction::vs_(op, 1, 1, 9, 1)); // vd == vs
+}
+
+TEST_P(LaneAliasing, ButterflyWithCrossedAliasing)
+{
+    stepAndCheck(Instruction::butterfly(3, 1, 1, 2, 3, 1)); // vd == vt1, vd1 == vs
+    stepAndCheck(Instruction::butterfly(2, 3, 1, 2, 3, 1)); // vd == vt, vd1 == vt1
+    stepAndCheck(Instruction::butterfly(1, 2, 1, 2, 3, 1)); // vd == vs, vd1 == vt
+    stepAndCheck(Instruction::butterfly(4, 4, 1, 2, 3, 1)); // vd == vd1
+}
+
+TEST_P(LaneAliasing, ShufflesWithDestinationAliasingASource)
+{
+    for (Opcode op : {Opcode::UNPKLO, Opcode::UNPKHI, Opcode::PKLO,
+                      Opcode::PKHI}) {
+        stepAndCheck(Instruction::shuffle(op, 2, 1, 2)); // vd == vt
+        stepAndCheck(Instruction::shuffle(op, 1, 1, 2)); // vd == vs
+        stepAndCheck(Instruction::shuffle(op, 3, 3, 3)); // vd == vs == vt
+        stepAndCheck(Instruction::shuffle(op, 5, 1, 2)); // no aliasing
+    }
+}
+
+TEST_P(LaneAliasing, NonCanonicalLanesTakeTheExactPath)
+{
+    // The narrow kernels are exact only on canonical lanes; the
+    // canonical guard must send these through the u128 path in both
+    // modes, so the results match the u128 reference either way.
+    makeNonCanonical(1);
+    for (Opcode op : {Opcode::VADDMOD, Opcode::VSUBMOD, Opcode::VMULMOD}) {
+        stepAndCheck(Instruction::vv(op, 5, 1, 2, 1)); // vs non-canonical
+        stepAndCheck(Instruction::vv(op, 6, 2, 1, 1)); // vt non-canonical
+    }
+    stepAndCheck(Instruction::butterfly(5, 6, 1, 2, 3, 1));
+    stepAndCheck(Instruction::butterfly(5, 6, 2, 1, 3, 1));
+    stepAndCheck(Instruction::butterfly(5, 6, 2, 3, 1, 1)); // twiddles
+    stepAndCheck(Instruction::vs_(Opcode::VSMULMOD, 5, 1, 9, 1));
+    stepAndCheck(Instruction::vs_(Opcode::VSMULMOD, 6, 2, 10, 1));
+    stepAndCheck(Instruction::vs_(Opcode::VSADDMOD, 7, 1, 10, 1));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HostSimdModes, LaneAliasing,
+    testing::Values(simd::HostSimdMode::Scalar,
+                    simd::HostSimdMode::Native),
+    [](const auto &info) {
+        return std::string(info.param == simd::HostSimdMode::Scalar
+                               ? "scalar"
+                               : "native");
+    });
 
 } // namespace
 } // namespace rpu
