@@ -137,14 +137,15 @@ phaseTable(const std::shared_ptr<RpuDevice> &device, Workload &w)
 
     // Tensor phase: four cross products, operand conversions elided.
     device->resetCounters();
-    auto d = ev.tensorPair(w.ct_a.c0, w.ct_a.c1, w.ct_b.c0, w.ct_b.c1);
+    auto d = ev.tensorPair({{&w.ct_a.c0, &w.ct_a.c1}},
+                           {{&w.ct_b.c0, &w.ct_b.c1}});
     const DeviceStats tensor = device->stats();
 
     // Relinearisation: digit split + re-entry + inner product.
     device->resetCounters();
-    auto out = ev.relinearise(d[0], d[1], std::move(d[2]), w.rk);
+    auto out = ev.relinearise(std::move(d), {&w.rk});
     const DeviceStats relin = device->stats();
-    if (!identical({std::move(out[0]), std::move(out[1]), 1.0},
+    if (!identical({std::move(out[0][0]), std::move(out[0][1]), 1.0},
                    w.expected))
         fail("phase-split multiply diverges from the golden result");
 

@@ -178,9 +178,9 @@ modelledOpsPerSec(size_t requests, uint64_t makespan)
 void
 phaseBitIdentity(const SchedulerPolicy &policy)
 {
-    // Two passes of the same mixed set shapes (fresh seqs): pass 1
-    // may still generate kernels prewarm doesn't predict (the mulCt
-    // relinearisation shapes), on whichever device a chunk landed.
+    // Two passes of the same mixed set shapes (fresh seqs): prewarm
+    // generates every declared shape on device 0, and pass 1 serves
+    // the first requests on whichever device a chunk landed.
     // Pass 2 must then run entirely out of the shared cache on every
     // device — a hit even when the generating device differs, which
     // is exactly "generate once, launch anywhere". Holding under the

@@ -83,16 +83,17 @@ BfvPlaintext
 BfvContext::encodePlain(const std::vector<uint64_t> &plain) const
 {
     const std::vector<uint64_t> m = liftPlain(plain);
-    RlweEvaluator::TowerPoly res(params_.towers,
-                                 std::vector<u128>(params_.n));
+    std::vector<RlweEvaluator::TowerPoly> res(
+        1, RlweEvaluator::TowerPoly(params_.towers,
+                                    std::vector<u128>(params_.n)));
     for (size_t t = 0; t < params_.towers; ++t) {
         const Modulus &mod = basis_->modulus(t);
         for (size_t i = 0; i < params_.n; ++i)
-            res[t][i] = mod.reduce(u128(m[i]));
+            res[0][t][i] = mod.reduce(u128(m[i]));
     }
     // The one forward transform the plaintext ever pays: a batched
     // device dispatch when attached, host transforms otherwise.
-    return BfvPlaintext{evaluator_.enterEval(std::move(res))};
+    return BfvPlaintext{std::move(evaluator_.enterEval(std::move(res))[0])};
 }
 
 Ciphertext
@@ -225,9 +226,8 @@ BfvContext::sub(const Ciphertext &a, const Ciphertext &b) const
 Ciphertext
 BfvContext::mulPlain(const Ciphertext &ct, const BfvPlaintext &pt) const
 {
-    auto pair =
-        evaluator_.mulPlainPair(ct.c0, ct.c1, pt.rp, ct.towers());
-    return Ciphertext{std::move(pair[0]), std::move(pair[1])};
+    auto prods = evaluator_.mulPlainPair({{&ct.c0, &ct.c1}}, {&pt.rp});
+    return Ciphertext{std::move(prods[0][0]), std::move(prods[0][1])};
 }
 
 Ciphertext
@@ -392,15 +392,14 @@ BfvContext::mulCt(const Ciphertext &a, const Ciphertext &b,
 
     // Base-extend all four components onto the tensor chain, then
     // the evaluator's shared pipeline: tensor product, this scheme's
-    // scale-and-round as the degree-2 hook, gadget key-switch.
+    // scale-and-round, gadget key-switch.
     const std::vector<ResiduePoly> ext =
         extendComponents({&a.c0, &a.c1, &b.c0, &b.c1});
-    auto pair = evaluator_.mulPair(
-        ext[0], ext[1], ext[2], ext[3], rk,
-        [this](std::array<ResiduePoly, 3> d) {
-            return scaleRoundHook(std::move(d));
-        });
-    return Ciphertext{std::move(pair[0]), std::move(pair[1])};
+    auto d = evaluator_.tensorPair({{&ext[0], &ext[1]}},
+                                   {{&ext[2], &ext[3]}});
+    d[0] = scaleRoundHook(std::move(d[0]));
+    auto pair = evaluator_.relinearise(std::move(d), {&rk});
+    return Ciphertext{std::move(pair[0][0]), std::move(pair[0][1])};
 }
 
 void

@@ -21,9 +21,9 @@
  * the centred rounding by t/q happen exactly once, at decryption.
  *
  * Ciphertext x ciphertext multiply routes through the evaluator's
- * shared mulPair pipeline (tensor product + gadget-decomposed
- * relinearisation, see RlweEvaluator); the scheme contributes only
- * its own math as the degree-2 hook. Because the tensor product's
+ * shared tensorPair and relinearise (tensor product + gadget-
+ * decomposed relinearisation, see RlweEvaluator); the scheme
+ * contributes only its own math between the two, the degree-2 hook. Because the tensor product's
  * integer coefficients reach n*q^2/4, the context carries an
  * *extended* chain of 2L+1 same-width towers (ciphertexts live on
  * the L-tower prefix): mulCt base-extends the operands onto the
@@ -197,7 +197,7 @@ class BfvContext
     /**
      * Homomorphic ciphertext x ciphertext multiply, relinearised
      * back to degree 1: base-extend both operands to the tensor
-     * chain, then the evaluator's shared mulPair — tensor product
+     * chain, then the evaluator's shared pipeline — tensor product
      * in the evaluation domain, this scheme's scale-and-round
      * (round(t * V / q), centred, exact over the extended chain) as
      * the degree-2 hook, and the gadget key-switch with @p rk.

@@ -116,42 +116,39 @@ CkksContext::keygen()
     return sk;
 }
 
-CkksPlaintext
+std::vector<CkksPlaintext>
 CkksContext::encodePlain(
-    const std::vector<std::complex<double>> &values,
-    size_t towers) const
+    const std::vector<const std::vector<std::complex<double>> *> &values,
+    size_t towers, DispatchRoute *route) const
 {
     if (towers == 0)
         towers = params_.towers;
     rpu_assert(towers <= params_.towers,
                "encode over %zu towers, chain has %zu", towers,
                params_.towers);
-    CkksPlaintext pt;
-    pt.scale = params_.scale;
-    // The one forward transform the plaintext ever pays: a batched
-    // device dispatch when attached, host transforms otherwise.
-    pt.rp = evaluator_.enterEval(residuesOfSigned(
-        encoder_.encode(values, params_.scale), towers));
-    return pt;
+    std::vector<RlweEvaluator::TowerPoly> res;
+    res.reserve(values.size());
+    for (const std::vector<std::complex<double>> *v : values)
+        res.push_back(
+            residuesOfSigned(encoder_.encode(*v, params_.scale), towers));
+    // The one forward transform a plaintext ever pays: one tiled
+    // device dispatch for the batch when attached, host transforms
+    // otherwise.
+    std::vector<ResiduePoly> eval =
+        evaluator_.enterEval(std::move(res), route);
+    std::vector<CkksPlaintext> pts(values.size());
+    for (size_t i = 0; i < pts.size(); ++i) {
+        pts[i].scale = params_.scale;
+        pts[i].rp = std::move(eval[i]);
+    }
+    return pts;
 }
 
 CkksPlaintext
-CkksContext::encodePlainCoeff(
-    const std::vector<std::complex<double>> &values,
-    size_t towers) const
+CkksContext::encodePlain(const std::vector<std::complex<double>> &values,
+                         size_t towers) const
 {
-    if (towers == 0)
-        towers = params_.towers;
-    rpu_assert(towers <= params_.towers,
-               "encode over %zu towers, chain has %zu", towers,
-               params_.towers);
-    CkksPlaintext pt;
-    pt.scale = params_.scale;
-    pt.rp = ResiduePoly(
-        ResidueDomain::Coeff,
-        residuesOfSigned(encoder_.encode(values, params_.scale),
-                         towers));
-    return pt;
+    return std::move(encodePlain({&values}, towers)[0]);
 }
 
 CkksCiphertext
@@ -244,21 +241,39 @@ CkksContext::add(const CkksCiphertext &a, const CkksCiphertext &b) const
     return out;
 }
 
+std::vector<CkksCiphertext>
+CkksContext::mulPlain(const std::vector<const CkksCiphertext *> &cts,
+                      const std::vector<const CkksPlaintext *> &pts,
+                      DispatchRoute *route) const
+{
+    rpu_assert(cts.size() == pts.size(),
+               "%zu ciphertexts for %zu plaintexts", cts.size(),
+               pts.size());
+    std::vector<RlweEvaluator::PairView> comps;
+    std::vector<const ResiduePoly *> rps;
+    for (size_t i = 0; i < cts.size(); ++i) {
+        rpu_assert(cts[i]->towers() >= 1, "empty ciphertext");
+        comps.push_back({&cts[i]->c0, &cts[i]->c1});
+        rps.push_back(&pts[i]->rp);
+    }
+
+    // Domain alignment, elision accounting, and the pointwise
+    // dispatch are the evaluator's; the scheme only tracks scale.
+    auto prods = evaluator_.mulPlainPair(comps, rps, route);
+    std::vector<CkksCiphertext> out(cts.size());
+    for (size_t i = 0; i < out.size(); ++i) {
+        out[i].scale = cts[i]->scale * pts[i]->scale;
+        out[i].c0 = std::move(prods[i][0]);
+        out[i].c1 = std::move(prods[i][1]);
+    }
+    return out;
+}
+
 CkksCiphertext
 CkksContext::mulPlain(const CkksCiphertext &ct,
                       const CkksPlaintext &pt) const
 {
-    rpu_assert(ct.towers() >= 1, "empty ciphertext");
-
-    // Domain alignment, elision accounting, and the pointwise
-    // dispatch are the evaluator's; the scheme only tracks scale.
-    auto prods = evaluator_.mulPlainPair(ct.c0, ct.c1, pt.rp,
-                                         ct.towers());
-    CkksCiphertext out;
-    out.scale = ct.scale * pt.scale;
-    out.c0 = std::move(prods[0]);
-    out.c1 = std::move(prods[1]);
-    return out;
+    return std::move(mulPlain({&ct}, {&pt})[0]);
 }
 
 CkksCiphertext
@@ -282,136 +297,156 @@ CkksContext::makeRelinKey(const CkksSecretKey &sk, unsigned digitBits)
                                    params_.noiseBound, rng_, digitBits);
 }
 
-CkksCiphertext
-CkksContext::mulCt(const CkksCiphertext &a, const CkksCiphertext &b,
-                   const RelinKey &rk) const
+std::vector<CkksCiphertext>
+CkksContext::mulCt(const std::vector<const CkksCiphertext *> &as,
+                   const std::vector<const CkksCiphertext *> &bs,
+                   const std::vector<const RelinKey *> &rks,
+                   DispatchRoute *route) const
 {
-    rpu_assert(a.towers() == b.towers() && a.towers() >= 1,
-               "level mismatch: %zu vs %zu towers", a.towers(),
-               b.towers());
+    rpu_assert(as.size() == bs.size() && as.size() == rks.size(),
+               "mulCt batch of %zu x %zu operands, %zu keys", as.size(),
+               bs.size(), rks.size());
+    std::vector<RlweEvaluator::PairView> pa, pb;
+    for (size_t i = 0; i < as.size(); ++i) {
+        rpu_assert(as[i]->towers() == bs[i]->towers() &&
+                       as[i]->towers() >= 1,
+                   "level mismatch: %zu vs %zu towers", as[i]->towers(),
+                   bs[i]->towers());
+        pa.push_back({&as[i]->c0, &as[i]->c1});
+        pb.push_back({&bs[i]->c0, &bs[i]->c1});
+    }
 
-    // Tensor, hook (none for CKKS), and key-switch are the
-    // evaluator's; the scheme only tracks the scale product.
-    auto pair = evaluator_.mulPair(a.c0, a.c1, b.c0, b.c1, rk);
-    CkksCiphertext out;
-    out.scale = a.scale * b.scale;
-    out.c0 = std::move(pair[0]);
-    out.c1 = std::move(pair[1]);
+    // Tensor and key-switch are the evaluator's; the scheme only
+    // tracks the scale product (CKKS needs no degree-2 hook).
+    auto pairs = evaluator_.relinearise(
+        evaluator_.tensorPair(pa, pb, route), rks, route);
+    std::vector<CkksCiphertext> out(as.size());
+    for (size_t i = 0; i < out.size(); ++i) {
+        out[i].scale = as[i]->scale * bs[i]->scale;
+        out[i].c0 = std::move(pairs[i][0]);
+        out[i].c1 = std::move(pairs[i][1]);
+    }
     return out;
 }
 
 CkksCiphertext
-CkksContext::rescaleFromDropped(
-    const CkksCiphertext &ct,
-    const std::vector<std::vector<u128>> &dropped) const
+CkksContext::mulCt(const CkksCiphertext &a, const CkksCiphertext &b,
+                   const RelinKey &rk) const
 {
-    rpu_assert(ct.towers() >= 2,
-               "rescale needs at least two active towers, have %zu",
-               ct.towers());
-    rpu_assert(ct.c0.inEval() && ct.c1.inEval(),
-               "rescaleFromDropped takes Eval-resident components");
-    rpu_assert(dropped.size() == 2 &&
-                   dropped[0].size() == params_.n &&
-                   dropped[1].size() == params_.n,
-               "dropped-tower residues must cover both components");
-    const size_t l = ct.towers() - 1; // tower being dropped
-    const Modulus &mod_l = basis().modulus(l);
-    const u128 q_l = mod_l.value();
+    return std::move(mulCt({&a}, {&b}, {&rk})[0]);
+}
 
+std::vector<CkksCiphertext>
+CkksContext::rescale(const std::vector<const CkksCiphertext *> &cts,
+                     DispatchRoute *route) const
+{
+    if (cts.empty())
+        return {};
+    const size_t towers = cts[0]->towers();
+    rpu_assert(towers >= 2,
+               "rescale needs at least two active towers, have %zu",
+               towers);
+    const size_t l = towers - 1; // tower being dropped
+    const Modulus &mod_l = basis().modulus(l);
     std::vector<u128> inv_ql(l);
     for (size_t t = 0; t < l; ++t)
         inv_ql[t] = basis().modulus(t).inv(
-            basis().modulus(t).reduce(q_l));
+            basis().modulus(t).reduce(mod_l.value()));
 
-    CkksCiphertext out;
-    out.scale = ct.scale / u128ToDouble(q_l);
-    const ResiduePoly *comps[2] = {&ct.c0, &ct.c1};
-    ResiduePoly *out_comps[2] = {&out.c0, &out.c1};
-
-    // Re-enter the lift into each remaining tower's evaluation
-    // domain via the host transform — the same plaintext-sized
-    // side engine encrypt and decrypt use — then subtract and
-    // scale pointwise. The ciphertext towers themselves never
-    // see a forward transform, so the device's forward-NTT
-    // counter stays at zero across a whole rescale chain. The
-    // 2*(L-1) independent (component, tower) units fan across
-    // the device's worker pool when it has one.
-    for (size_t c = 0; c < 2; ++c) {
-        out_comps[c]->domain = ResidueDomain::Eval;
-        out_comps[c]->towers.resize(l);
+    // The scheme's one forced Coeff boundary: only the *dropped*
+    // tower of each Eval ciphertext leaves the evaluation domain, all
+    // of the batch's in one inverse dispatch on the attached device
+    // or route (host transforms otherwise). A Coeff ciphertext's
+    // dropped tower is already in coefficient form.
+    std::vector<const ResiduePoly *> eval_comps;
+    for (const CkksCiphertext *ct : cts) {
+        rpu_assert(ct->towers() == towers,
+                   "rescale batch mixes levels: %zu vs %zu towers",
+                   ct->towers(), towers);
+        rpu_assert(ct->c0.domain == ct->c1.domain,
+                   "ciphertext components in different domains");
+        if (ct->c0.inEval()) {
+            eval_comps.push_back(&ct->c0);
+            eval_comps.push_back(&ct->c1);
+        }
     }
-    evaluator_.forEachUnit(2 * l, [&](size_t u) {
-        const size_t c = u / l;
-        const size_t t = u % l;
-        const Modulus &mod_t = basis().modulus(t);
-        std::vector<u128> d(params_.n);
-        for (size_t i = 0; i < params_.n; ++i)
-            d[i] = liftCentred(dropped[c][i], mod_l, mod_t);
-        hostNtt(t).forward(d);
-        out_comps[c]->towers[t] = polyScale(
-            mod_t, inv_ql[t],
-            polySub(mod_t, comps[c]->towers[t], d));
-    });
+    std::vector<std::vector<u128>> inverted;
+    if (!eval_comps.empty())
+        inverted = evaluator_.inverseTower(eval_comps, l, route);
+
+    // Exact RNS rescale: with r the centred lift of the dropped
+    // tower, every remaining tower computes
+    // c'_t = (c_t - r) * q_l^-1 mod q_t — the residues of the integer
+    // (V - centred(V mod q_l)) / q_l. An Eval ciphertext re-enters
+    // the lift into each remaining tower's evaluation domain via the
+    // host transform — the same plaintext-sized side engine encrypt
+    // and decrypt use — so its towers themselves never see a forward
+    // transform and the device's forward-NTT counter stays at zero
+    // across a whole rescale chain; a Coeff ciphertext needs no
+    // transform at all. The 2*(L-1) independent (component, tower)
+    // units fan across the device's worker pool when it has one.
+    std::vector<CkksCiphertext> out(cts.size());
+    size_t next = 0;
+    for (size_t k = 0; k < cts.size(); ++k) {
+        const CkksCiphertext &ct = *cts[k];
+        const bool eval = ct.c0.inEval();
+        const ResiduePoly *comps[2] = {&ct.c0, &ct.c1};
+        ResiduePoly *out_comps[2] = {&out[k].c0, &out[k].c1};
+        const std::vector<u128> *dropped[2];
+        for (size_t c = 0; c < 2; ++c) {
+            dropped[c] = eval ? &inverted[next++] : &comps[c]->towers[l];
+            out_comps[c]->domain = ct.c0.domain;
+            out_comps[c]->towers.resize(l);
+        }
+        out[k].scale = ct.scale / u128ToDouble(mod_l.value());
+        evaluator_.forEachUnit(2 * l, [&](size_t u) {
+            const size_t c = u / l;
+            const size_t t = u % l;
+            const Modulus &mod_t = basis().modulus(t);
+            std::vector<u128> d(params_.n);
+            for (size_t i = 0; i < params_.n; ++i)
+                d[i] = liftCentred((*dropped[c])[i], mod_l, mod_t);
+            if (eval)
+                hostNtt(t).forward(d);
+            out_comps[c]->towers[t] = polyScale(
+                mod_t, inv_ql[t], polySub(mod_t, comps[c]->towers[t], d));
+        });
+    }
     return out;
 }
 
 CkksCiphertext
 CkksContext::rescale(const CkksCiphertext &ct) const
 {
-    rpu_assert(ct.towers() >= 2,
-               "rescale needs at least two active towers, have %zu",
-               ct.towers());
-    rpu_assert(ct.c0.domain == ct.c1.domain,
-               "ciphertext components in different domains");
-    const size_t l = ct.towers() - 1; // tower being dropped
-    const Modulus &mod_l = basis().modulus(l);
-    const u128 q_l = mod_l.value();
+    return std::move(rescale(std::vector<const CkksCiphertext *>{&ct})[0]);
+}
 
-    // Exact RNS rescale: with r the centred lift of [c]_l, every
-    // remaining tower computes c'_t = (c_t - r) * q_l^-1 mod q_t —
-    // the residues of the integer (V - centred(V mod q_l)) / q_l.
-
-    if (ct.c0.inEval()) {
-        // The scheme's one forced Coeff boundary: only the *dropped*
-        // tower leaves the evaluation domain, as one inverse dispatch
-        // on the attached device (host transform otherwise);
-        // the host half is the shared rescaleFromDropped body, so
-        // the serving layer can coalesce many ciphertexts' dropped
-        // towers into one launch and still match this bit-for-bit.
-        return rescaleFromDropped(
-            ct, evaluator_.inverseTower({&ct.c0, &ct.c1}, l));
+std::vector<StageShape>
+CkksContext::launchShapes(CkksOp op, size_t items, size_t towers,
+                          unsigned digitBits) const
+{
+    const std::vector<u128> chain = prefixBasis(towers).primes();
+    const auto stage = [&](RingOp ring, size_t count,
+                           const std::vector<u128> &moduli) {
+        return StageShape{ring,
+                          std::vector<std::vector<u128>>(count, moduli)};
+    };
+    std::vector<StageShape> shapes;
+    if (op == CkksOp::MulPlainRescale) {
+        shapes.push_back(stage(RingOp::Forward, items, chain));
+        shapes.push_back(stage(RingOp::Pointwise, 2 * items, chain));
+    } else {
+        size_t digits = 0;
+        for (size_t t = 0; t < towers; ++t)
+            digits += residueOps().digitCount(t, digitBits);
+        shapes.push_back(stage(RingOp::Pointwise, 4 * items, chain));
+        shapes.push_back(stage(RingOp::Inverse, items, chain));
+        shapes.push_back(stage(RingOp::Forward, items * digits, chain));
+        shapes.push_back(
+            stage(RingOp::Pointwise, 2 * items * digits, chain));
     }
-
-    std::vector<u128> inv_ql(l);
-    for (size_t t = 0; t < l; ++t)
-        inv_ql[t] = basis().modulus(t).inv(
-            basis().modulus(t).reduce(q_l));
-
-    CkksCiphertext out;
-    out.scale = ct.scale / u128ToDouble(q_l);
-    const ResiduePoly *comps[2] = {&ct.c0, &ct.c1};
-    ResiduePoly *out_comps[2] = {&out.c0, &out.c1};
-
-    // Coefficient-resident input: the same map is plain coefficient
-    // arithmetic — no transform at all (the forward/pointwise/inverse
-    // sandwich an earlier revision launched here was pure dispatch
-    // shape; the transforms cancelled exactly). Bit-identical to
-    // toCoeff(rescale(toEval(ct))) on every tower.
-    for (size_t c = 0; c < 2; ++c) {
-        out_comps[c]->domain = ResidueDomain::Coeff;
-        out_comps[c]->towers.resize(l);
-        const std::vector<u128> &last = comps[c]->towers[l];
-        for (size_t t = 0; t < l; ++t) {
-            const Modulus &mod_t = basis().modulus(t);
-            std::vector<u128> d(params_.n);
-            for (size_t i = 0; i < params_.n; ++i)
-                d[i] = mod_t.sub(comps[c]->towers[t][i],
-                                 liftCentred(last[i], mod_l, mod_t));
-            out_comps[c]->towers[t] =
-                polyScale(mod_t, inv_ql[t], d);
-        }
-    }
-    return out;
+    shapes.push_back(stage(RingOp::Inverse, 2 * items, {chain.back()}));
+    return shapes;
 }
 
 void

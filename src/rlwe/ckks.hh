@@ -43,6 +43,14 @@
  * (CRT over the active prefix, centre mod Q, decode). Like the BFV
  * sibling this is a demonstration workload, not a hardened
  * cryptosystem.
+ *
+ * The device ops are batch-native: encodePlain, mulPlain, mulCt and
+ * rescale take a batch of same-class operands at one level (tenants
+ * may mix) and issue one tiled dispatch per stage for the batch; the
+ * single-ciphertext calls are the batch of one, and an item's result
+ * is bit-identical whatever batch it rides in. launchShapes()
+ * declares the stages a batch dispatches, which a DispatchRoute
+ * asserts stage by stage.
  */
 
 #ifndef RPU_RLWE_CKKS_HH
@@ -58,10 +66,20 @@
 #include "rlwe/evaluator.hh"
 #include "rlwe/residue_poly.hh"
 #include "rns/crt.hh"
+#include "rpu/device.hh"
 
 namespace rpu {
 
-class RpuDevice;
+class DispatchRoute;
+
+/** The op pipelines a CKKS batch runs; each ends in one rescale. */
+enum class CkksOp
+{
+    /** x encoded plaintext, rescale. */
+    MulPlainRescale,
+    /** x ciphertext, relinearise, rescale. */
+    MulCtRescale,
+};
 
 /** CKKS parameters: ring, modulus chain, fixed-point scale. */
 struct CkksParams
@@ -153,29 +171,25 @@ class CkksContext
     CkksSecretKey keygen();
 
     /**
-     * Encode @p values (at most slots() entries) at the context scale
-     * over the first @p towers chain primes (0 = the full chain) and
-     * enter the evaluation domain — one batched forward-NTT dispatch
-     * on the attached device (host transform otherwise). A full-chain
-     * encoding is reusable across ops and levels through its tower
-     * prefix; pass a ciphertext's level to encode a single-use
-     * plaintext without transforming towers it will never touch.
+     * Encode each of @p values (at most slots() entries each) at the
+     * context scale over the first @p towers chain primes (0 = the
+     * full chain) and enter the evaluation domain — one tiled
+     * forward-NTT dispatch for the whole batch on the attached device
+     * or @p route (host transforms otherwise). A full-chain encoding
+     * is reusable across ops and levels through its tower prefix;
+     * pass a ciphertext's level to encode a single-use plaintext
+     * without transforming towers it will never touch.
      */
+    std::vector<CkksPlaintext>
+    encodePlain(
+        const std::vector<const std::vector<std::complex<double>> *>
+            &values,
+        size_t towers = 0, DispatchRoute *route = nullptr) const;
+
+    /** The batch of one. */
     CkksPlaintext
     encodePlain(const std::vector<std::complex<double>> &values,
                 size_t towers = 0) const;
-
-    /**
-     * encodePlain without the evaluation-domain entry: the encoded
-     * residues stay Coeff-resident and pay no transform at all. For
-     * callers that batch the forward entry themselves — the serving
-     * layer coalesces many tenants' plaintext entries into one
-     * tiled device dispatch (RpuDevice::dispatch) instead of paying
-     * one launch per encode.
-     */
-    CkksPlaintext
-    encodePlainCoeff(const std::vector<std::complex<double>> &values,
-                     size_t towers = 0) const;
 
     /**
      * Encode @p values (at most slots() entries) at the context scale
@@ -215,12 +229,19 @@ class CkksContext
                        const CkksCiphertext &b) const;
 
     /**
-     * Slot-wise product with an encoded plaintext (tower prefix
-     * matched to the ciphertext's level); the result's scale is
-     * ct.scale * pt.scale. Both components run through one pointwise
-     * dispatch — no transform is issued when the ciphertext is
-     * already Eval-resident (the elision lands in DeviceStats).
+     * Slot-wise products cts[i] x pts[i] with encoded plaintexts
+     * (tower prefix matched to the ciphertexts' one level); each
+     * result's scale is ct.scale * pt.scale. Both components of every
+     * ciphertext run through one pointwise dispatch — no transform is
+     * issued when the ciphertexts are already Eval-resident (the
+     * elision lands in DeviceStats).
      */
+    std::vector<CkksCiphertext>
+    mulPlain(const std::vector<const CkksCiphertext *> &cts,
+             const std::vector<const CkksPlaintext *> &pts,
+             DispatchRoute *route = nullptr) const;
+
+    /** The batch of one. */
     CkksCiphertext mulPlain(const CkksCiphertext &ct,
                             const CkksPlaintext &pt) const;
 
@@ -239,42 +260,52 @@ class CkksContext
                           unsigned digitBits = 16);
 
     /**
-     * Slot-wise ciphertext x ciphertext product, relinearised back
-     * to degree 1 through the evaluator's shared mulPair pipeline
-     * (tensor product as pure pointwise launches, gadget key-switch
-     * with @p rk; CKKS needs no degree-2 hook). Operands must sit
-     * at the same level; the result's scale is the product of the
-     * operands' scales, so the natural follow-up is a rescale —
+     * Slot-wise ciphertext x ciphertext products as[i] x bs[i],
+     * relinearised back to degree 1 with rks[i] through the
+     * evaluator's batched tensor product (pure pointwise launches)
+     * and gadget key-switch; CKKS needs no degree-2 hook. Operands
+     * must sit at one level; each result's scale is the product of
+     * its operands' scales, so the natural follow-up is a rescale —
      * which then drops a tower, exactly as after mulPlain.
      */
+    std::vector<CkksCiphertext>
+    mulCt(const std::vector<const CkksCiphertext *> &as,
+          const std::vector<const CkksCiphertext *> &bs,
+          const std::vector<const RelinKey *> &rks,
+          DispatchRoute *route = nullptr) const;
+
+    /** The batch of one. */
     CkksCiphertext mulCt(const CkksCiphertext &a,
                          const CkksCiphertext &b,
                          const RelinKey &rk) const;
 
     /**
-     * Drop the last active tower q_l and divide the scale by it:
+     * Drop the last active tower q_l of every ciphertext (one level
+     * for the batch) and divide its scale by it:
      * c'_t = (c_t - lift([c]_l)) * q_l^-1 mod q_t. Exact in RNS:
      * bit-identical to the wide-integer (V - centred(V mod q_l)) / q_l
      * on every tower, in either residency. Eval-resident input keeps
      * the remaining towers in the evaluation domain — only the
-     * dropped tower is inverse-transformed (the scheme's one forced
-     * Coeff boundary) and no forward-NTT launch is issued.
+     * dropped towers are inverse-transformed, all of the batch's in
+     * one dispatch (the scheme's one forced Coeff boundary), and no
+     * forward-NTT launch is issued.
      */
+    std::vector<CkksCiphertext>
+    rescale(const std::vector<const CkksCiphertext *> &cts,
+            DispatchRoute *route = nullptr) const;
+
+    /** The batch of one. */
     CkksCiphertext rescale(const CkksCiphertext &ct) const;
 
     /**
-     * The host half of an Eval-resident rescale, split out so the
-     * device half can be batched across ciphertexts: @p dropped must
-     * be the Coeff residues of the last active tower of {c0, c1}
-     * (exactly what RlweEvaluator::inverseTower({&ct.c0, &ct.c1}, l)
-     * returns — or one item of a coalesced RpuDevice::dispatch over
-     * many ciphertexts' dropped towers). Bit-identical to rescale(ct), which is now a thin
-     * wrapper over this.
+     * Every dispatch a batch of @p items Eval-resident ciphertexts at
+     * level @p towers pays through @p op (relinearisation keys of
+     * base 2^@p digitBits), in issue order: what a DispatchRoute
+     * checks, a scheduler plans and a kernel prewarm warms.
      */
-    CkksCiphertext
-    rescaleFromDropped(const CkksCiphertext &ct,
-                       const std::vector<std::vector<u128>> &dropped)
-        const;
+    std::vector<StageShape> launchShapes(CkksOp op, size_t items,
+                                         size_t towers,
+                                         unsigned digitBits = 0) const;
 
     /** Move both components to the target residency (see ResidueOps). */
     void toCoeff(CkksCiphertext &ct) const;

@@ -1,5 +1,6 @@
 #include "rlwe/evaluator.hh"
 
+#include <deque>
 #include <exception>
 #include <future>
 #include <utility>
@@ -56,12 +57,19 @@ RlweEvaluator::hostNtt(size_t t) const
     return *ntts_[t];
 }
 
-ResiduePoly
-RlweEvaluator::enterEval(TowerPoly coeff_towers) const
+std::vector<ResiduePoly>
+RlweEvaluator::enterEval(std::vector<TowerPoly> coeff,
+                         DispatchRoute *route) const
 {
-    ResiduePoly p(ResidueDomain::Coeff, std::move(coeff_towers));
-    ops_.toEval(p);
-    return p;
+    std::vector<ResiduePoly> polys;
+    polys.reserve(coeff.size());
+    for (TowerPoly &towers : coeff)
+        polys.emplace_back(ResidueDomain::Coeff, std::move(towers));
+    std::vector<ResiduePoly *> views;
+    for (ResiduePoly &p : polys)
+        views.push_back(&p);
+    ops_.convert(views, ResidueDomain::Eval, route);
+    return polys;
 }
 
 void
@@ -87,166 +95,219 @@ RlweEvaluator::subPair(const ResiduePoly &a0, const ResiduePoly &a1,
     return {ops_.sub(a0, b0), ops_.sub(a1, b1)};
 }
 
-std::array<ResiduePoly, 2>
-RlweEvaluator::mulPlainPair(const ResiduePoly &c0, const ResiduePoly &c1,
-                            const ResiduePoly &pt, size_t towers) const
+namespace {
+
+/**
+ * @p pairs with every component Eval-resident: components already in
+ * Eval are read in place (the conversions a coefficient-resident
+ * system would pay land in the elision ledger); Coeff ones are copied
+ * into @p owned and converted there, in one dispatch for the batch,
+ * so the inputs stay untouched.
+ */
+std::vector<RlweEvaluator::PairView>
+evalPairs(const ResidueOps &ops, std::vector<RlweEvaluator::PairView> pairs,
+          size_t towers, std::deque<ResiduePoly> &owned,
+          DispatchRoute *route)
 {
+    uint64_t elided = 0;
+    std::vector<ResiduePoly *> movers;
+    for (RlweEvaluator::PairView &pair : pairs) {
+        rpu_assert(pair[0]->domain == pair[1]->domain,
+                   "ciphertext components in different domains");
+        rpu_assert(pair[0]->towerCount() == towers &&
+                       pair[1]->towerCount() == towers,
+                   "batch operands span different tower counts");
+        if (pair[0]->inEval()) {
+            elided += 2 * towers;
+            continue;
+        }
+        for (const ResiduePoly *&c : pair) {
+            owned.push_back(*c);
+            movers.push_back(&owned.back());
+            c = &owned.back();
+        }
+    }
+    if (elided > 0)
+        ops.noteElidedConversions(elided, route);
+    if (!movers.empty())
+        ops.convert(movers, ResidueDomain::Eval, route);
+    return pairs;
+}
+
+} // namespace
+
+std::vector<std::array<ResiduePoly, 2>>
+RlweEvaluator::mulPlainPair(const std::vector<PairView> &cts,
+                            const std::vector<const ResiduePoly *> &pts,
+                            DispatchRoute *route) const
+{
+    rpu_assert(!cts.empty() && cts.size() == pts.size(),
+               "%zu ciphertexts for %zu plaintexts", cts.size(),
+               pts.size());
+    const size_t towers = cts[0][0]->towerCount();
     rpu_assert(towers >= 1, "empty ciphertext");
-    rpu_assert(pt.towerCount() >= towers,
-               "plaintext spans %zu towers, ciphertext needs %zu",
-               pt.towerCount(), towers);
-    rpu_assert(pt.inEval(), "plaintext must be encoded (Eval)");
-    rpu_assert(c0.domain == c1.domain,
-               "ciphertext components in different domains");
-    rpu_assert(c0.towerCount() == towers && c1.towerCount() == towers,
-               "component tower count mismatch");
+    for (const ResiduePoly *pt : pts) {
+        rpu_assert(pt->towerCount() >= towers,
+                   "plaintext spans %zu towers, ciphertext needs %zu",
+                   pt->towerCount(), towers);
+        rpu_assert(pt->inEval(), "plaintext must be encoded (Eval)");
+    }
 
     // Steady state (Eval-resident components): read in place — no
-    // copy, no transform, just the pointwise dispatch — and the
-    // conversions a coefficient-resident system would have paid land
-    // in the elision ledger. Coeff-resident components convert on
-    // copies so the inputs stay untouched.
-    std::vector<ResiduePoly> owned;
-    std::vector<const ResiduePoly *> comps;
-    if (c0.inEval()) {
-        ops_.noteElidedConversions(2 * towers);
-        comps = {&c0, &c1};
-    } else {
-        owned.reserve(2);
-        owned.push_back(c0);
-        owned.push_back(c1);
-        ops_.convert({&owned[0], &owned[1]}, ResidueDomain::Eval);
-        comps = {&owned[0], &owned[1]};
-    }
+    // copy, no transform, just the pointwise dispatch.
+    std::deque<ResiduePoly> owned;
+    const std::vector<PairView> comps =
+        evalPairs(ops_, cts, towers, owned, route);
 
-    auto prods = ops_.mulEvalShared(comps, pt, towers);
-    return {std::move(prods[0]), std::move(prods[1])};
+    std::vector<const ResiduePoly *> as, bs;
+    for (size_t i = 0; i < comps.size(); ++i) {
+        for (const ResiduePoly *c : comps[i]) {
+            as.push_back(c);
+            bs.push_back(pts[i]);
+        }
+    }
+    auto prods = ops_.mulEvalPairs(as, bs, towers, route);
+    std::vector<std::array<ResiduePoly, 2>> out(cts.size());
+    for (size_t i = 0; i < out.size(); ++i)
+        out[i] = {std::move(prods[2 * i]), std::move(prods[2 * i + 1])};
+    return out;
 }
 
-std::array<ResiduePoly, 3>
-RlweEvaluator::tensorPair(const ResiduePoly &a0, const ResiduePoly &a1,
-                          const ResiduePoly &b0,
-                          const ResiduePoly &b1) const
+std::vector<std::array<ResiduePoly, 3>>
+RlweEvaluator::tensorPair(const std::vector<PairView> &as,
+                          const std::vector<PairView> &bs,
+                          DispatchRoute *route) const
 {
-    const size_t towers = a0.towerCount();
-    rpu_assert(a1.towerCount() == towers &&
-                   b0.towerCount() == towers &&
-                   b1.towerCount() == towers,
-               "tensor operands span different tower counts");
-    rpu_assert(a0.domain == a1.domain && b0.domain == b1.domain,
-               "ciphertext components in different domains");
+    rpu_assert(!as.empty() && as.size() == bs.size(),
+               "tensor batch of %zu x %zu operands", as.size(),
+               bs.size());
+    const size_t towers = as[0][0]->towerCount();
 
-    // Eval-resident pairs are read in place (the conversions a
-    // coefficient-resident system would pay land in the elision
-    // ledger); Coeff-resident pairs convert on copies.
-    std::vector<ResiduePoly> owned;
-    owned.reserve(4);
-    const ResiduePoly *pa0 = &a0, *pa1 = &a1;
-    const ResiduePoly *pb0 = &b0, *pb1 = &b1;
-    if (a0.inEval()) {
-        ops_.noteElidedConversions(2 * towers);
-    } else {
-        owned.push_back(a0);
-        owned.push_back(a1);
-        ops_.convert({&owned[0], &owned[1]}, ResidueDomain::Eval);
-        pa0 = &owned[0];
-        pa1 = &owned[1];
-    }
-    if (b0.inEval()) {
-        ops_.noteElidedConversions(2 * towers);
-    } else {
-        const size_t base = owned.size();
-        owned.push_back(b0);
-        owned.push_back(b1);
-        ops_.convert({&owned[base], &owned[base + 1]},
-                     ResidueDomain::Eval);
-        pb0 = &owned[base];
-        pb1 = &owned[base + 1];
-    }
+    // Eval-resident pairs are read in place; Coeff-resident pairs
+    // convert on copies, each side in one dispatch.
+    std::deque<ResiduePoly> owned;
+    const std::vector<PairView> pa =
+        evalPairs(ops_, as, towers, owned, route);
+    const std::vector<PairView> pb =
+        evalPairs(ops_, bs, towers, owned, route);
 
-    // The four cross products in one pointwise dispatch, folded into
-    // (c0, c1, c2) = (a0b0, a0b1 + a1b0, a1b1) with host tower adds.
-    auto prods = ops_.mulEvalPairs({pa0, pa0, pa1, pa1},
-                                   {pb0, pb1, pb0, pb1}, towers);
-    return {std::move(prods[0]), ops_.add(prods[1], prods[2]),
-            std::move(prods[3])};
+    // Every item's four cross products in one pointwise dispatch,
+    // folded into (c0, c1, c2) = (a0b0, a0b1 + a1b0, a1b1) with host
+    // tower adds.
+    std::vector<const ResiduePoly *> ls, rs;
+    for (size_t i = 0; i < pa.size(); ++i) {
+        for (size_t x = 0; x < 2; ++x) {
+            for (size_t y = 0; y < 2; ++y) {
+                ls.push_back(pa[i][x]);
+                rs.push_back(pb[i][y]);
+            }
+        }
+    }
+    auto prods = ops_.mulEvalPairs(ls, rs, towers, route);
+    std::vector<std::array<ResiduePoly, 3>> out(as.size());
+    for (size_t i = 0; i < out.size(); ++i) {
+        out[i] = {std::move(prods[4 * i]),
+                  ops_.add(prods[4 * i + 1], prods[4 * i + 2]),
+                  std::move(prods[4 * i + 3])};
+    }
+    return out;
 }
 
-std::array<ResiduePoly, 2>
-RlweEvaluator::relinearise(const ResiduePoly &d0, const ResiduePoly &d1,
-                           ResiduePoly d2, const RelinKey &rk) const
+std::vector<std::array<ResiduePoly, 2>>
+RlweEvaluator::relinearise(std::vector<std::array<ResiduePoly, 3>> ds,
+                           const std::vector<const RelinKey *> &rks,
+                           DispatchRoute *route) const
 {
-    const size_t towers = d0.towerCount();
-    rpu_assert(d1.towerCount() == towers && d2.towerCount() == towers,
-               "degree-2 components span different tower counts");
-    rpu_assert(d0.inEval() && d1.inEval(),
-               "degree-1 components must be evaluation-resident");
-    rpu_assert(rk.towerCount() >= towers,
-               "relin key covers %zu towers, ciphertext spans %zu",
-               rk.towerCount(), towers);
-    for (size_t t = 0; t < towers; ++t) {
-        rpu_assert(rk.k[t].size() == ops_.digitCount(t, rk.digitBits),
-                   "relin key digit layout mismatch at tower %zu", t);
+    rpu_assert(!ds.empty() && ds.size() == rks.size(),
+               "%zu degree-2 ciphertexts for %zu keys", ds.size(),
+               rks.size());
+    const size_t towers = ds[0][0].towerCount();
+    std::vector<ResiduePoly *> c2s;
+    uint64_t c2_eval_towers = 0;
+    for (size_t i = 0; i < ds.size(); ++i) {
+        const RelinKey &rk = *rks[i];
+        rpu_assert(ds[i][0].towerCount() == towers &&
+                       ds[i][1].towerCount() == towers &&
+                       ds[i][2].towerCount() == towers,
+                   "degree-2 components span different tower counts");
+        rpu_assert(ds[i][0].inEval() && ds[i][1].inEval(),
+                   "degree-1 components must be evaluation-resident");
+        rpu_assert(rk.towerCount() >= towers,
+                   "relin key covers %zu towers, ciphertext spans %zu",
+                   rk.towerCount(), towers);
+        for (size_t t = 0; t < towers; ++t) {
+            rpu_assert(rk.k[t].size() ==
+                           ops_.digitCount(t, rk.digitBits),
+                       "relin key digit layout mismatch at tower %zu",
+                       t);
+        }
+        if (ds[i][2].inEval())
+            c2_eval_towers += towers;
+        c2s.push_back(&ds[i][2]);
     }
+    RpuDevice *ledger = ops_.ledger(route);
 
-    // c2 leaves the evaluation domain — the key-switch's one batched
-    // inverse pass. A scheme hook that already returned it in Coeff
-    // (BFV's scale-and-round) makes this a recorded elision instead.
-    const bool c2_was_eval = d2.inEval();
-    ops_.toCoeff(d2);
-    if (c2_was_eval && device_)
-        device_->noteKeySwitchTransforms(towers);
+    // The c2s leave the evaluation domain — the key-switch's one
+    // batched inverse pass. A scheme that already returned them in
+    // Coeff (BFV's scale-and-round) makes this a recorded elision
+    // instead.
+    ops_.convert(c2s, ResidueDomain::Coeff, route);
+    if (c2_eval_towers > 0 && ledger)
+        ledger->noteKeySwitchTransforms(c2_eval_towers);
 
-    // Digit split (host) and re-entry: every digit polynomial back
-    // into the evaluation domain through one batched forward
+    // Digit split (host) and re-entry: every item's digit polynomials
+    // back into the evaluation domain through one batched forward
     // dispatch — the digits * towers transforms the gadget
     // decomposition costs, annotated as key-switch plumbing.
-    std::vector<ResiduePoly> digits =
-        ops_.digitDecompose(d2, rk.digitBits, towers);
+    // Item i's digits are digits[first[i], first[i + 1]).
+    std::vector<ResiduePoly> digits;
+    std::vector<size_t> first = {0};
+    for (size_t i = 0; i < ds.size(); ++i) {
+        for (ResiduePoly &d :
+             ops_.digitDecompose(ds[i][2], rks[i]->digitBits, towers))
+            digits.push_back(std::move(d));
+        first.push_back(digits.size());
+    }
     std::vector<ResiduePoly *> views;
     views.reserve(digits.size());
     for (ResiduePoly &d : digits)
         views.push_back(&d);
-    ops_.convert(views, ResidueDomain::Eval);
-    if (device_)
-        device_->noteKeySwitchTransforms(digits.size() * towers);
+    ops_.convert(views, ResidueDomain::Eval, route);
+    if (ledger)
+        ledger->noteKeySwitchTransforms(digits.size() * towers);
 
-    // The inner product against the key: 2 * totalDigits pairs
-    // (digit .* k0, digit .* k1) through one pointwise dispatch, the
-    // key read through its tower prefix without copying it down.
+    // The inner product against the keys: 2 * totalDigits pairs per
+    // item (digit .* k0, digit .* k1) through one pointwise dispatch,
+    // each key read through its tower prefix without copying it down.
     std::vector<const ResiduePoly *> as, bs;
     as.reserve(2 * digits.size());
     bs.reserve(2 * digits.size());
-    size_t idx = 0;
-    for (size_t t = 0; t < towers; ++t) {
-        for (size_t j = 0; j < rk.k[t].size(); ++j, ++idx) {
-            as.push_back(&digits[idx]);
-            bs.push_back(&rk.k[t][j][0]);
-            as.push_back(&digits[idx]);
-            bs.push_back(&rk.k[t][j][1]);
+    for (size_t i = 0; i < ds.size(); ++i) {
+        const RelinKey &rk = *rks[i];
+        size_t idx = first[i];
+        for (size_t t = 0; t < towers; ++t) {
+            for (size_t j = 0; j < rk.k[t].size(); ++j, ++idx) {
+                as.push_back(&digits[idx]);
+                bs.push_back(&rk.k[t][j][0]);
+                as.push_back(&digits[idx]);
+                bs.push_back(&rk.k[t][j][1]);
+            }
         }
+        rpu_assert(idx == first[i + 1], "digit/key layout mismatch");
     }
-    rpu_assert(idx == digits.size(), "digit/key layout mismatch");
-    auto prods = ops_.mulEvalPairs(as, bs, towers);
+    auto prods = ops_.mulEvalPairs(as, bs, towers, route);
 
-    ResiduePoly r0 = d0;
-    ResiduePoly r1 = d1;
-    for (size_t i = 0; i < digits.size(); ++i) {
-        r0 = ops_.add(r0, prods[2 * i]);
-        r1 = ops_.add(r1, prods[2 * i + 1]);
+    std::vector<std::array<ResiduePoly, 2>> out(ds.size());
+    for (size_t i = 0; i < ds.size(); ++i) {
+        ResiduePoly r0 = std::move(ds[i][0]);
+        ResiduePoly r1 = std::move(ds[i][1]);
+        for (size_t d = first[i]; d < first[i + 1]; ++d) {
+            r0 = ops_.add(r0, prods[2 * d]);
+            r1 = ops_.add(r1, prods[2 * d + 1]);
+        }
+        out[i] = {std::move(r0), std::move(r1)};
     }
-    return {std::move(r0), std::move(r1)};
-}
-
-std::array<ResiduePoly, 2>
-RlweEvaluator::mulPair(const ResiduePoly &a0, const ResiduePoly &a1,
-                       const ResiduePoly &b0, const ResiduePoly &b1,
-                       const RelinKey &rk, const Degree2Hook &hook) const
-{
-    std::array<ResiduePoly, 3> d = tensorPair(a0, a1, b0, b1);
-    if (hook)
-        d = hook(std::move(d));
-    return relinearise(d[0], d[1], std::move(d[2]), rk);
+    return out;
 }
 
 RelinKey
@@ -388,7 +449,8 @@ RlweEvaluator::innerProduct(const ResiduePoly &c0, const ResiduePoly &c1,
 
 std::vector<std::vector<u128>>
 RlweEvaluator::inverseTower(
-    const std::vector<const ResiduePoly *> &polys, size_t t) const
+    const std::vector<const ResiduePoly *> &polys, size_t t,
+    DispatchRoute *route) const
 {
     std::vector<std::vector<u128>> out(polys.size());
     for (const ResiduePoly *p : polys) {
@@ -396,15 +458,15 @@ RlweEvaluator::inverseTower(
                    "inverseTower needs Eval operands with tower %zu",
                    t);
     }
-    if (device_) {
+    if (ops_.onDevice(route)) {
         // One single-tower item per polynomial, all in one dispatch.
         const std::vector<std::vector<u128>> moduli(
             polys.size(), {basis().prime(t)});
         TowerItems xs(polys.size());
         for (size_t c = 0; c < polys.size(); ++c)
             xs[c].push_back(polys[c]->towers[t]);
-        auto results = device_->dispatch(RingOp::Inverse, n_, moduli,
-                                         std::move(xs));
+        auto results = ops_.dispatch(route, RingOp::Inverse, moduli,
+                                     std::move(xs));
         for (size_t c = 0; c < polys.size(); ++c)
             out[c] = std::move(results[c][0]);
         return out;

@@ -16,6 +16,15 @@
  * (relinearisation key-switching, Galois rotations) is written here
  * once instead of per scheme.
  *
+ * The ops that dispatch are batch-native: enterEval, mulPlainPair,
+ * tensorPair, relinearise and inverseTower take a batch of
+ * same-level items and issue one tiled dispatch per stage for the
+ * whole batch, whatever its size — a lone ciphertext is the batch of
+ * one, so a served chunk of k requests and a single request run the
+ * same code. A batch may pass a DispatchRoute, which sends every
+ * stage to its planned topology devices instead of the attached
+ * device.
+ *
  * The evaluator also owns the host-side parallel fan-out for
  * independent per-(component, tower) units of host work (e.g. the
  * CKKS rescale's lift re-entry transforms): when the attached
@@ -36,7 +45,20 @@
 
 namespace rpu {
 
+class DispatchRoute;
 class RpuDevice;
+
+/** Read-only views of @p xs, the operand form of the batch ops. */
+template <typename T>
+std::vector<const T *>
+viewsOf(const std::vector<T> &xs)
+{
+    std::vector<const T *> views;
+    views.reserve(xs.size());
+    for (const T &x : xs)
+        views.push_back(&x);
+    return views;
+}
 
 /**
  * Gadget-decomposed relinearisation (key-switching) key, the
@@ -89,6 +111,10 @@ class RlweEvaluator
     /** Residues of one integer polynomial: [tower][coefficient]. */
     using TowerPoly = std::vector<std::vector<u128>>;
 
+    /** One ciphertext's two components, read in place by the batch
+     *  forms. */
+    using PairView = std::array<const ResiduePoly *, 2>;
+
     RlweEvaluator() = default;
 
     /**
@@ -118,12 +144,14 @@ class RlweEvaluator
     // -- Domain plumbing -------------------------------------------------
 
     /**
-     * Enter the evaluation domain once, at encode time: wrap
-     * @p coeff_towers and forward-transform every tower in one
-     * batched device dispatch (host transforms otherwise). This is
-     * the only forward transform an encoded plaintext ever pays.
+     * Enter the evaluation domain once, at encode time: wrap each of
+     * @p coeff and forward-transform every tower of the whole batch
+     * in one tiled device dispatch (host transforms otherwise). This
+     * is the only forward transform an encoded plaintext ever pays.
      */
-    ResiduePoly enterEval(TowerPoly coeff_towers) const;
+    std::vector<ResiduePoly> enterEval(std::vector<TowerPoly> coeff,
+                                       DispatchRoute *route = nullptr) const;
+
 
     /** Move both ciphertext components to @p target together. */
     void convertPair(ResiduePoly &c0, ResiduePoly &c1,
@@ -144,80 +172,58 @@ class RlweEvaluator
                                        const ResiduePoly &b1) const;
 
     /**
-     * Both ciphertext components times one shared Eval-resident
-     * plaintext over the first @p towers primes — the homomorphic
+     * Both components of every ciphertext cts[i] times its
+     * Eval-resident plaintext pts[i] over the ciphertexts' towers
+     * (one level for the whole batch; a plaintext may span more — a
+     * full-chain encoding serves any level) — the homomorphic
      * multiply's entire op pipeline. Eval-resident components are
      * read in place (no copy, no transform; the skipped conversions
      * land in the device's elision ledger), Coeff-resident ones are
      * converted on copies so the inputs stay untouched; either way
-     * the products go through one tiled pointwise dispatch.
+     * the 2 * batch products go through one tiled pointwise dispatch.
      */
-    std::array<ResiduePoly, 2> mulPlainPair(const ResiduePoly &c0,
-                                            const ResiduePoly &c1,
-                                            const ResiduePoly &pt,
-                                            size_t towers) const;
+    std::vector<std::array<ResiduePoly, 2>>
+    mulPlainPair(const std::vector<PairView> &cts,
+                 const std::vector<const ResiduePoly *> &pts,
+                 DispatchRoute *route = nullptr) const;
 
     // -- Ciphertext x ciphertext multiply --------------------------------
 
     /**
-     * Scheme hook between tensor product and relinearisation: maps
-     * the degree-2 ciphertext (c0, c1, c2) the tensor produced to
-     * the one relinearise consumes. BFV's scale-and-round lives
-     * here (and shrinks the extended chain back to the ciphertext
-     * chain); CKKS needs none. The hook may return components in
-     * either domain — a Coeff c2 lets relinearise skip its inverse
-     * transform (the skip lands in the elision ledger).
+     * Tensor product of ciphertext pairs as[i] x bs[i], all at one
+     * level: every item's four cross products a0b0, a0b1, a1b0, a1b1
+     * go through one pointwise dispatch for the whole batch and fold
+     * into the degree-2 ciphertext (a0b0, a0b1 + a1b0, a1b1) with
+     * host tower adds. Eval-resident operands are read in place (the
+     * four skipped conversions per tower land in the elision
+     * ledger); Coeff-resident ones are converted on copies. No
+     * transform runs on the Eval path — residency makes the tensor
+     * product pure PointwiseMulBatched launches.
      */
-    using Degree2Hook = std::function<std::array<ResiduePoly, 3>(
-        std::array<ResiduePoly, 3>)>;
+    std::vector<std::array<ResiduePoly, 3>>
+    tensorPair(const std::vector<PairView> &as,
+               const std::vector<PairView> &bs,
+               DispatchRoute *route = nullptr) const;
 
     /**
-     * Tensor product of two ciphertext pairs over their towers: the
-     * four cross products a0b0, a0b1, a1b0, a1b1 go through one
-     * pointwise dispatch and fold into the degree-2 ciphertext
-     * (a0b0, a0b1 + a1b0, a1b1) with host tower adds. Eval-resident
-     * operands are read in place (the four skipped conversions per
-     * tower land in the elision ledger); Coeff-resident ones are
-     * converted on copies. No transform runs on the Eval path —
-     * residency makes the tensor product pure PointwiseMulBatched
-     * launches.
+     * Key-switch every degree-2 ciphertext ds[i] = (d0, d1, d2), all
+     * at one level, back to degree 1 with its own key rks[i] (a
+     * batch may mix tenants), exactly once, for every scheme: the
+     * c2s leave the evaluation domain (one batched inverse pass —
+     * skipped and elided when the scheme already returned them in
+     * Coeff, as BFV's scale-and-round does), are split into gadget
+     * digits, every item's digits re-enter in one batched forward
+     * dispatch, and one pointwise dispatch runs all items'
+     * 2 * totalDigits inner-product pairs against their keys. The digit-split transforms are annotated
+     * as keySwitchTransforms in DeviceStats on top of the ordinary
+     * forward/inverse counts, so workload elision ratios stay
+     * meaningful. Returns (d0 + sum digit.*k0, d1 + sum digit.*k1)
+     * per item, Eval-resident.
      */
-    std::array<ResiduePoly, 3> tensorPair(const ResiduePoly &a0,
-                                          const ResiduePoly &a1,
-                                          const ResiduePoly &b0,
-                                          const ResiduePoly &b1) const;
-
-    /**
-     * Key-switch the degree-2 ciphertext back to degree 1 with
-     * @p rk, exactly once, for every scheme: c2 leaves the
-     * evaluation domain (one batched inverse pass — skipped and
-     * elided when the scheme hook already returned it in Coeff),
-     * is split into gadget digits, the digits re-enter in one
-     * batched forward dispatch, and one pointwise dispatch runs the
-     * 2 * totalDigits inner-product pairs against the key. The
-     * digit-split transforms are annotated as keySwitchTransforms
-     * in DeviceStats on top of the ordinary forward/inverse counts,
-     * so workload elision ratios stay meaningful. Returns
-     * (d0 + sum digit.*k0, d1 + sum digit.*k1), Eval-resident.
-     */
-    std::array<ResiduePoly, 2> relinearise(const ResiduePoly &d0,
-                                           const ResiduePoly &d1,
-                                           ResiduePoly d2,
-                                           const RelinKey &rk) const;
-
-    /**
-     * The whole ct x ct multiply: tensorPair, then the scheme's
-     * @p hook (if any) on the degree-2 ciphertext, then relinearise
-     * with @p rk. This is the single pipeline both BFV and CKKS
-     * route their mulCt through — the schemes contribute only the
-     * hook (BFV's scale-and-round) and the scale/level bookkeeping.
-     */
-    std::array<ResiduePoly, 2> mulPair(const ResiduePoly &a0,
-                                       const ResiduePoly &a1,
-                                       const ResiduePoly &b0,
-                                       const ResiduePoly &b1,
-                                       const RelinKey &rk,
-                                       const Degree2Hook &hook = {}) const;
+    std::vector<std::array<ResiduePoly, 2>>
+    relinearise(std::vector<std::array<ResiduePoly, 3>> ds,
+                const std::vector<const RelinKey *> &rks,
+                DispatchRoute *route = nullptr) const;
 
     /**
      * Generate a gadget-decomposed relinearisation key over the
@@ -264,14 +270,14 @@ class RlweEvaluator
 
     /**
      * Inverse-transform tower @p t of each Eval-resident polynomial
-     * (one tiled device dispatch when attached, host transforms
-     * otherwise) and return the Coeff residues; the
+     * (one tiled device dispatch, through @p route when given, host
+     * transforms otherwise) and return the Coeff residues; the
      * polynomials themselves are not modified. The dispatch the CKKS
      * rescale issues for the tower it drops.
      */
     std::vector<std::vector<u128>>
-    inverseTower(const std::vector<const ResiduePoly *> &polys,
-                 size_t t) const;
+    inverseTower(const std::vector<const ResiduePoly *> &polys, size_t t,
+                 DispatchRoute *route = nullptr) const;
 
     /**
      * Forward-transform each polynomial's coefficient towers

@@ -3,7 +3,7 @@
 #include "common/logging.hh"
 #include "modmath/simd.hh"
 #include "poly/polynomial.hh"
-#include "rpu/device.hh"
+#include "rpu/topology.hh"
 
 namespace rpu {
 
@@ -49,9 +49,26 @@ ResidueOps::hostTransform(std::vector<u128> &tower, size_t t,
         host_ntts_[t]->inverse(tower);
 }
 
+RpuDevice *
+ResidueOps::ledger(const DispatchRoute *route) const
+{
+    return route ? &route->home() : device_.get();
+}
+
+TowerItems
+ResidueOps::dispatch(DispatchRoute *route, RingOp op,
+                     const std::vector<std::vector<u128>> &moduli,
+                     TowerItems a, TowerItems b) const
+{
+    if (route)
+        return route->dispatch(op, n_, moduli, std::move(a), std::move(b));
+    rpu_assert(device_ != nullptr, "no device to dispatch on");
+    return device_->dispatch(op, n_, moduli, std::move(a), std::move(b));
+}
+
 void
 ResidueOps::convert(const std::vector<ResiduePoly *> &polys,
-                    ResidueDomain target) const
+                    ResidueDomain target, DispatchRoute *route) const
 {
     // Split residents from movers. The residents are the lazy win:
     // each would have been transformed by a domain-oblivious caller,
@@ -69,12 +86,12 @@ ResidueOps::convert(const std::vector<ResiduePoly *> &polys,
         else
             movers.push_back(p);
     }
-    if (elided > 0 && device_)
-        device_->noteElidedTransforms(elided);
+    if (elided > 0)
+        noteElidedConversions(elided, route);
     if (movers.empty())
         return;
 
-    if (device_) {
+    if (onDevice(route)) {
         // Every mover, whatever its tower count, in one tiled
         // dispatch.
         std::vector<std::vector<u128>> moduli;
@@ -85,10 +102,11 @@ ResidueOps::convert(const std::vector<ResiduePoly *> &polys,
             moduli.push_back(prefixPrimes(p->towerCount()));
             xs.push_back(std::move(p->towers));
         }
-        auto out = device_->dispatch(target == ResidueDomain::Coeff
-                                         ? RingOp::Inverse
-                                         : RingOp::Forward,
-                                     n_, moduli, std::move(xs));
+        auto out = dispatch(route,
+                            target == ResidueDomain::Coeff
+                                ? RingOp::Inverse
+                                : RingOp::Forward,
+                            moduli, std::move(xs));
         for (size_t i = 0; i < movers.size(); ++i)
             movers[i]->towers = std::move(out[i]);
     } else {
@@ -102,157 +120,17 @@ ResidueOps::convert(const std::vector<ResiduePoly *> &polys,
 }
 
 void
-ResidueOps::noteElidedConversions(uint64_t towers) const
+ResidueOps::noteElidedConversions(uint64_t towers,
+                                  const DispatchRoute *route) const
 {
-    if (device_)
-        device_->noteElidedTransforms(towers);
-}
-
-void
-ResidueOps::checkEvalOperands(const std::vector<const ResiduePoly *> &as,
-                              const ResiduePoly &b,
-                              size_t &towers) const
-{
-    rpu_assert(!as.empty(), "no left operands");
-    if (towers == 0)
-        towers = as[0]->towerCount();
-    rpu_assert(b.inEval(), "right operand must be evaluation-resident");
-    rpu_assert(b.towerCount() >= towers,
-               "right operand spans %zu towers, need %zu",
-               b.towerCount(), towers);
-    for (const ResiduePoly *a : as) {
-        rpu_assert(a != nullptr, "null operand");
-        rpu_assert(a->inEval(),
-                   "left operand must be evaluation-resident");
-        rpu_assert(a->towerCount() == towers, "tower count mismatch");
-    }
-}
-
-std::vector<ResiduePoly>
-ResidueOps::mulEvalHost(const std::vector<const ResiduePoly *> &as,
-                        const ResiduePoly &b, size_t towers) const
-{
-    std::vector<ResiduePoly> out(as.size());
-    for (size_t i = 0; i < as.size(); ++i) {
-        out[i].domain = ResidueDomain::Eval;
-        out[i].towers.resize(towers);
-    }
-    // Tower-major so the shared right operand is narrowed to u64 once
-    // per tower and its lanes stay cache-resident while every left
-    // component multiplies against it.
-    std::vector<uint64_t> nb, na, no;
-    for (size_t t = 0; t < towers; ++t) {
-        const Modulus &mod = basis().modulus(t);
-        const simd::NarrowModulus *nm =
-            simd::narrowLanesActive() ? mod.narrow() : nullptr;
-        if (!nm) {
-            for (size_t i = 0; i < as.size(); ++i)
-                out[i].towers[t] = polyPointwise(mod, as[i]->towers[t],
-                                                 b.towers[t]);
-            continue;
-        }
-        const std::vector<u128> &bt = b.towers[t];
-        nb.resize(bt.size());
-        na.resize(bt.size());
-        no.resize(bt.size());
-        for (size_t j = 0; j < bt.size(); ++j)
-            nb[j] = uint64_t(bt[j]);
-        for (size_t i = 0; i < as.size(); ++i) {
-            const std::vector<u128> &at = as[i]->towers[t];
-            for (size_t j = 0; j < at.size(); ++j)
-                na[j] = uint64_t(at[j]);
-            simd::mulModSpan(na.data(), nb.data(), no.data(),
-                             at.size(), *nm);
-            std::vector<u128> r(at.size());
-            for (size_t j = 0; j < at.size(); ++j)
-                r[j] = no[j];
-            out[i].towers[t] = std::move(r);
-        }
-    }
-    return out;
-}
-
-std::vector<ResiduePoly>
-ResidueOps::collectEvalProducts(
-    std::vector<std::vector<std::vector<u128>>> lhs,
-    std::vector<std::vector<std::vector<u128>>> rhs,
-    size_t towers) const
-{
-    const std::vector<std::vector<u128>> moduli(lhs.size(),
-                                                prefixPrimes(towers));
-    auto prods = device_->dispatch(RingOp::Pointwise, n_, moduli,
-                                   std::move(lhs), std::move(rhs));
-    std::vector<ResiduePoly> out(prods.size());
-    for (size_t i = 0; i < out.size(); ++i) {
-        out[i].domain = ResidueDomain::Eval;
-        out[i].towers = std::move(prods[i]);
-    }
-    return out;
-}
-
-std::vector<ResiduePoly>
-ResidueOps::mulEvalShared(const std::vector<const ResiduePoly *> &as,
-                          const ResiduePoly &b, size_t towers) const
-{
-    checkEvalOperands(as, b, towers);
-    if (!device_)
-        return mulEvalHost(as, b, towers);
-
-    // All pairs through one dispatch. The launches consume their
-    // inputs, so the operands' towers are copied in — the read-only
-    // view keeps the callers' values intact.
-    std::vector<std::vector<std::vector<u128>>> lhs, rhs;
-    lhs.reserve(as.size());
-    rhs.reserve(as.size());
-    for (const ResiduePoly *a : as) {
-        lhs.emplace_back(a->towers.begin(),
-                         a->towers.begin() + ptrdiff_t(towers));
-        rhs.emplace_back(b.towers.begin(),
-                         b.towers.begin() + ptrdiff_t(towers));
-    }
-    return collectEvalProducts(std::move(lhs), std::move(rhs), towers);
-}
-
-std::vector<ResiduePoly>
-ResidueOps::mulEvalShared(std::vector<ResiduePoly> as, ResiduePoly b,
-                          size_t towers) const
-{
-    std::vector<const ResiduePoly *> views;
-    views.reserve(as.size());
-    for (const ResiduePoly &a : as)
-        views.push_back(&a);
-    checkEvalOperands(views, b, towers);
-    if (!device_)
-        return mulEvalHost(views, b, towers);
-
-    // The caller relinquished the operands: move every left tower
-    // set into its launch, copy the shared right operand for all
-    // pairs but the last, which takes the move.
-    std::vector<std::vector<std::vector<u128>>> lhs, rhs;
-    lhs.reserve(as.size());
-    rhs.reserve(as.size());
-    for (ResiduePoly &a : as)
-        lhs.push_back(std::move(a.towers));
-    for (size_t i = 0; i + 1 < lhs.size(); ++i) {
-        rhs.emplace_back(b.towers.begin(),
-                         b.towers.begin() + ptrdiff_t(towers));
-    }
-    b.towers.resize(towers);
-    rhs.push_back(std::move(b.towers));
-    return collectEvalProducts(std::move(lhs), std::move(rhs), towers);
-}
-
-ResiduePoly
-ResidueOps::mulEval(const ResiduePoly &a, const ResiduePoly &b) const
-{
-    auto out = mulEvalShared({&a}, b);
-    return std::move(out[0]);
+    if (RpuDevice *dev = ledger(route))
+        dev->noteElidedTransforms(towers);
 }
 
 std::vector<ResiduePoly>
 ResidueOps::mulEvalPairs(const std::vector<const ResiduePoly *> &as,
                          const std::vector<const ResiduePoly *> &bs,
-                         size_t towers) const
+                         size_t towers, DispatchRoute *route) const
 {
     rpu_assert(!as.empty() && as.size() == bs.size(),
                "pair operand count mismatch: %zu vs %zu", as.size(),
@@ -269,7 +147,7 @@ ResidueOps::mulEvalPairs(const std::vector<const ResiduePoly *> &as,
                    "pair %zu spans too few towers", i);
     }
 
-    if (!device_) {
+    if (!onDevice(route)) {
         std::vector<ResiduePoly> out(as.size());
         std::vector<uint64_t> na, nb, no;
         for (size_t i = 0; i < as.size(); ++i) {
@@ -305,7 +183,7 @@ ResidueOps::mulEvalPairs(const std::vector<const ResiduePoly *> &as,
 
     // Every pair through one tiled dispatch; operands are copied in
     // because the launches consume their inputs.
-    std::vector<std::vector<std::vector<u128>>> lhs, rhs;
+    TowerItems lhs, rhs;
     lhs.reserve(as.size());
     rhs.reserve(as.size());
     for (size_t i = 0; i < as.size(); ++i) {
@@ -314,7 +192,15 @@ ResidueOps::mulEvalPairs(const std::vector<const ResiduePoly *> &as,
         rhs.emplace_back(bs[i]->towers.begin(),
                          bs[i]->towers.begin() + ptrdiff_t(towers));
     }
-    return collectEvalProducts(std::move(lhs), std::move(rhs), towers);
+    const std::vector<std::vector<u128>> moduli(as.size(),
+                                                prefixPrimes(towers));
+    auto prods = dispatch(route, RingOp::Pointwise, moduli,
+                          std::move(lhs), std::move(rhs));
+    std::vector<ResiduePoly> out;
+    out.reserve(prods.size());
+    for (auto &towers_i : prods)
+        out.emplace_back(ResidueDomain::Eval, std::move(towers_i));
+    return out;
 }
 
 size_t

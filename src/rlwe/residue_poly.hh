@@ -18,7 +18,9 @@
  * (one RpuDevice::dispatch per call: every polynomial's towers tiled
  * into batched kernels) and through host reference transforms
  * otherwise — bit-identical either way,
- * which the round-trip tests pin down on every backend.
+ * which the round-trip tests pin down on every backend. The calls a
+ * batched op makes take an optional DispatchRoute that sends the
+ * dispatch to the op's planned topology devices instead.
  */
 
 #ifndef RPU_RLWE_RESIDUE_POLY_HH
@@ -32,7 +34,9 @@
 
 namespace rpu {
 
+class DispatchRoute;
 class RpuDevice;
+enum class RingOp;
 
 /** Which representation a residue polynomial's towers are in. */
 enum class ResidueDomain
@@ -103,15 +107,36 @@ class ResidueOps
     uint64_t ringDim() const { return n_; }
     const RnsBasis &basis() const;
 
+    /** Whether a call with @p route runs on a device (the route's, or
+     *  the attached one when @p route is null) rather than the host. */
+    bool onDevice(const DispatchRoute *route) const
+    {
+        return route != nullptr || device_ != nullptr;
+    }
+
+    /** The device a call's ledger notes land on: @p route's home, else
+     *  the attached device (null on the host path). */
+    RpuDevice *ledger(const DispatchRoute *route) const;
+
+    /** One tiled dispatch through @p route, or on the attached device
+     *  when @p route is null (onDevice must hold). */
+    std::vector<std::vector<std::vector<u128>>>
+    dispatch(DispatchRoute *route, RingOp op,
+             const std::vector<std::vector<u128>> &moduli,
+             std::vector<std::vector<std::vector<u128>>> a,
+             std::vector<std::vector<std::vector<u128>>> b = {}) const;
+
     /**
-     * Bring every polynomial to @p target in one device dispatch,
-     * whatever their tower counts (host loop otherwise). Polynomials already
+     * Bring every polynomial to @p target in one device dispatch
+     * (through @p route when given), whatever their tower counts
+     * (host loop otherwise). Polynomials already
      * resident in the target domain are skipped, and the skip is
      * recorded in the device's transformsElided ledger — this lazy
      * boundary is the whole point of the domain tag.
      */
     void convert(const std::vector<ResiduePoly *> &polys,
-                 ResidueDomain target) const;
+                 ResidueDomain target,
+                 DispatchRoute *route = nullptr) const;
 
     void toEval(ResiduePoly &p) const { convert({&p}, ResidueDomain::Eval); }
     void toCoeff(ResiduePoly &p) const
@@ -126,49 +151,25 @@ class ResidueOps
      * automatically; this is for hot paths that branch on the domain
      * tag directly to avoid even the copy a convert would need.
      */
-    void noteElidedConversions(uint64_t towers) const;
-
-    /**
-     * Pointwise products against one shared right operand:
-     * result[i] = as[i] .* b over the first @p towers primes (0 =
-     * as[0]'s tower count; b may span more — a full-chain plaintext
-     * serves any level). Both ciphertext components against one
-     * encoded plaintext go through a single tiled device dispatch.
-     * All operands must be Eval; the
-     * results are Eval. No transform runs anywhere on this path, and
-     * operands are only read — the host path copies nothing.
-     */
-    std::vector<ResiduePoly>
-    mulEvalShared(const std::vector<const ResiduePoly *> &as,
-                  const ResiduePoly &b, size_t towers = 0) const;
-
-    /**
-     * Owning variant for callers relinquishing their operands (e.g.
-     * BFV's function-local decompositions): the towers are moved
-     * into the device launches instead of copied.
-     */
-    std::vector<ResiduePoly> mulEvalShared(std::vector<ResiduePoly> as,
-                                           ResiduePoly b,
-                                           size_t towers = 0) const;
-
-    /** Single-pair convenience over mulEvalShared. */
-    ResiduePoly mulEval(const ResiduePoly &a, const ResiduePoly &b) const;
+    void noteElidedConversions(uint64_t towers,
+                               const DispatchRoute *route = nullptr) const;
 
     /**
      * Independent pointwise pairs through one dispatch:
      * result[i] = as[i] .* bs[i] over the first @p towers primes
-     * (0 = as[0]'s tower count). Unlike mulEvalShared there is no
-     * shared operand — this is the shape of the relinearisation
-     * inner product (every gadget digit against its own key
-     * component) and of the tensor product's four cross terms. All
+     * (0 = as[0]'s tower count) — the shape of every evaluator
+     * product: ciphertext components against their plaintexts, the
+     * tensor product's cross terms, the relinearisation inner product
+     * (every gadget digit against its own key component). All
      * operands must be Eval and may span more than @p towers (a
-     * full-chain key serves any level); results span exactly
-     * @p towers. Operands are only read.
+     * full-chain plaintext or key serves any level); results span
+     * exactly @p towers. No transform runs on this path, and operands
+     * are only read. A batched op passes its @p route.
      */
     std::vector<ResiduePoly>
     mulEvalPairs(const std::vector<const ResiduePoly *> &as,
                  const std::vector<const ResiduePoly *> &bs,
-                 size_t towers = 0) const;
+                 size_t towers = 0, DispatchRoute *route = nullptr) const;
 
     /**
      * Gadget decomposition of Coeff-resident @p p: split every tower
@@ -201,23 +202,6 @@ class ResidueOps
     ResiduePoly sub(const ResiduePoly &a, const ResiduePoly &b) const;
 
   private:
-    /** Shared operand validation for the mulEvalShared variants;
-     *  resolves towers == 0 to the left operands' count. */
-    void checkEvalOperands(const std::vector<const ResiduePoly *> &as,
-                           const ResiduePoly &b, size_t &towers) const;
-
-    /** Host pointwise body shared by the mulEvalShared variants. */
-    std::vector<ResiduePoly>
-    mulEvalHost(const std::vector<const ResiduePoly *> &as,
-                const ResiduePoly &b, size_t towers) const;
-
-    /** Dispatch the pairs' pointwise products over the first
-     *  @p towers primes; the results are Eval-resident. */
-    std::vector<ResiduePoly>
-    collectEvalProducts(std::vector<std::vector<std::vector<u128>>> lhs,
-                        std::vector<std::vector<std::vector<u128>>> rhs,
-                        size_t towers) const;
-
     /** Primes for the first @p towers of the basis. */
     std::vector<u128> prefixPrimes(size_t towers) const;
 

@@ -406,6 +406,17 @@ KernelKind batchedKind(RingOp op);
 /** Per-item tower sets: items[i][t] is tower t of item i. */
 using TowerItems = std::vector<std::vector<std::vector<u128>>>;
 
+/**
+ * The launch shape of one dispatch: its ring op and every item's
+ * moduli — exactly what RpuDevice::dispatch takes besides the data,
+ * and what DispatchTiles::cut turns into the kernels it launches.
+ */
+struct StageShape
+{
+    RingOp op = RingOp::Forward;
+    std::vector<std::vector<u128>> moduli;
+};
+
 /** An RPU: kernel cache + context caches + execution backend. */
 class RpuDevice
 {
@@ -650,10 +661,11 @@ class RpuDevice
 
 /**
  * One dispatch flattened and cut into launch groups — the single copy
- * of the tiling that RpuDevice::dispatch, RpuTopology::dispatch and
- * the serving layer's kernel prewarm share. Every item's towers are
- * laid end to end and cut every kMaxBatchedTowers; group g runs as
- * one batchedKind(op) launch over groupModuli[g]. A Pointwise tower
+ * of the tiling that RpuDevice::dispatch, RpuTopology::dispatch, the
+ * scheduler's stage plans and the serving layer's kernel prewarm
+ * share. Every item's towers are laid end to end and cut every
+ * kMaxBatchedTowers; group g runs as one batchedKind(op) launch over
+ * groupModuli[g]. A Pointwise tower
  * contributes its a and b regions, always to the same group.
  */
 struct DispatchTiles

@@ -126,4 +126,33 @@ RpuTopology::dispatch(const std::vector<size_t> &plan, RingOp op,
     return tiles.reassemble();
 }
 
+DispatchRoute::DispatchRoute(RpuTopology &topology, size_t home,
+                             std::vector<StageShape> shapes,
+                             std::vector<std::vector<size_t>> plans)
+    : topology_(topology), home_(home), shapes_(std::move(shapes)),
+      plans_(std::move(plans))
+{
+    rpu_assert(home_ < topology_.size(), "home device %zu of %zu", home_,
+               topology_.size());
+    rpu_assert(plans_.size() == shapes_.size(),
+               "%zu stage plans for %zu declared stages", plans_.size(),
+               shapes_.size());
+}
+
+TowerItems
+DispatchRoute::dispatch(RingOp op, uint64_t n,
+                        const std::vector<std::vector<u128>> &moduli,
+                        TowerItems a, TowerItems b)
+{
+    rpu_assert(next_ < shapes_.size(),
+               "batch issued dispatch %zu, declared %zu stages", next_,
+               shapes_.size());
+    rpu_assert(shapes_[next_].op == op && shapes_[next_].moduli == moduli,
+               "dispatch %zu does not match its declared stage shape",
+               next_);
+    const size_t stage = next_++;
+    return topology_.dispatch(plans_[stage], op, n, moduli, std::move(a),
+                              std::move(b));
+}
+
 } // namespace rpu

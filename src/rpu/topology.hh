@@ -28,7 +28,9 @@
  * plan names, devices overlapping on real threads. Group boundaries
  * and every group's math are the single-device ones, so results are
  * bit-identical to RpuDevice::dispatch whatever the plan — only the
- * ledger (which device paid which launches) moves.
+ * ledger (which device paid which launches) moves. A DispatchRoute
+ * carries one batched op's per-stage plans through the op's layers
+ * and checks each dispatch against the op's declared stage shapes.
  */
 
 #ifndef RPU_RPU_TOPOLOGY_HH
@@ -109,47 +111,14 @@ class RpuTopology
 
     // -- Tiled dispatch across devices -----------------------------------
 
-    /** Tile-group count of a @p towers-long tiled chain: the number
-     *  of launches a dispatch splits it into, and the length of a
-     *  placement plan. */
-    static size_t tileGroups(size_t towers)
-    {
-        return (towers + RpuDevice::kMaxBatchedTowers - 1) /
-               RpuDevice::kMaxBatchedTowers;
-    }
-
-    /** Tower count of each tile group of a @p towers-long tiled
-     *  chain — full kMaxBatchedTowers groups plus the remainder.
-     *  Matches the group boundaries DispatchTiles cuts, so a
-     *  planner can weigh each launch of a stage before building its
-     *  plan. */
-    static std::vector<size_t> groupTowerCounts(size_t towers)
-    {
-        std::vector<size_t> counts(tileGroups(towers),
-                                   RpuDevice::kMaxBatchedTowers);
-        if (!counts.empty() && towers % RpuDevice::kMaxBatchedTowers)
-            counts.back() = towers % RpuDevice::kMaxBatchedTowers;
-        return counts;
-    }
-
-    /** groupTowerCounts scaled by a per-tower cost weight: the
-     *  stage-weight vector MakespanScheduler::splitPlans consumes. */
-    static std::vector<double> groupWeights(size_t towers,
-                                            double perTower)
-    {
-        std::vector<double> w;
-        for (size_t t : groupTowerCounts(towers))
-            w.push_back(double(t) * perTower);
-        return w;
-    }
-
     /**
      * RpuDevice::dispatch with the tile groups spread across the
      * topology: group g executes on device plan[g], and plan.size()
-     * must equal tileGroups(total towers). Each occupied device runs
-     * its groups, in tile order, as one launchAll; devices overlap on
-     * real threads (the caller's thread runs the first occupied
-     * device). A uniform plan is exactly that device's own dispatch.
+     * must equal DispatchTiles::cut(moduli).size(). Each occupied
+     * device runs its groups, in tile order, as one launchAll; devices
+     * overlap on real threads (the caller's thread runs the first
+     * occupied device). A uniform plan is exactly that device's own
+     * dispatch.
      */
     TowerItems dispatch(const std::vector<size_t> &plan, RingOp op,
                         uint64_t n,
@@ -161,6 +130,44 @@ class RpuTopology
     RpuTopology() = default;
 
     std::vector<std::shared_ptr<RpuDevice>> devices_;
+};
+
+/**
+ * The dispatch route of one batched op across a topology: the op's
+ * declared stage shapes, in issue order, and the device plan each
+ * stage's tile groups follow. The s-th dispatch the op issues must
+ * match shapes[s] exactly (asserted — a batch that launches anything
+ * it did not declare is a bug, since the scheduler planned and the
+ * kernel prewarm warmed the declaration) and runs as
+ * RpuTopology::dispatch(plans[s], ...). Ledger notes an op makes
+ * besides its launches (elided conversions, key-switch annotations)
+ * land on the home device, the chunk's placement. One route serves
+ * one batch on one thread.
+ */
+class DispatchRoute
+{
+  public:
+    DispatchRoute(RpuTopology &topology, size_t home,
+                  std::vector<StageShape> shapes,
+                  std::vector<std::vector<size_t>> plans);
+
+    /** The next declared stage, on its planned devices. */
+    TowerItems dispatch(RingOp op, uint64_t n,
+                        const std::vector<std::vector<u128>> &moduli,
+                        TowerItems a, TowerItems b = {});
+
+    /** Where the batch's ledger notes land. */
+    RpuDevice &home() const { return *topology_.device(home_); }
+
+    /** True once every declared stage has been issued. */
+    bool complete() const { return next_ == shapes_.size(); }
+
+  private:
+    RpuTopology &topology_;
+    size_t home_;
+    std::vector<StageShape> shapes_;
+    std::vector<std::vector<size_t>> plans_;
+    size_t next_ = 0;
 };
 
 } // namespace rpu

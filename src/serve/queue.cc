@@ -15,6 +15,8 @@ submitStatusName(SubmitStatus s)
         return "rejected-full";
       case SubmitStatus::RejectedShutdown:
         return "rejected-shutdown";
+      case SubmitStatus::RejectedInvalid:
+        return "rejected-invalid";
     }
     return "?";
 }

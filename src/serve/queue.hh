@@ -40,6 +40,8 @@
 #include <mutex>
 #include <vector>
 
+#include "rlwe/ckks.hh"
+
 namespace rpu {
 namespace serve {
 
@@ -49,18 +51,18 @@ enum class SubmitStatus
     Accepted,         ///< queued; the submission's future will resolve
     RejectedFull,     ///< backpressure: queue at capacity, try later
     RejectedShutdown, ///< the server is draining; no new work
+    RejectedInvalid,  ///< malformed request (e.g. unknown tenant)
 };
 
 const char *submitStatusName(SubmitStatus s);
 
-/** The homomorphic pipeline one request runs. */
-enum class RequestOp
-{
-    /** encrypt(a) -> x encode(b) -> rescale -> decrypt. */
-    MulPlainRescale,
-    /** encrypt(a), encrypt(b) -> ct x ct + relin -> rescale -> decrypt. */
-    MulCtRescale,
-};
+/**
+ * The homomorphic pipeline one request runs, between encrypt and
+ * decrypt on the host: MulPlainRescale encrypts a and multiplies by
+ * encoded b; MulCtRescale encrypts both and multiplies them with
+ * relinearisation. Either then rescales (see CkksOp).
+ */
+using RequestOp = CkksOp;
 
 /** What a fulfilled request resolves to. */
 struct ServeResponse

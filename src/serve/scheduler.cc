@@ -16,6 +16,27 @@ namespace {
  *  chunk-size mix. */
 constexpr double kEwma = 0.25;
 
+/**
+ * Relative per-tower cost of each stage kind, calibrated against the
+ * cycle model (a pointwise tower costs ~1/7 of a forward-NTT tower;
+ * an inverse pass slightly undercuts a forward one). Only placement
+ * balance depends on them — measured completions correct any drift —
+ * so "close" is all they need to be.
+ */
+double
+towerWeight(RingOp op)
+{
+    switch (op) {
+      case RingOp::Forward:
+        return 1.0;
+      case RingOp::Inverse:
+        return 0.9;
+      case RingOp::Pointwise:
+        return 0.145;
+    }
+    return 1.0;
+}
+
 } // namespace
 
 MakespanScheduler::MakespanScheduler(
@@ -40,8 +61,9 @@ MakespanScheduler::estimateLocked(RequestOp op,
     return it == estimates_.end() ? Estimate{} : it->second;
 }
 
-MakespanScheduler::Placement
-MakespanScheduler::bookLocked(size_t requests, const Estimate &est)
+size_t
+MakespanScheduler::bestDeviceLocked(size_t requests,
+                                    const Estimate &est) const
 {
     // Greedy makespan minimisation: land on the device whose load
     // plus this chunk's contended marginal cost is smallest. The
@@ -67,16 +89,21 @@ MakespanScheduler::bookLocked(size_t requests, const Estimate &est)
     }
     rpu_assert(best < devices_.size(),
                "every device of the topology is paused");
+    return best;
+}
 
+MakespanScheduler::Placement
+MakespanScheduler::bookLocked(size_t requests, const Estimate &est)
+{
     Placement p;
-    p.device = best;
+    p.device = bestDeviceLocked(requests, est);
     // Cold classes (no samples yet) book a nominal cycle so that the
     // chunks of one batch still spread instead of all tying onto
     // device 0 before the first completion corrects the ledger.
     p.booked = std::max<uint64_t>(
         1, uint64_t(std::llround(double(requests) * est.busy)));
-    devices_[best].load += p.booked;
-    ++devices_[best].inflight;
+    devices_[p.device].load += p.booked;
+    ++devices_[p.device].inflight;
     return p;
 }
 
@@ -121,21 +148,51 @@ MakespanScheduler::placeBatch(const std::vector<ChunkDesc> &chunks)
 }
 
 std::vector<std::vector<size_t>>
-MakespanScheduler::splitPlans(
-    Placement &p, RequestOp op, const std::string &cls,
-    size_t requests,
-    const std::vector<std::vector<double>> &stageWeights)
+MakespanScheduler::splitPlans(Placement &p, RequestOp op,
+                              const std::string &cls, size_t requests,
+                              const std::vector<StageShape> &stages)
 {
     std::lock_guard<std::mutex> lock(mutex_);
 
-    std::vector<std::vector<size_t>> plans(stageWeights.size());
-    for (size_t s = 0; s < stageWeights.size(); ++s)
-        plans[s].assign(stageWeights[s].size(), p.device);
+    // Each stage's launch groups, as the dispatch will cut them, and
+    // their relative costs.
+    std::vector<std::vector<double>> weights(stages.size());
+    std::vector<std::vector<size_t>> plans(stages.size());
+    for (size_t s = 0; s < stages.size(); ++s) {
+        for (const auto &group : DispatchTiles::cut(stages[s].moduli))
+            weights[s].push_back(double(group.size()) *
+                                 towerWeight(stages[s].op));
+        plans[s].assign(weights[s].size(), p.device);
+    }
+    if (requests <= 1 || devices_.size() <= 1)
+        return plans;
+
+    if (!policy_.split) {
+        // Unpaused devices in ascending-load order, placement device
+        // first.
+        std::vector<size_t> order;
+        for (size_t d = 0; d < devices_.size(); ++d) {
+            if (!devices_[d].paused && d != p.device)
+                order.push_back(d);
+        }
+        std::stable_sort(order.begin(), order.end(),
+                         [&](size_t a, size_t b) {
+                             return devices_[a].load < devices_[b].load;
+                         });
+        order.insert(order.begin(), p.device);
+        for (std::vector<size_t> &plan : plans) {
+            if (plan.size() <= 1)
+                continue; // a one-group stage stays home
+            for (size_t g = 0; g < plan.size(); ++g)
+                plan[g] = order[g % order.size()];
+        }
+        return plans;
+    }
 
     size_t unpaused = 0;
     for (const DeviceState &st : devices_)
         unpaused += st.paused ? 0 : 1;
-    if (!policy_.split || unpaused <= 1)
+    if (unpaused <= 1)
         return plans;
 
     // The chunk no longer runs whole on the placement device: release
@@ -147,7 +204,7 @@ MakespanScheduler::splitPlans(
     p.stageBooked.assign(devices_.size(), 0);
 
     double total_weight = 0;
-    for (const auto &stage : stageWeights)
+    for (const auto &stage : weights)
         for (double w : stage)
             total_weight += w;
     const Estimate est = estimateLocked(op, cls);
@@ -168,9 +225,9 @@ MakespanScheduler::splitPlans(
         double weight;
     };
     std::vector<Group> groups;
-    for (size_t s = 0; s < stageWeights.size(); ++s)
-        for (size_t g = 0; g < stageWeights[s].size(); ++g)
-            groups.push_back({s, g, stageWeights[s][g]});
+    for (size_t s = 0; s < weights.size(); ++s)
+        for (size_t g = 0; g < weights[s].size(); ++g)
+            groups.push_back({s, g, weights[s][g]});
     std::stable_sort(groups.begin(), groups.end(),
                      [](const Group &a, const Group &b) {
                          return a.weight > b.weight;
@@ -207,25 +264,8 @@ MakespanScheduler::rehome(Placement &p, RequestOp op,
     if (cur.inflight > 0)
         --cur.inflight;
 
-    const Estimate est = estimateLocked(op, cls);
-    size_t best = devices_.size();
-    double best_score = 0;
-    for (size_t d = 0; d < devices_.size(); ++d) {
-        const DeviceState &st = devices_[d];
-        if (st.paused)
-            continue;
-        const double projected =
-            double(requests) *
-            (est.busy + double(st.inflight) * est.staging);
-        const double score = double(st.load) + projected;
-        if (best == devices_.size() || score < best_score) {
-            best = d;
-            best_score = score;
-        }
-    }
-    rpu_assert(best < devices_.size(),
-               "every device of the topology is paused");
-
+    const size_t best =
+        bestDeviceLocked(requests, estimateLocked(op, cls));
     const bool moved = best != p.device;
     p.device = best;
     devices_[best].load += p.booked;
@@ -292,34 +332,6 @@ MakespanScheduler::complete(const Placement &p, RequestOp op,
     std::vector<uint64_t> busy(p.device + 1, 0);
     busy[p.device] = busyCycles;
     complete(p, op, cls, requests, busy, stagingCycles, false);
-}
-
-std::vector<size_t>
-MakespanScheduler::stagePlan(const Placement &p, size_t groups) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<size_t> plan(groups, p.device);
-    if (groups <= 1 || devices_.size() <= 1)
-        return plan;
-
-    // Unpaused devices in ascending-load order, placement device
-    // first (it already carries this chunk's booking, and keeping it
-    // first means a 2-group stage on an idle topology uses the
-    // placement device plus one helper rather than skipping it).
-    std::vector<size_t> order;
-    for (size_t d = 0; d < devices_.size(); ++d) {
-        if (!devices_[d].paused && d != p.device)
-            order.push_back(d);
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [&](size_t a, size_t b) {
-                         return devices_[a].load < devices_[b].load;
-                     });
-    order.insert(order.begin(), p.device);
-
-    for (size_t g = 0; g < groups; ++g)
-        plan[g] = order[g % order.size()];
-    return plan;
 }
 
 void

@@ -39,9 +39,18 @@
  *    booking with per-tile-group bookings, assigning every stage's
  *    launch groups jointly (LPT by estimated group cost) to the
  *    least-loaded unpaused devices. A lone large chunk then spreads
- *    its three stage dispatches across an idle device set instead of
+ *    its stage dispatches across an idle device set instead of
  *    serialising on one device — the difference between 6.0x and
  *    >7x modelled scaling at 8 devices on the replay workload.
+ *
+ * splitPlans() is the one plan builder. It reads a chunk's stages
+ * from the launch shapes the batched op declares
+ * (CkksContext::launchShapes) and cuts them with DispatchTiles::cut,
+ * the tiling the dispatch itself uses. A chunk of one request stays
+ * on its placement device for every stage; without the split policy
+ * a multi-request chunk's multi-group stages round-robin their
+ * groups from the placement device across the unpaused devices in
+ * ascending-load order.
  *
  *  - steal: rehome() re-places a booked-but-unstarted chunk that an
  *    idle dispatcher re-claimed from the most-loaded device's
@@ -66,6 +75,7 @@
 #include <vector>
 
 #include "model/contention.hh"
+#include "rpu/device.hh"
 #include "serve/queue.hh"
 
 namespace rpu {
@@ -146,35 +156,31 @@ class MakespanScheduler
     placeBatch(const std::vector<ChunkDesc> &chunks);
 
     /**
-     * Relative per-tower cost weights of the three coalesced stage
-     * kinds, calibrated against the cycle model (a pointwise tower
-     * costs ~1/7 of a forward-NTT tower; an inverse pass slightly
-     * undercuts a forward one). Only placement balance depends on
-     * them — measured completions correct any drift — so "close" is
-     * all they need to be.
-     */
-    static constexpr double kForwardTowerWeight = 1.0;
-    static constexpr double kInverseTowerWeight = 0.9;
-    static constexpr double kPointwiseTowerWeight = 0.145;
-
-    /**
-     * Split policy: convert @p p's whole-chunk booking into
-     * per-tile-group bookings and return one device plan per stage
-     * (plans[s][g] = device executing group g of stage s, feedable
-     * straight into RpuTopology::dispatch).
-     * @p stageWeights holds one relative cost weight per group per
-     * stage (tower count x the kind weight above); groups are
-     * assigned jointly, largest first, to the least-loaded unpaused
-     * device, each assignment booking its share of the chunk's
-     * estimated cycles (recorded in p.stageBooked for complete() to
-     * release). With one unpaused device — or the split policy off —
-     * every plan is uniform on the placement device and no booking
-     * moves, so the degenerate path is byte-identical to stagePlan.
+     * The device plan of every stage of a @p requests-request chunk
+     * placed at @p p, from the chunk's declared @p stages (plans[s][g]
+     * = device executing tile group g of stage s, feedable straight
+     * into RpuTopology::dispatch or a DispatchRoute). A chunk of one,
+     * a stage of one group without the split policy, or a 1-device
+     * topology stays on the placement device, and no booking moves.
+     *
+     * Split policy: the chunk's whole-device booking becomes
+     * per-tile-group bookings. Each group weighs its tower count
+     * times its ring op's per-tower cost; groups are assigned
+     * jointly, largest first, to the least-loaded unpaused device,
+     * each assignment booking its share of the chunk's estimated
+     * cycles (recorded in p.stageBooked for complete() to release).
+     * With one unpaused device every plan stays on the placement
+     * device.
+     *
+     * Otherwise a multi-group stage round-robins its groups across
+     * the unpaused devices in ascending-load order, the placement
+     * device first (it already carries the chunk's booking, and
+     * keeping it first means a 2-group stage on an idle topology uses
+     * the placement device plus one helper rather than skipping it).
      */
     std::vector<std::vector<size_t>>
     splitPlans(Placement &p, RequestOp op, const std::string &cls,
-               size_t requests,
-               const std::vector<std::vector<double>> &stageWeights);
+               size_t requests, const std::vector<StageShape> &stages);
 
     /**
      * Steal policy: re-place a booked-but-unstarted chunk that an
@@ -206,16 +212,6 @@ class MakespanScheduler
     void complete(const Placement &p, RequestOp op,
                   const std::string &cls, size_t requests,
                   uint64_t busyCycles, uint64_t stagingCycles);
-
-    /**
-     * Per-tile-group device plan for one sharded stage of a chunk
-     * placed at @p p — the pre-split round-robin fallback: one group
-     * (or a 1-device topology) stays entirely on the placement
-     * device; more groups round-robin across the unpaused devices in
-     * ascending-load order, the placement device first.
-     */
-    std::vector<size_t> stagePlan(const Placement &p, size_t groups)
-        const;
 
     /**
      * Drain a device out of (or back into) the placement set. Work
@@ -250,8 +246,11 @@ class MakespanScheduler
 
     static std::string key(RequestOp op, const std::string &cls);
 
-    /** The greedy booking step, under mutex_: best-scoring unpaused
-     *  device for a @p requests chunk with @p est, booking applied. */
+    /** The greedy scoring step, under mutex_: the best-scoring
+     *  unpaused device for a @p requests chunk with @p est. */
+    size_t bestDeviceLocked(size_t requests, const Estimate &est) const;
+
+    /** bestDeviceLocked with the chunk's booking applied. */
     Placement bookLocked(size_t requests, const Estimate &est);
 
     Estimate estimateLocked(RequestOp op, const std::string &cls) const;

@@ -89,32 +89,6 @@ HeServer::addTenant(const TenantConfig &cfg)
     return *sessions_.back();
 }
 
-const CkksContext &
-HeServer::execContext(const Session &sess, size_t device)
-{
-    rpu_assert(topology_ != nullptr && device < topology_->size(),
-               "no topology device %zu", device);
-    if (device == 0)
-        return sess.ctx(); // sessions attach device 0 themselves
-
-    // One replica per (kernel class, device): contexts are
-    // deterministic per parameter set, so any same-class session's
-    // keys and request randomness work against it unchanged (the
-    // replica's own seed never feeds a request — see runSerialWith).
-    // Like the sessions, a replica is exercised by one dispatcher at
-    // a time in the deterministic single-dispatcher configuration.
-    const std::string key =
-        sess.kernelClass() + "|d" + std::to_string(device);
-    std::lock_guard<std::mutex> lock(exec_ctx_mutex_);
-    auto it = exec_ctx_.find(key);
-    if (it == exec_ctx_.end()) {
-        auto ctx = std::make_unique<CkksContext>(sess.config().params);
-        ctx->attachDevice(topology_->device(device));
-        it = exec_ctx_.emplace(key, std::move(ctx)).first;
-    }
-    return *it->second;
-}
-
 Session *
 HeServer::tenant(uint64_t id) const
 {
@@ -131,9 +105,15 @@ HeServer::submit(uint64_t tenant_id, RequestOp op,
                  std::vector<std::complex<double>> a,
                  std::vector<std::complex<double>> b)
 {
+    Submission sub;
     Session *sess = tenant(tenant_id);
-    rpu_assert(sess != nullptr, "unknown tenant %llu",
-               (unsigned long long)tenant_id);
+    if (sess == nullptr) {
+        // A client's bad id is its error, not the server's: reject it
+        // with a status and keep serving everyone else.
+        sub.status = SubmitStatus::RejectedInvalid;
+        ++rejected_invalid_;
+        return sub;
+    }
 
     ServeRequest req;
     req.tenant = tenant_id;
@@ -148,7 +128,6 @@ HeServer::submit(uint64_t tenant_id, RequestOp op,
     req.b = std::move(b);
     req.submitted = std::chrono::steady_clock::now();
 
-    Submission sub;
     // The future must exist before push: a dispatcher may pop and
     // fulfil the request before push even returns.
     sub.response = req.done.get_future();
@@ -164,8 +143,22 @@ HeServer::submit(uint64_t tenant_id, RequestOp op,
       case SubmitStatus::RejectedShutdown:
         ++rejected_shutdown_;
         break;
+      case SubmitStatus::RejectedInvalid:
+        break; // only the tenant check above rejects so
     }
     return sub;
+}
+
+size_t
+HeServer::chunkCap(RequestOp op) const
+{
+    // Only MulPlainRescale coalesces: a coalesced MulCtRescale chunk
+    // would launch kernel shapes no serial request does. Chunk sizes
+    // are powers of two so the kernel cache stays logarithmic in
+    // maxCoalesce per class and stage.
+    const bool coalescable = cfg_.coalesce && device_ != nullptr &&
+                             op == RequestOp::MulPlainRescale;
+    return coalescable ? pow2Floor(cfg_.maxCoalesce) : 1;
 }
 
 void
@@ -173,55 +166,29 @@ HeServer::prewarm()
 {
     if (!device_)
         return;
-
-    // One representative session per kernel class.
-    std::vector<Session *> reps;
+    std::vector<Session *> sessions;
     {
         std::lock_guard<std::mutex> lock(sessions_mutex_);
-        for (const auto &s : sessions_) {
-            bool seen = false;
-            for (Session *r : reps)
-                seen = seen || r->kernelClass() == s->kernelClass();
-            if (!seen)
-                reps.push_back(s.get());
-        }
+        for (const auto &s : sessions_)
+            sessions.push_back(s.get());
     }
 
-    for (Session *s : reps) {
+    // Every chunk the server can cut — each op, each chunk size —
+    // launches exactly its declared stage shapes, cut by the helper
+    // the dispatch itself uses. The topology's devices share one
+    // cache bundle ("generate once, launch anywhere"), so warming on
+    // device 0 warms them all.
+    for (const Session *s : sessions) {
         const uint64_t n = s->config().params.n;
-        const std::vector<u128> primes = s->ctx().basis().primes();
-        const u128 q_l = primes.back();
-
-        // Build the cross-device execution contexts up front so a
-        // routed first request doesn't pay context construction.
-        // Kernels themselves only need warming once: the topology's
-        // devices share one cache bundle ("generate once, launch
-        // anywhere").
-        if (topology_) {
-            for (size_t d = 1; d < topology_->size(); ++d)
-                execContext(*s, d);
-        }
-
-        // A MulPlainRescale chunk of k requests runs three tiled
-        // dispatches — plaintext entry (k items over the chain),
-        // component products (2k items) and dropped-tower inverses
-        // (2k single-tower items) — and a serial request is exactly
-        // the k = 1 shape. Chunks come in power-of-two sizes, so warm
-        // those shapes' tile groups, cut by the helper the dispatch
-        // itself uses: the cache stays logarithmic in maxCoalesce per
-        // class and stage, not one entry per observed batch size.
-        const auto warm = [&](RingOp op, size_t items,
-                              const std::vector<u128> &chain) {
-            const std::vector<std::vector<u128>> moduli(items, chain);
-            for (const auto &group : DispatchTiles::cut(moduli))
-                device_->kernel(batchedKind(op), n, group);
-        };
-        const size_t max_k =
-            cfg_.coalesce ? pow2Floor(cfg_.maxCoalesce) : 1;
-        for (size_t k = 1; k <= max_k; k *= 2) {
-            warm(RingOp::Forward, k, primes);
-            warm(RingOp::Pointwise, 2 * k, primes);
-            warm(RingOp::Inverse, 2 * k, {q_l});
+        for (RequestOp op :
+             {RequestOp::MulPlainRescale, RequestOp::MulCtRescale}) {
+            for (size_t k = 1; k <= chunkCap(op); k *= 2) {
+                for (const StageShape &stage : s->launchShapes(op, k)) {
+                    for (const auto &group :
+                         DispatchTiles::cut(stage.moduli))
+                        device_->kernel(batchedKind(stage.op), n, group);
+                }
+            }
         }
     }
 }
@@ -250,6 +217,7 @@ HeServer::stats() const
     s.accepted = accepted_;
     s.rejectedFull = rejected_full_;
     s.rejectedShutdown = rejected_shutdown_;
+    s.rejectedInvalid = rejected_invalid_;
     s.completed = completed_;
     s.failed = failed_;
     s.dispatches = dispatches_;
@@ -329,16 +297,11 @@ HeServer::dispatchBatch(std::vector<ServeRequest> batch)
         g->reqs.push_back(std::move(req));
     }
 
-    // Cut each group into chunks. Only MulPlainRescale coalesces
-    // (the ct x ct relinearisation pipeline stays per-request);
-    // chunk sizes are powers of two so the kernel cache stays
-    // bounded (see prewarm).
+    // Cut each group into chunks of power-of-two sizes (see
+    // chunkCap).
     std::vector<PendingChunk> cut;
     for (Group &g : groups) {
-        const bool coalescable = cfg_.coalesce && device_ != nullptr &&
-                                 g.op == RequestOp::MulPlainRescale;
-        const size_t cap =
-            coalescable ? pow2Floor(cfg_.maxCoalesce) : 1;
+        const size_t cap = chunkCap(g.op);
         size_t idx = 0;
         while (idx < g.reqs.size()) {
             size_t take = cap;
@@ -460,6 +423,7 @@ HeServer::executeChunk(PendingChunk pc)
     const uint64_t dispatchIndex = pc.dispatchIndex;
     const auto popped = pc.popped;
     const size_t k = chunk.size();
+    const RequestOp op = chunk[0].op;
     ++chunks_;
     if (k > 1) {
         ++coalesced_chunks_;
@@ -480,33 +444,46 @@ HeServer::executeChunk(PendingChunk pc)
     // its estimated cost onto the chosen device's load ledger, and
     // the booking is corrected to the measured window on completion.
     // Batch-placed (lookahead/steal) chunks arrive already booked.
-    // On a 1-device topology this is always device 0 with a uniform
-    // plan — the PR 8 path, bit-identical launches and all.
+    // On a 1-device topology this is always device 0 with uniform
+    // plans.
     MakespanScheduler::Placement placement = std::move(pc.placement);
     const std::string &cls = sessions[0]->kernelClass();
     if (scheduler_ && !pc.placed)
-        placement = scheduler_->place(chunk[0].op, cls, k);
+        placement = scheduler_->place(op, cls, k);
 
     const RpuTopology::Snapshot before =
         topology_ ? topology_->snapshot() : RpuTopology::Snapshot{};
     try {
-        if (k == 1) {
-            if (placement.device == 0) {
-                // The per-tenant serial reference path, verbatim: the
-                // bit-identity statement "coalesced equals serial" is
-                // about the branch below, not two copies of this one.
-                responses[0].values = sessions[0]->runSerial(
-                    chunk[0].op, chunk[0].a, chunk[0].b, chunk[0].seq);
-            } else {
-                // Same pipeline, same keys, same request randomness —
-                // only the attached device differs.
-                responses[0].values = sessions[0]->runSerialWith(
-                    execContext(*sessions[0], placement.device),
-                    chunk[0].op, chunk[0].a, chunk[0].b, chunk[0].seq);
-            }
+        // Every chunk runs the one pipeline: encrypt on the host, the
+        // batched op with its stages on the scheduler's plans, decrypt
+        // on the host. Host-only servers run it on the host.
+        const std::vector<const Session *> members(sessions.begin(),
+                                                   sessions.end());
+        std::vector<const ServeRequest *> reqs(k);
+        for (size_t i = 0; i < k; ++i)
+            reqs[i] = &chunk[i];
+        std::vector<std::vector<std::complex<double>>> values;
+        if (scheduler_) {
+            std::vector<StageShape> stages =
+                sessions[0]->launchShapes(op, k);
+            std::vector<std::vector<size_t>> plans =
+                scheduler_->splitPlans(placement, op, cls, k, stages);
+            bool spread = false;
+            for (const auto &plan : plans)
+                for (size_t d : plan)
+                    spread = spread || d != placement.device;
+            if (spread && scheduler_->policy().split)
+                ++split_chunks_;
+            DispatchRoute route(*topology_, placement.device,
+                                std::move(stages), std::move(plans));
+            values = Session::runBatch(op, members, reqs, &route);
+            rpu_assert(route.complete(),
+                       "batch issued fewer stages than it declared");
         } else {
-            coalescedMulPlain(placement, chunk, sessions, responses);
+            values = Session::runBatch(op, members, reqs);
         }
+        for (size_t i = 0; i < k; ++i)
+            responses[i].values = std::move(values[i]);
     } catch (...) {
         const std::exception_ptr err = std::current_exception();
         if (scheduler_) {
@@ -521,7 +498,7 @@ HeServer::executeChunk(PendingChunk pc)
             for (size_t d = 0; d < window.size(); ++d)
                 busy[d] = window[d].busyCycleTotal();
             scheduler_->complete(
-                placement, chunk[0].op, cls, k, busy,
+                placement, op, cls, k, busy,
                 RpuTopology::aggregate(window).stagingCycleTotal(),
                 /*failed=*/true);
         }
@@ -542,7 +519,7 @@ HeServer::executeChunk(PendingChunk pc)
         std::vector<uint64_t> busy(window.size(), 0);
         for (size_t d = 0; d < window.size(); ++d)
             busy[d] = window[d].busyCycleTotal();
-        scheduler_->complete(placement, chunk[0].op, cls, k, busy,
+        scheduler_->complete(placement, op, cls, k, busy,
                              delta.stagingCycleTotal(), /*failed=*/false);
     }
 
@@ -554,143 +531,6 @@ HeServer::executeChunk(PendingChunk pc)
         sessions[i]->noteCompleted(k, delta);
         ++completed_;
         chunk[i].done.set_value(std::move(responses[i]));
-    }
-}
-
-void
-HeServer::coalescedMulPlain(MakespanScheduler::Placement &placement,
-                            std::vector<ServeRequest> &chunk,
-                            std::vector<Session *> &sessions,
-                            std::vector<ServeResponse> &responses)
-{
-    // The cross-tenant batched MulPlainRescale pipeline: the same
-    // math and the same three dispatches as Session::runSerial (encode
-    // entry, both component products, both dropped-tower inverses),
-    // each merged across the chunk.
-    // Bit-identity with the serial path rests on the batched kernel
-    // kinds computing each region's ring independently — the same
-    // per-region math whether a tower rides its own launch or a
-    // tiled one (test_serve pins this end to end). Each stage's tile
-    // groups spread across the topology per the scheduler's stage
-    // plan; on a 1-device topology every plan is uniform and each
-    // stage is exactly the device's own dispatch.
-    const size_t k = chunk.size();
-    const uint64_t n = sessions[0]->config().params.n;
-
-    // Host half, per request: encrypt and encode (Coeff — the
-    // evaluation-domain entry is what gets coalesced).
-    std::vector<CkksCiphertext> cts(k);
-    std::vector<CkksPlaintext> pts(k);
-    std::vector<std::vector<u128>> moduli(k);
-    for (size_t i = 0; i < k; ++i) {
-        const CkksContext &ctx = sessions[i]->ctx();
-        Rng rng = sessions[i]->requestRng(chunk[i].seq);
-        cts[i] = ctx.encrypt(sessions[i]->secretKey(), chunk[i].a, rng);
-        pts[i] =
-            ctx.encodePlainCoeff(chunk[i].b, cts[i].towers());
-        moduli[i] = ctx.basis().primes();
-    }
-
-    size_t entry_towers = 0;
-    for (size_t i = 0; i < k; ++i)
-        entry_towers += moduli[i].size();
-
-    // Per-stage device plans, fixed before the first launch. Under
-    // the split policy the scheduler assigns all three stages' tile
-    // groups jointly to the least-loaded devices (re-shaping the
-    // chunk's booking to match); otherwise each stage round-robins
-    // its groups from the placement device via the legacy stagePlan.
-    // Loads can't move between the three launches of one chunk in the
-    // deterministic single-dispatcher configuration, so planning up
-    // front is behaviour-identical to planning per stage.
-    std::vector<std::vector<size_t>> plans;
-    if (scheduler_->policy().split) {
-        plans = scheduler_->splitPlans(
-            placement, chunk[0].op, sessions[0]->kernelClass(), k,
-            {RpuTopology::groupWeights(
-                 entry_towers, MakespanScheduler::kForwardTowerWeight),
-             RpuTopology::groupWeights(
-                 2 * entry_towers,
-                 MakespanScheduler::kPointwiseTowerWeight),
-             RpuTopology::groupWeights(
-                 2 * k, MakespanScheduler::kInverseTowerWeight)});
-    } else {
-        plans = {
-            scheduler_->stagePlan(placement,
-                                  RpuTopology::tileGroups(entry_towers)),
-            scheduler_->stagePlan(
-                placement, RpuTopology::tileGroups(2 * entry_towers)),
-            scheduler_->stagePlan(placement,
-                                  RpuTopology::tileGroups(2 * k))};
-    }
-    if (scheduler_->policy().split) {
-        bool spread = false;
-        for (const auto &plan : plans)
-            for (size_t d : plan)
-                spread = spread || d != placement.device;
-        if (spread)
-            ++split_chunks_;
-    }
-
-    // Launch 1: every tenant's plaintext enters Eval together.
-    std::vector<std::vector<std::vector<u128>>> pt_in(k);
-    for (size_t i = 0; i < k; ++i)
-        pt_in[i] = std::move(pts[i].rp.towers);
-    auto pt_eval = topology_->dispatch(plans[0], RingOp::Forward, n,
-                                       moduli, std::move(pt_in));
-
-    // Launch 2: both components of every ciphertext against its
-    // plaintext — 2k items. The ciphertexts are read in place just
-    // like the serial path's mulPlainPair, and the same elisions are
-    // reported so the issued-vs-elided ledger stays comparable.
-    std::vector<std::vector<u128>> pw_moduli(2 * k);
-    std::vector<std::vector<std::vector<u128>>> lhs(2 * k),
-        rhs(2 * k);
-    for (size_t i = 0; i < k; ++i) {
-        pw_moduli[2 * i] = moduli[i];
-        pw_moduli[2 * i + 1] = moduli[i];
-        lhs[2 * i] = std::move(cts[i].c0.towers);
-        lhs[2 * i + 1] = std::move(cts[i].c1.towers);
-        rhs[2 * i] = pt_eval[i];
-        rhs[2 * i + 1] = std::move(pt_eval[i]);
-        sessions[i]->ctx().residueOps().noteElidedConversions(
-            2 * moduli[i].size());
-    }
-    auto prods = topology_->dispatch(plans[1], RingOp::Pointwise, n,
-                                     pw_moduli, std::move(lhs),
-                                     std::move(rhs));
-
-    std::vector<CkksCiphertext> prod(k);
-    for (size_t i = 0; i < k; ++i) {
-        prod[i].scale = cts[i].scale * pts[i].scale;
-        prod[i].c0 = ResiduePoly(ResidueDomain::Eval,
-                                 std::move(prods[2 * i]));
-        prod[i].c1 = ResiduePoly(ResidueDomain::Eval,
-                                 std::move(prods[2 * i + 1]));
-    }
-
-    // Launch 3: every component's dropped tower leaves Eval together
-    // — 2k single-tower items.
-    std::vector<std::vector<u128>> inv_moduli(2 * k);
-    std::vector<std::vector<std::vector<u128>>> inv_in(2 * k);
-    for (size_t i = 0; i < k; ++i) {
-        inv_moduli[2 * i] = {moduli[i].back()};
-        inv_moduli[2 * i + 1] = {moduli[i].back()};
-        inv_in[2 * i] = {prod[i].c0.towers.back()};
-        inv_in[2 * i + 1] = {prod[i].c1.towers.back()};
-    }
-    auto dropped = topology_->dispatch(plans[2], RingOp::Inverse, n,
-                                       inv_moduli, std::move(inv_in));
-
-    // Host half, per request: finish the rescale and decrypt.
-    for (size_t i = 0; i < k; ++i) {
-        const CkksContext &ctx = sessions[i]->ctx();
-        std::vector<std::vector<u128>> dr;
-        dr.push_back(std::move(dropped[2 * i][0]));
-        dr.push_back(std::move(dropped[2 * i + 1][0]));
-        responses[i].values = ctx.decrypt(
-            sessions[i]->secretKey(),
-            ctx.rescaleFromDropped(prod[i], dr));
     }
 }
 

@@ -5,42 +5,50 @@
  * The paper's thesis is that the ring processor pays off when it is
  * kept saturated with polynomial work; the serving layer is where
  * that saturation comes from in a "millions of users" deployment.
- * This front-end stacks three pieces over RpuDevice/RlweEvaluator:
+ * This front-end stacks four pieces over RpuTopology/CkksContext:
  *
  *  - Admission: a BoundedRequestQueue with per-tenant lanes —
  *    non-blocking submit that rejects with a status under
- *    backpressure or shutdown, round-robin draining with a
- *    per-batch per-tenant cap (the fairness bound).
+ *    backpressure, shutdown or a malformed request (an unknown
+ *    tenant), round-robin draining with a per-batch per-tenant cap
+ *    (the fairness bound).
  *
  *  - Scheduling: dispatcher threads pop batches, group them by
  *    (op, kernel class) and cut each group into chunks of
- *    power-of-two sizes up to maxCoalesce. Every chunk is then
+ *    power-of-two sizes up to maxCoalesce (MulPlainRescale only;
+ *    MulCtRescale chunks hold one request). Every chunk is then
  *    *placed*: a MakespanScheduler routes it to the device of the
  *    RpuTopology minimising the projected contention-aware makespan.
  *    The ServeConfig's SchedulerPolicy stacks three refinements on
  *    that greedy baseline (see scheduler.hh): lookahead books the
  *    whole popped batch's chunks jointly longest-first; split spreads
- *    one chunk's coalesced stage groups across idle devices via
- *    per-stage plans; steal parks placed chunks on per-device pending
- *    lists so an idle dispatcher can re-claim work from the
- *    most-loaded device (bookings moved atomically). Without split, a
- *    chunk whose tiled stages cut into several launch groups still
- *    round-robins them across the least-loaded devices (stagePlan).
- *    A 1-device topology degenerates to the PR 8 single-device path
- *    exactly under every policy (always device 0, uniform plans,
- *    identical launches and ledger). A chunk of compatible
- *    MulPlainRescale requests — typically from *different tenants*,
- *    since each tenant's lane is capped per batch — executes as
- *    the same three tiled device dispatches a serial request runs
+ *    one chunk's stage groups across idle devices; steal parks placed
+ *    chunks on per-device pending lists so an idle dispatcher can
+ *    re-claim work from the most-loaded device (bookings moved
+ *    atomically). A 1-device topology degenerates to the
+ *    single-device path exactly under every policy (always device 0,
+ *    uniform plans, identical launches and ledger).
+ *
+ *  - Execution: one pipeline for every chunk, whatever its op and
+ *    size — Session::runBatch: encrypt on the host, the batched CKKS
+ *    op and rescale, decrypt on the host. The batch declares its
+ *    launch shapes (CkksContext::launchShapes); the scheduler plans
+ *    each stage's tile groups from that declaration (splitPlans) and
+ *    the chunk's DispatchRoute sends every stage to
+ *    RpuTopology::dispatch on its plan, asserting it matches. A chunk
+ *    of k compatible MulPlainRescale requests — typically from
+ *    *different tenants*, since each tenant's lane is capped per
+ *    batch — so pays the three dispatches a single request pays
  *    (plaintext Eval entry, both-component pointwise multiply,
  *    dropped-tower inverse), each split only where the batched-kernel
- *    tower budget forces it, where the uncoalesced path pays three
- *    launches per request. Launch-count reduction is the whole point
- *    and is ledger-verified by bench and tests; results are bit-identical to per-tenant serial
- *    execution because the batched kernels compute each region's
+ *    tower budget forces it, with k items instead of one. Launch-count
+ *    reduction is the whole point and is ledger-verified by bench and
+ *    tests; results are bit-identical to Session::runSerial (the
+ *    batch of one) because the batched kernels compute each region's
  *    ring independently and all randomness is (tenant, seq)-derived.
- *    Chunks of one, MulCtRescale requests, and coalesce=false all
- *    run the per-request serial reference path (Session::runSerial).
+ *    A chunk of one stays on its placement device for every stage.
+ *    prewarm() warms the declared shapes of every chunk the server
+ *    can cut. The serving layer holds no scheme math of its own.
  *
  *  - Accounting: the dispatcher snapshots the topology around every
  *    chunk, aggregates the per-device windows (see
@@ -61,7 +69,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -107,6 +114,7 @@ struct ServerStats
     uint64_t accepted = 0;
     uint64_t rejectedFull = 0;
     uint64_t rejectedShutdown = 0;
+    uint64_t rejectedInvalid = 0; ///< malformed submits (unknown tenant)
     uint64_t completed = 0;
     uint64_t failed = 0;
     uint64_t dispatches = 0;        ///< batches popped
@@ -136,8 +144,8 @@ class HeServer
 
     /** Device-set server: chunks place across @p topology's devices
      *  via the makespan scheduler. Tenants' sessions attach device 0;
-     *  other devices execute through shared per-(kernel class,
-     *  device) execution contexts. */
+     *  a chunk's stages reach any device through its dispatch
+     *  route. */
     HeServer(const ServeConfig &cfg,
              std::shared_ptr<RpuTopology> topology);
 
@@ -168,16 +176,18 @@ class HeServer
      * Submit one request: assigns the tenant's next seq, stamps the
      * arrival time, and offers it to the queue. Non-blocking — a
      * full queue rejects immediately (open-loop generators depend on
-     * this). Thread-safe from any number of producers.
+     * this), and an unknown tenant id gets RejectedInvalid. Thread-safe
+     * from any number of producers.
      */
     Submission submit(uint64_t tenant, RequestOp op,
                       std::vector<std::complex<double>> a,
                       std::vector<std::complex<double>> b);
 
     /**
-     * Pre-generate the kernels every MulPlainRescale chunk launches
-     * (chunks of 1 up to maxCoalesce, for each tenant kernel class,
-     * tiled by the helper dispatch itself uses), so first
+     * Pre-generate the kernels every chunk the server can cut
+     * launches — both ops, every chunk size, every tenant's class and
+     * relinearisation key base — from the batch's declared launch
+     * shapes, tiled by the helper dispatch itself uses, so first
      * requests don't pay codegen+scheduling latency. Optional —
      * kernels generate on demand otherwise — but benches call it to
      * keep tail latencies about serving, not warmup.
@@ -228,25 +238,13 @@ class HeServer
      *  device, and execute it. Returns false when nothing is pending. */
     bool stealOne();
 
-    /** Execute one same-(op, class) chunk and fulfil its promises. */
+    /** Execute one same-(op, class) chunk — Session::runBatch along
+     *  the scheduler's stage plans — and fulfil its promises. */
     void executeChunk(PendingChunk pc);
 
-    /** The three-launch coalesced MulPlainRescale pipeline, each
-     *  stage sharded across the topology per @p placement (whose
-     *  bookings splitPlans may re-shape under the split policy). */
-    void coalescedMulPlain(MakespanScheduler::Placement &placement,
-                           std::vector<ServeRequest> &chunk,
-                           std::vector<Session *> &sessions,
-                           std::vector<ServeResponse> &responses);
-
-    /**
-     * Execution context for running @p sess's requests on topology
-     * device @p device: the session's own context for device 0, a
-     * lazily-built same-parameter-set replica (shared per kernel
-     * class — keys stay the session's) attached to the device
-     * otherwise. See Session::runSerialWith.
-     */
-    const CkksContext &execContext(const Session &sess, size_t device);
+    /** Largest chunk the server cuts for @p op; every chunk size is
+     *  a power of two up to it. */
+    size_t chunkCap(RequestOp op) const;
 
     ServeConfig cfg_;
     std::shared_ptr<RpuTopology> topology_;
@@ -254,16 +252,13 @@ class HeServer
     std::shared_ptr<RpuDevice> device_; ///< topology device 0
     BoundedRequestQueue queue_;
 
-    std::mutex exec_ctx_mutex_;
-    /** (kernel class, device index) -> execution context. */
-    std::map<std::string, std::unique_ptr<CkksContext>> exec_ctx_;
-
     mutable std::mutex sessions_mutex_;
     std::vector<std::unique_ptr<Session>> sessions_;
 
     std::atomic<uint64_t> accepted_{0};
     std::atomic<uint64_t> rejected_full_{0};
     std::atomic<uint64_t> rejected_shutdown_{0};
+    std::atomic<uint64_t> rejected_invalid_{0};
     std::atomic<uint64_t> completed_{0};
     std::atomic<uint64_t> failed_{0};
     std::atomic<uint64_t> dispatches_{0};

@@ -66,28 +66,70 @@ Session::runSerial(RequestOp op,
                    const std::vector<std::complex<double>> &b,
                    uint64_t seq) const
 {
-    return runSerialWith(*ctx_, op, a, b, seq);
+    ServeRequest req;
+    req.tenant = id();
+    req.seq = seq;
+    req.op = op;
+    req.a = a;
+    req.b = b;
+    return std::move(runBatch(op, {this}, {&req})[0]);
 }
 
-std::vector<std::complex<double>>
-Session::runSerialWith(const CkksContext &ctx, RequestOp op,
-                       const std::vector<std::complex<double>> &a,
-                       const std::vector<std::complex<double>> &b,
-                       uint64_t seq) const
+std::vector<std::vector<std::complex<double>>>
+Session::runBatch(RequestOp op, const std::vector<const Session *> &sessions,
+                  const std::vector<const ServeRequest *> &reqs,
+                  DispatchRoute *route)
 {
-    Rng rng = requestRng(seq);
+    rpu_assert(!reqs.empty() && reqs.size() == sessions.size(),
+               "batch of %zu requests for %zu sessions", reqs.size(),
+               sessions.size());
+    const size_t k = reqs.size();
+    const CkksContext &ctx = sessions[0]->ctx();
 
-    CkksCiphertext ct = ctx.encrypt(sk_, a, rng);
-    CkksCiphertext prod;
-    if (op == RequestOp::MulPlainRescale) {
-        prod = ctx.mulPlain(ct, ctx.encodePlain(b, ct.towers()));
-    } else {
-        // Both operand ciphertexts draw from the same request
-        // stream, in submission order — deterministic either way.
-        const CkksCiphertext ct_b = ctx.encrypt(sk_, b, rng);
-        prod = ctx.mulCt(ct, ct_b, rk_);
+    // Host: encrypt. Both operand ciphertexts of a MulCtRescale
+    // request draw from its stream, in submission order.
+    const bool ct_product = op == RequestOp::MulCtRescale;
+    std::vector<CkksCiphertext> as(k), bs(ct_product ? k : 0);
+    for (size_t i = 0; i < k; ++i) {
+        const Session &sess = *sessions[i];
+        rpu_assert(sess.kernelClass() == sessions[0]->kernelClass(),
+                   "batch mixes kernel classes");
+        Rng rng = sess.requestRng(reqs[i]->seq);
+        as[i] = sess.ctx().encrypt(sess.sk_, reqs[i]->a, rng);
+        if (ct_product)
+            bs[i] = sess.ctx().encrypt(sess.sk_, reqs[i]->b, rng);
     }
-    return ctx.decrypt(sk_, ctx.rescale(prod));
+
+    // Device: the batched op and its rescale.
+    std::vector<CkksCiphertext> prods;
+    if (ct_product) {
+        std::vector<const RelinKey *> rks;
+        for (const Session *sess : sessions)
+            rks.push_back(&sess->rk_);
+        prods = ctx.mulCt(viewsOf(as), viewsOf(bs), rks, route);
+    } else {
+        std::vector<const std::vector<std::complex<double>> *> values;
+        for (const ServeRequest *req : reqs)
+            values.push_back(&req->b);
+        const std::vector<CkksPlaintext> pts =
+            ctx.encodePlain(values, as[0].towers(), route);
+        prods = ctx.mulPlain(viewsOf(as), viewsOf(pts), route);
+    }
+    const std::vector<CkksCiphertext> scaled =
+        ctx.rescale(viewsOf(prods), route);
+
+    // Host: decrypt.
+    std::vector<std::vector<std::complex<double>>> out(k);
+    for (size_t i = 0; i < k; ++i)
+        out[i] = sessions[i]->ctx().decrypt(sessions[i]->sk_, scaled[i]);
+    return out;
+}
+
+std::vector<StageShape>
+Session::launchShapes(RequestOp op, size_t items) const
+{
+    return ctx_->launchShapes(op, items, cfg_.params.towers,
+                              cfg_.relinDigitBits);
 }
 
 void
@@ -104,6 +146,8 @@ Session::noteSubmission(SubmitStatus s)
       case SubmitStatus::RejectedShutdown:
         ++acct_.rejectedShutdown;
         break;
+      case SubmitStatus::RejectedInvalid:
+        break; // the server's count: it has no session to charge
     }
 }
 

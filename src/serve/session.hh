@@ -14,11 +14,16 @@
  * per-tenant *serial* execution meaningful even when the device runs
  * a worker pool: no draw depends on service order.
  *
- * runSerial() is that serial reference — the exact per-request
- * pipeline, executed alone. The server's uncoalesced path *is* this
- * function, so "coalesced equals serial" is a real statement about
- * the cross-tenant batching machinery, not about two copies of the
- * same code.
+ * runBatch() is the one request pipeline: encrypt every request on
+ * the host under its own session's key and request stream, run the
+ * batched CKKS op and rescale (CkksContext's batch forms, one tiled
+ * dispatch per stage for the whole batch), decrypt on the host. The
+ * server runs every chunk through it — a chunk of one, a coalesced
+ * chunk of k tenants' requests, a MulCtRescale request — and
+ * runSerial() is its batch of one on the session's own device, the
+ * serial reference. "Coalesced equals serial" is therefore a real
+ * statement about batching (k items per dispatch, routed across a
+ * topology) against the same code run one request at a time.
  *
  * Sessions with equal kernelClass() strings (same ring dimension and
  * same modulus chain — chains are deterministic per parameter set,
@@ -42,6 +47,7 @@
 
 namespace rpu {
 
+class DispatchRoute;
 class RpuDevice;
 struct DeviceStats;
 
@@ -117,8 +123,8 @@ class Session
     /**
      * The per-tenant serial reference: run one request's full
      * pipeline alone — encrypt with requestRng(seq), op, rescale,
-     * decrypt — and return the decrypted slots. The server's
-     * uncoalesced execution path calls exactly this.
+     * decrypt — and return the decrypted slots. runBatch's batch of
+     * one on this session's attached device.
      */
     std::vector<std::complex<double>>
     runSerial(RequestOp op, const std::vector<std::complex<double>> &a,
@@ -126,21 +132,23 @@ class Session
               uint64_t seq) const;
 
     /**
-     * runSerial against @p ctx instead of the session's own context.
-     * @p ctx must share this session's parameter set (same
-     * deterministic modulus chain) — the keys, encoding, and request
-     * randomness are all the session's, so the results are
-     * bit-identical to runSerial; only the attached device changes.
-     * This is how the server routes uncoalesced requests to a
-     * non-default device of a topology: one execution context per
-     * (kernel class, device), every tenant's keys usable with any of
-     * them.
+     * Run a batch of @p op requests end to end: reqs[i] belongs to
+     * sessions[i], and every session must share one kernel class.
+     * Encrypts each request on the host (requestRng(seq)), runs the
+     * batched op and rescale on the first session's context — every
+     * device stage through @p route, or the context's attached device
+     * when null — and decrypts each result on the host. Returns the
+     * decrypted slots per request, in order.
      */
-    std::vector<std::complex<double>>
-    runSerialWith(const CkksContext &ctx, RequestOp op,
-                  const std::vector<std::complex<double>> &a,
-                  const std::vector<std::complex<double>> &b,
-                  uint64_t seq) const;
+    static std::vector<std::vector<std::complex<double>>>
+    runBatch(RequestOp op, const std::vector<const Session *> &sessions,
+             const std::vector<const ServeRequest *> &reqs,
+             DispatchRoute *route = nullptr);
+
+    /** The stages a runBatch of @p items fresh @p op requests of this
+     *  session's class dispatches (CkksContext::launchShapes). */
+    std::vector<StageShape> launchShapes(RequestOp op,
+                                         size_t items) const;
 
     // -- Accounting (called by the server's dispatchers) ----------------
 

@@ -2,19 +2,22 @@
  * @file
  * The CKKS subsystem: canonical-embedding encoder round-trips, the
  * RNS-native scheme (encrypt/decrypt, add, mulPlain, rescale), exact
- * RNS rescaling against a wide-integer reference, and device-vs-host
- * bit-identity for every homomorphic op that dispatches to the RPU.
+ * RNS rescaling against a wide-integer reference, device-vs-host
+ * bit-identity for every homomorphic op that dispatches to the RPU,
+ * and the batch forms: a batch of k equals k single calls.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
+#include <memory>
 #include <vector>
 
 #include "rlwe/ckks.hh"
 #include "rlwe/ckks_encoder.hh"
 #include "rpu/device.hh"
+#include "rpu/topology.hh"
 #include "wide/biguint.hh"
 
 namespace rpu {
@@ -479,6 +482,143 @@ TEST(CkksOnDevice, CpuReferenceBackendMatchesFunctionalSim)
             << "tower " << t;
         EXPECT_EQ(via_sim.c1.towers[t], via_ref.c1.towers[t])
             << "tower " << t;
+    }
+}
+
+// ----------------------------------------------------------------------
+// Batch forms
+// ----------------------------------------------------------------------
+
+void
+expectSameCiphertext(const CkksCiphertext &got, const CkksCiphertext &want,
+                     const std::string &where)
+{
+    EXPECT_EQ(got.c0, want.c0) << where;
+    EXPECT_EQ(got.c1, want.c1) << where;
+    EXPECT_EQ(got.scale, want.scale) << where;
+}
+
+/** Launches a batch's declared stages cost: their tile groups. */
+uint64_t
+declaredLaunches(const std::vector<StageShape> &stages)
+{
+    uint64_t launches = 0;
+    for (const StageShape &stage : stages)
+        launches += DispatchTiles::cut(stage.moduli).size();
+    return launches;
+}
+
+/** Alternate every stage's tile groups across two devices. */
+std::vector<std::vector<size_t>>
+alternatingPlans(const std::vector<StageShape> &stages)
+{
+    std::vector<std::vector<size_t>> plans;
+    for (const StageShape &stage : stages) {
+        plans.emplace_back(DispatchTiles::cut(stage.moduli).size());
+        for (size_t g = 0; g < plans.back().size(); ++g)
+            plans.back()[g] = g % 2;
+    }
+    return plans;
+}
+
+TEST(CkksBatch, BatchOfKEqualsKSingleCalls)
+{
+    // Five tenants: one parameter set (one chain), distinct seeds, so
+    // distinct secret and relinearisation keys. A batch of k of their
+    // operands through one context's batch forms must equal each
+    // tenant's own single calls bit for bit — mulPlain->rescale and
+    // mulCt->rescale, on serial, pooled and CPU-reference devices and
+    // routed across a 2-device topology — and must cost exactly the
+    // launches its declared shapes tile into, whatever k is.
+    const size_t tenants = 5;
+    std::vector<std::unique_ptr<CkksContext>> ctxs;
+    std::vector<CkksSecretKey> sks;
+    std::vector<RelinKey> rks;
+    std::vector<CkksCiphertext> as, bs;
+    std::vector<std::vector<Cplx>> ws;
+    for (size_t i = 0; i < tenants; ++i) {
+        ctxs.push_back(std::make_unique<CkksContext>(smallParams(), 71 + i));
+        sks.push_back(ctxs[i]->keygen());
+        rks.push_back(ctxs[i]->makeRelinKey(sks[i], 30));
+        as.push_back(ctxs[i]->encrypt(sks[i], randomSlots(32, 300 + i)));
+        bs.push_back(ctxs[i]->encrypt(sks[i], randomSlots(32, 400 + i)));
+        ws.push_back(randomSlots(32, 500 + i));
+    }
+    const size_t L = smallParams().towers;
+    const CkksContext &batch = *ctxs[0];
+
+    enum class Kind { Serial, Pooled, CpuReference, Routed };
+    for (const Kind kind :
+         {Kind::Serial, Kind::Pooled, Kind::CpuReference, Kind::Routed}) {
+        auto topo = std::make_shared<RpuTopology>(2);
+        std::shared_ptr<RpuDevice> device = topo->device(0);
+        if (kind == Kind::Pooled)
+            device->setParallelism(4);
+        if (kind == Kind::CpuReference)
+            device = std::make_shared<RpuDevice>(
+                std::make_unique<CpuReferenceBackend>());
+        for (auto &ctx : ctxs)
+            ctx->attachDevice(device);
+
+        for (const size_t k : {1, 2, 3, 5}) {
+            const std::string where =
+                "kind " + std::to_string(int(kind)) + " k " +
+                std::to_string(k);
+            std::vector<const CkksCiphertext *> va, vb;
+            std::vector<const std::vector<Cplx> *> vw;
+            std::vector<const RelinKey *> vk;
+            for (size_t i = 0; i < k; ++i) {
+                va.push_back(&as[i]);
+                vb.push_back(&bs[i]);
+                vw.push_back(&ws[i]);
+                vk.push_back(&rks[i]);
+            }
+
+            for (const CkksOp op :
+                 {CkksOp::MulPlainRescale, CkksOp::MulCtRescale}) {
+                std::vector<CkksCiphertext> want;
+                for (size_t i = 0; i < k; ++i) {
+                    const CkksContext &own = *ctxs[i];
+                    want.push_back(own.rescale(
+                        op == CkksOp::MulPlainRescale
+                            ? own.mulPlain(as[i], own.encodePlain(ws[i], L))
+                            : own.mulCt(as[i], bs[i], rks[i])));
+                }
+
+                const std::vector<StageShape> stages =
+                    batch.launchShapes(op, k, L, 30);
+                std::unique_ptr<DispatchRoute> route;
+                if (kind == Kind::Routed)
+                    route = std::make_unique<DispatchRoute>(
+                        *topo, 1, stages, alternatingPlans(stages));
+                const RpuTopology::Snapshot before = topo->snapshot();
+                const DeviceStats own_before = device->stats();
+                std::vector<CkksCiphertext> prods;
+                if (op == CkksOp::MulPlainRescale) {
+                    const auto pts = batch.encodePlain(vw, L, route.get());
+                    prods = batch.mulPlain(va, viewsOf(pts), route.get());
+                } else {
+                    prods = batch.mulCt(va, vb, vk, route.get());
+                }
+                const auto got =
+                    batch.rescale(viewsOf(prods), route.get());
+                const uint64_t launches =
+                    kind == Kind::CpuReference
+                        ? device->statsSince(own_before).launches
+                        : RpuTopology::aggregate(topo->since(before))
+                              .launches;
+
+                ASSERT_EQ(got.size(), k) << where;
+                for (size_t i = 0; i < k; ++i)
+                    expectSameCiphertext(got[i], want[i],
+                                         where + " item " +
+                                             std::to_string(i));
+                EXPECT_EQ(launches, declaredLaunches(stages)) << where;
+                if (route) {
+                    EXPECT_TRUE(route->complete()) << where;
+                }
+            }
+        }
     }
 }
 

@@ -138,7 +138,7 @@ TEST(ResiduePoly, EvalPointwiseMatchesFusedNegacyclicProduct)
     const ResiduePoly b0 = b;
 
     fx.ops.convert({&a, &b}, ResidueDomain::Eval);
-    ResiduePoly prod = fx.ops.mulEval(a, b);
+    ResiduePoly prod = std::move(fx.ops.mulEvalPairs({&a}, {&b})[0]);
     fx.ops.toCoeff(prod);
 
     const std::vector<u128> primes = fx.basis.primes();
@@ -173,8 +173,8 @@ TEST(ResiduePoly, AddSubRoundTripInBothDomains)
 
 TEST(ResiduePoly, SharedRightOperandAndPrefixLevels)
 {
-    // mulEvalShared against one plaintext, at two different levels:
-    // the lower level uses the plaintext's tower prefix, matching a
+    // Pairs sharing one plaintext, at two different levels: the
+    // lower level uses the plaintext's tower prefix, matching a
     // per-level host computation exactly.
     const size_t towers = 3;
     Fixture fx(towers);
@@ -185,7 +185,8 @@ TEST(ResiduePoly, SharedRightOperandAndPrefixLevels)
     fx.ops.convert({&x, &y, &pt}, ResidueDomain::Eval);
 
     const std::vector<const ResiduePoly *> views = {&x, &y};
-    std::vector<ResiduePoly> both = fx.ops.mulEvalShared(views, pt);
+    std::vector<ResiduePoly> both =
+        fx.ops.mulEvalPairs(views, {&pt, &pt});
     ASSERT_EQ(both.size(), 2u);
     for (size_t t = 0; t < towers; ++t) {
         EXPECT_EQ(both[0].towers[t],
@@ -200,7 +201,7 @@ TEST(ResiduePoly, SharedRightOperandAndPrefixLevels)
     // the towers parameter selects the prefix, no copy needed.
     const ResiduePoly x_low = x.prefix(towers - 1);
     const std::vector<ResiduePoly> low_v =
-        fx.ops.mulEvalShared({&x_low}, pt, towers - 1);
+        fx.ops.mulEvalPairs({&x_low}, {&pt}, towers - 1);
     const ResiduePoly &low = low_v[0];
     ASSERT_EQ(low.towerCount(), towers - 1);
     for (size_t t = 0; t + 1 < towers; ++t) {

@@ -6,7 +6,9 @@
  * DeviceStats windowed deltas, the tiled device dispatch, and —
  * the load-bearing property — bit-identity of cross-tenant coalesced
  * execution against per-tenant serial execution, with the
- * ledger-verified launch-count reduction that motivates it.
+ * ledger-verified launch-count reduction that motivates it. Also:
+ * malformed submits are rejected with a status, and prewarm() covers
+ * every kernel a drain launches.
  */
 
 #include <gtest/gtest.h>
@@ -15,12 +17,14 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "modmath/primegen.hh"
 #include "modmath/simd.hh"
 #include "rpu/device.hh"
+#include "rpu/topology.hh"
 #include "serve/server.hh"
 
 namespace rpu {
@@ -31,6 +35,7 @@ using serve::HeServer;
 using serve::RequestOp;
 using serve::ServeConfig;
 using serve::ServeRequest;
+using serve::SchedulerPolicy;
 using serve::ServeResponse;
 using serve::Session;
 using serve::SubmitStatus;
@@ -411,39 +416,100 @@ submitMixedSet(HeServer &server, size_t tenants, size_t perTenant)
 
 TEST(HeServer, CrossTenantCoalescingIsBitIdenticalToSerial)
 {
-    ServeConfig cfg;
-    cfg.startPaused = true; // deterministic batch composition
-    cfg.maxBatch = 8;
-    cfg.maxPerTenant = 2;
-    cfg.maxCoalesce = 8;
-    HeServer server(cfg, std::make_shared<RpuDevice>());
-    for (uint64_t id = 1; id <= 4; ++id)
-        server.addTenant({id, serveParams(), 30});
-
-    auto expected = submitMixedSet(server, 4, 3);
-    server.start();
-    server.shutdown();
-
-    uint64_t coalesced_seen = 0;
-    for (auto &e : expected) {
-        ServeResponse resp = e.response.get();
-        EXPECT_EQ(resp.tenant, e.tenant);
-        EXPECT_EQ(resp.seq, e.seq);
-        if (resp.chunkRequests > 1)
-            ++coalesced_seen;
-        // Exact equality: the coalesced path must reproduce the
-        // serial per-tenant pipeline bit for bit.
-        const Session *sess = server.tenant(e.tenant);
-        ASSERT_NE(sess, nullptr);
-        EXPECT_EQ(resp.values, sess->runSerial(e.op, e.a, e.b, e.seq))
-            << "tenant " << e.tenant << " seq " << e.seq;
+    // Four tenants x six requests, popped as two batches of 16 and 8
+    // (maxPerTenant 4). The first batch's 15 MulPlainRescale requests
+    // cut into chunks of 8, 4, 2 and 1 — every size up to maxCoalesce
+    // — beside one MulCtRescale request; the second batch runs four
+    // more MulCtRescale requests and a chunk of 4. Through a single
+    // device and a 2-device topology, every scheduler tier and both
+    // host-SIMD modes, each response must equal the per-tenant serial
+    // reference bit for bit.
+    struct Issued
+    {
+        uint64_t tenant, seq;
+        RequestOp op;
+        std::vector<Cplx> a, b;
+    };
+    std::vector<Issued> set;
+    for (uint64_t r = 0; r < 6; ++r) {
+        for (uint64_t t = 1; t <= 4; ++t) {
+            const bool ct = (r == 3 && t == 4) || r == 4;
+            set.push_back({t, r,
+                           ct ? RequestOp::MulCtRescale
+                              : RequestOp::MulPlainRescale,
+                           slotValues(8, 1000 + 10 * t + r),
+                           slotValues(8, 2000 + 10 * t + r)});
+        }
     }
-    // The mul-plain majority of the set actually exercised the
-    // coalesced branch (the mul-ct third runs per-request).
-    EXPECT_GT(coalesced_seen, 0u);
-    EXPECT_GT(server.stats().coalescedRequests, 0u);
-    EXPECT_EQ(server.stats().completed, expected.size());
-    EXPECT_EQ(server.stats().failed, 0u);
+    std::vector<std::vector<Cplx>> reference;
+    // One kernel cache for every server, so each configuration pays
+    // serving, not codegen.
+    const auto caches = std::make_shared<DeviceCaches>();
+    const auto device = [&] {
+        return std::make_shared<RpuDevice>(
+            std::make_unique<FunctionalSimBackend>(), caches);
+    };
+
+    for (const auto mode :
+         {simd::HostSimdMode::Scalar, simd::HostSimdMode::Native}) {
+        const ModeGuard guard(mode);
+        for (const size_t devices : {1, 2}) {
+            for (const SchedulerPolicy policy :
+                 {SchedulerPolicy::greedy(), SchedulerPolicy{true, false, false},
+                  SchedulerPolicy{true, true, false},
+                  SchedulerPolicy::all()}) {
+                const std::string where =
+                    std::string(policy.name()) + " on " +
+                    std::to_string(devices) + " device(s), mode " +
+                    std::to_string(int(mode));
+                ServeConfig cfg;
+                cfg.startPaused = true; // deterministic batches
+                cfg.maxBatch = 16;
+                cfg.maxPerTenant = 4;
+                cfg.maxCoalesce = 8;
+                cfg.policy = policy;
+                auto server =
+                    devices == 1
+                        ? std::make_unique<HeServer>(cfg, device())
+                        : std::make_unique<HeServer>(
+                              cfg, RpuTopology::adopt({device(), device()}));
+                for (uint64_t id = 1; id <= 4; ++id)
+                    server->addTenant({id, serveParams(), 30});
+                if (reference.empty()) {
+                    for (const Issued &e : set)
+                        reference.push_back(
+                            server->tenant(e.tenant)->runSerial(
+                                e.op, e.a, e.b, e.seq));
+                }
+
+                std::vector<std::future<ServeResponse>> futures;
+                for (const Issued &e : set) {
+                    auto sub = server->submit(e.tenant, e.op, e.a, e.b);
+                    ASSERT_EQ(sub.status, SubmitStatus::Accepted) << where;
+                    futures.push_back(std::move(sub.response));
+                }
+                server->shutdown();
+
+                std::set<size_t> mulplain_chunks;
+                for (size_t i = 0; i < set.size(); ++i) {
+                    const ServeResponse resp = futures[i].get();
+                    EXPECT_EQ(resp.tenant, set[i].tenant);
+                    EXPECT_EQ(resp.seq, set[i].seq);
+                    EXPECT_EQ(resp.values, reference[i])
+                        << where << ": tenant " << set[i].tenant
+                        << " seq " << set[i].seq;
+                    if (set[i].op == RequestOp::MulPlainRescale)
+                        mulplain_chunks.insert(resp.chunkRequests);
+                    else
+                        EXPECT_EQ(resp.chunkRequests, 1u) << where;
+                }
+                EXPECT_EQ(mulplain_chunks, (std::set<size_t>{1, 2, 4, 8}))
+                    << where;
+                EXPECT_EQ(server->stats().completed, set.size()) << where;
+                EXPECT_EQ(server->stats().failed, 0u) << where;
+            }
+        }
+    }
 }
 
 TEST(HeServer, CoalescingDoesNotDependOnDeviceParallelism)
@@ -672,6 +738,78 @@ TEST(HeServer, AccountingSplitsDeviceDeltasAcrossTenants)
                 double(total.cycleTotal()), 1e-6);
     EXPECT_NEAR(acct1.launchShare, 12.0, 1e-9);
     EXPECT_NEAR(acct2.launchShare, 3.0, 1e-9);
+}
+
+TEST(HeServer, UnknownTenantIsRejectedAndServingContinues)
+{
+    ServeConfig cfg;
+    cfg.startPaused = true;
+    HeServer server(cfg, std::make_shared<RpuDevice>());
+    server.addTenant({1, serveParams(), 30});
+
+    const auto a = slotValues(8, 11);
+    const auto b = slotValues(8, 12);
+    // A client's unknown tenant id is its error: a status, never an
+    // abort, and nothing is queued or charged to a session.
+    const auto bad = server.submit(99, RequestOp::MulPlainRescale, a, b);
+    EXPECT_EQ(bad.status, SubmitStatus::RejectedInvalid);
+    EXPECT_STREQ(serve::submitStatusName(bad.status), "rejected-invalid");
+    EXPECT_EQ(server.stats().rejectedInvalid, 1u);
+    EXPECT_EQ(server.stats().accepted, 0u);
+
+    // The server then serves the next valid request as usual.
+    auto good = server.submit(1, RequestOp::MulPlainRescale, a, b);
+    ASSERT_EQ(good.status, SubmitStatus::Accepted);
+    server.shutdown();
+    EXPECT_EQ(good.response.get().values,
+              server.tenant(1)->runSerial(RequestOp::MulPlainRescale, a,
+                                          b, 0));
+    EXPECT_EQ(server.stats().completed, 1u);
+    EXPECT_EQ(server.stats().failed, 0u);
+    EXPECT_EQ(server.tenant(1)->accounting().accepted, 1u);
+}
+
+TEST(HeServer, PrewarmCoversEveryKernelADrainLaunches)
+{
+    // Both ops, two kernel classes (3- and 5-tower chains) and a
+    // 2-device topology: after prewarm(), serving a mixed drain —
+    // coalesced chunks of several sizes, relinearising requests,
+    // stages routed to either device — generates no kernel at all.
+    auto topo = std::make_shared<RpuTopology>(2);
+    ServeConfig cfg;
+    cfg.startPaused = true;
+    HeServer server(cfg, topo);
+    CkksParams wide = serveParams();
+    wide.towers = 5;
+    server.addTenant({1, serveParams(), 30});
+    server.addTenant({2, serveParams(), 30});
+    server.addTenant({3, wide, 30});
+    server.addTenant({4, wide, 30});
+    server.prewarm();
+
+    const RpuTopology::Snapshot before = topo->snapshot();
+    std::vector<std::future<ServeResponse>> futures;
+    for (uint64_t r = 0; r < 8; ++r) {
+        for (uint64_t t = 1; t <= 4; ++t) {
+            const RequestOp op = (r + t) % 3 == 0
+                                     ? RequestOp::MulCtRescale
+                                     : RequestOp::MulPlainRescale;
+            auto sub = server.submit(t, op, slotValues(8, 10 * t + r),
+                                     slotValues(8, 90 + r));
+            ASSERT_EQ(sub.status, SubmitStatus::Accepted);
+            futures.push_back(std::move(sub.response));
+        }
+    }
+    server.shutdown();
+    for (auto &f : futures)
+        EXPECT_FALSE(f.get().values.empty());
+
+    const RpuTopology::Snapshot window = topo->since(before);
+    EXPECT_GT(window[0].launches, 0u);
+    EXPECT_GT(window[1].launches, 0u);
+    EXPECT_EQ(RpuTopology::aggregate(window).kernelMisses, 0u);
+    EXPECT_GT(server.stats().coalescedChunks, 0u);
+    EXPECT_EQ(server.stats().failed, 0u);
 }
 
 } // namespace

@@ -17,6 +17,8 @@
 #include <complex>
 #include <future>
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "modmath/primegen.hh"
@@ -282,7 +284,7 @@ TEST(RpuTopology, ShardedDispatchMatchesPerItemSingleRingLaunches)
             b[i].push_back(randomPoly(Modulus(q), n, rng));
         }
     }
-    ASSERT_EQ(RpuTopology::tileGroups(18), 2u);
+    ASSERT_EQ(DispatchTiles::cut(moduli).size(), 2u);
 
     RpuDevice single;
     TowerItems want_fwd = xs, want_inv = xs, want_pw = a;
@@ -343,15 +345,26 @@ TEST(RpuTopology, UniformPlanIsTheDeviceOwnDispatch)
 // MakespanScheduler
 // ----------------------------------------------------------------------
 
+/** One stage of @p groups full tile groups. */
+std::vector<StageShape>
+stageOfGroups(size_t groups)
+{
+    const std::vector<u128> primes = nttPrimes(45, 1024, 1);
+    return {{RingOp::Forward,
+             std::vector<std::vector<u128>>(
+                 groups * RpuDevice::kMaxBatchedTowers, primes)}};
+}
+
 TEST(MakespanScheduler, OneDeviceTopologyAlwaysPlacesOnDeviceZero)
 {
     auto topo = std::make_shared<RpuTopology>(1);
     MakespanScheduler sched(topo);
     for (int i = 0; i < 4; ++i) {
-        const auto p = sched.place(RequestOp::MulPlainRescale, "c", 8);
+        auto p = sched.place(RequestOp::MulPlainRescale, "c", 8);
         EXPECT_EQ(p.device, 0u);
-        EXPECT_EQ(sched.stagePlan(p, 3),
-                  (std::vector<size_t>{0, 0, 0}));
+        EXPECT_EQ(sched.splitPlans(p, RequestOp::MulPlainRescale, "c", 8,
+                                   stageOfGroups(3)),
+                  (std::vector<std::vector<size_t>>{{0, 0, 0}}));
         sched.complete(p, RequestOp::MulPlainRescale, "c", 8, 1000,
                        100);
     }
@@ -384,16 +397,22 @@ TEST(MakespanScheduler, PlacementsBalanceAndBookingsAreCorrected)
 TEST(MakespanScheduler, PausedDeviceIsNeverSelected)
 {
     auto topo = std::make_shared<RpuTopology>(3);
-    MakespanScheduler sched(topo);
+    // Without the split policy, stage plans round-robin their groups.
+    MakespanScheduler sched(topo, serve::SchedulerPolicy{true, false,
+                                                         true});
     const auto op = RequestOp::MulPlainRescale;
     sched.pause(0);
     EXPECT_TRUE(sched.paused(0));
 
     for (int i = 0; i < 6; ++i) {
-        const auto p = sched.place(op, "c", 4);
+        auto p = sched.place(op, "c", 4);
         EXPECT_NE(p.device, 0u);
         // Stage plans skip it too, no matter how many groups.
-        for (size_t d : sched.stagePlan(p, 5))
+        const auto plans = sched.splitPlans(p, op, "c", 4,
+                                            stageOfGroups(5));
+        ASSERT_EQ(plans.size(), 1u);
+        EXPECT_EQ(plans[0].size(), 5u);
+        for (size_t d : plans[0])
             EXPECT_NE(d, 0u);
         sched.complete(p, op, "c", 4, 4000, 400);
     }
@@ -494,16 +513,12 @@ TEST(MakespanScheduler, SplitPlansConserveBookingsAndSkipPaused)
     auto p = sched.place(op, "c", 8);
     EXPECT_EQ(p.booked, 8000u);
 
-    // The coalesced chunk's three stages as the server weighs them:
+    // The coalesced chunk's three stages as the batch declares them:
     // 24 entry towers, 48 pointwise towers, 16 dropped towers.
+    const CkksContext ctx(topoParams(), 5);
     const auto plans = sched.splitPlans(
         p, op, "c", 8,
-        {RpuTopology::groupWeights(
-             24, MakespanScheduler::kForwardTowerWeight),
-         RpuTopology::groupWeights(
-             48, MakespanScheduler::kPointwiseTowerWeight),
-         RpuTopology::groupWeights(
-             16, MakespanScheduler::kInverseTowerWeight)});
+        ctx.launchShapes(op, 8, ctx.params().towers));
     ASSERT_EQ(plans.size(), 3u);
     EXPECT_EQ(plans[0].size(), 2u);
     EXPECT_EQ(plans[1].size(), 3u);
@@ -648,25 +663,84 @@ TEST(HeServerTopology, OneDeviceTopologyMatchesSingleDeviceServer)
 
 TEST(HeServerTopology, TwoDeviceServingIsBitIdenticalToSerial)
 {
-    auto topo = std::make_shared<RpuTopology>(2);
-    HeServer server(topoServeConfig(), topo);
-    for (uint64_t id = 1; id <= 4; ++id)
-        server.addTenant({id, topoParams(), 30});
+    // Four tenants x six requests in two popped batches: the first
+    // batch's 15 MulPlainRescale requests cut into chunks of 8, 4, 2
+    // and 1 beside one MulCtRescale request, the second runs four
+    // more MulCtRescale requests and a chunk of 4. On 1- and 2-device
+    // topologies, under every scheduler tier and both host-SIMD
+    // modes, every response must equal the serial reference.
+    std::vector<std::vector<Cplx>> reference;
+    const auto caches = std::make_shared<DeviceCaches>();
+    const auto device = [&] {
+        return std::make_shared<RpuDevice>(
+            std::make_unique<FunctionalSimBackend>(), caches);
+    };
+    for (const auto mode :
+         {simd::HostSimdMode::Scalar, simd::HostSimdMode::Native}) {
+        const ModeGuard guard(mode);
+        for (const size_t devices : {1, 2}) {
+            for (const serve::SchedulerPolicy policy :
+                 {serve::SchedulerPolicy::greedy(),
+                  serve::SchedulerPolicy{true, false, false},
+                  serve::SchedulerPolicy{true, true, false},
+                  serve::SchedulerPolicy::all()}) {
+                const std::string where =
+                    std::string(policy.name()) + " on " +
+                    std::to_string(devices) + " device(s), mode " +
+                    std::to_string(int(mode));
+                std::vector<std::shared_ptr<RpuDevice>> set;
+                for (size_t d = 0; d < devices; ++d)
+                    set.push_back(device());
+                auto topo = RpuTopology::adopt(set);
+                ServeConfig cfg = topoServeConfig();
+                cfg.policy = policy;
+                HeServer server(cfg, topo);
+                for (uint64_t id = 1; id <= 4; ++id)
+                    server.addTenant({id, topoParams(), 30});
 
-    const RpuTopology::Snapshot before = topo->snapshot();
-    auto issued = issueMixedSet(server, 6);
-    server.shutdown();
+                const RpuTopology::Snapshot before = topo->snapshot();
+                std::vector<Issued> issued;
+                for (uint64_t r = 0; r < 6; ++r) {
+                    for (uint64_t t = 1; t <= 4; ++t) {
+                        Issued p;
+                        p.tenant = t;
+                        p.seq = r;
+                        p.op = (r == 3 && t == 4) || r == 4
+                                   ? RequestOp::MulCtRescale
+                                   : RequestOp::MulPlainRescale;
+                        p.a = slotValues(16, 100 * t + r);
+                        p.b = slotValues(16, 900 * t + r);
+                        auto sub = server.submit(t, p.op, p.a, p.b);
+                        ASSERT_EQ(sub.status, SubmitStatus::Accepted);
+                        p.response = std::move(sub.response);
+                        issued.push_back(std::move(p));
+                    }
+                }
+                server.shutdown();
+                const RpuTopology::Snapshot window = topo->since(before);
 
-    for (auto &p : issued) {
-        const ServeResponse resp = p.response.get();
-        EXPECT_EQ(resp.values, server.tenant(p.tenant)->runSerial(
-                                   p.op, p.a, p.b, p.seq));
+                if (reference.empty()) {
+                    for (const Issued &p : issued)
+                        reference.push_back(
+                            server.tenant(p.tenant)->runSerial(
+                                p.op, p.a, p.b, p.seq));
+                }
+                std::set<size_t> chunk_sizes;
+                for (size_t i = 0; i < issued.size(); ++i) {
+                    const ServeResponse resp = issued[i].response.get();
+                    chunk_sizes.insert(resp.chunkRequests);
+                    EXPECT_EQ(resp.values, reference[i]) << where;
+                }
+                EXPECT_EQ(chunk_sizes, (std::set<size_t>{1, 2, 4, 8}))
+                    << where;
+                // Every device carried real work, so the identity above
+                // is a statement about cross-device execution, not a
+                // vacuous pass.
+                for (const DeviceStats &d : window)
+                    EXPECT_GT(d.launches, 0u) << where;
+            }
+        }
     }
-    // Both devices carried real work, so the identity above is a
-    // statement about cross-device execution, not a vacuous pass.
-    const RpuTopology::Snapshot window = topo->since(before);
-    EXPECT_GT(window[0].launches, 0u);
-    EXPECT_GT(window[1].launches, 0u);
 }
 
 TEST(HeServerTopology, PausedDeviceExecutesNothing)
