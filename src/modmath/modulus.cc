@@ -1,5 +1,7 @@
 #include "modmath/modulus.hh"
 
+#include <bit>
+
 #include "common/logging.hh"
 
 namespace rpu {
@@ -8,72 +10,32 @@ Modulus::Modulus(u128 q) : q_(q)
 {
     rpu_assert(q >= 2, "modulus must be >= 2");
 
-    unsigned b = 0;
-    for (u128 t = q; t != 0; t >>= 1)
-        ++b;
-    bits_ = b;
+    const uint64_t top = uint64_t(q >> 64);
+    s_ = top ? std::countl_zero(top) : 64 + std::countl_zero(uint64_t(q));
+    d_ = q << s_;
+    // v = floor((2^256 - 1) / d) - 2^128 is the quotient of
+    // (~d) * 2^128 + (2^128 - 1) by d, which fits 128 bits as ~d < d.
+    u128 unused;
+    v_ = divmod256by128(U256{~d_, ~u128(0)}, d_, unused).lo;
 
     if (!isOdd())
-        return; // Montgomery constants are undefined; generic path only.
+        return; // Montgomery constants are undefined for even moduli.
 
-    if (simd::narrowModulusOk(q_))
-        narrow_.emplace(uint64_t(q_));
+    if (simd::narrowModulusOk(q))
+        narrow_.emplace(uint64_t(q));
 
     // Newton iteration for q^-1 mod 2^128: each step doubles the
     // number of correct low bits, so 7 steps starting from 1 bit
     // reach 128.
     u128 inv = 1;
     for (int i = 0; i < 7; ++i)
-        inv *= 2 - q_ * inv;
-    rpu_assert(q_ * inv == 1, "Montgomery inverse failed");
+        inv *= 2 - q * inv;
+    rpu_assert(q * inv == 1, "Montgomery inverse failed");
     qInvNeg_ = u128(0) - inv;
 
-    // r2 = 2^256 mod q by doubling 2^128 mod q 128 times.
-    u128 r = (~u128(0)) % q_; // 2^128 - 1 mod q
-    r = add(r, 1);            // 2^128 mod q
-    for (int i = 0; i < 128; ++i)
-        r = add(r, r);
-    r2_ = r;
-}
-
-u128
-Modulus::redc(U256 t) const
-{
-    // m = (t mod 2^128) * (-q^-1) mod 2^128
-    const u128 m = t.lo * qInvNeg_;
-    // t = (t + m * q) / 2^128; the addition can carry out of 256 bits.
-    U256 mq = mulWide(m, q_);
-    const unsigned carry = addWithCarry(t, mq);
-    u128 res = t.hi;
-    if (carry || res >= q_)
-        res -= q_;
-    return res;
-}
-
-u128
-Modulus::mul(u128 a, u128 b) const
-{
-    if (!isOdd())
-        return mulGeneric(a, b);
-    // REDC(a*b) = a*b*R^-1; multiplying by r2 = R^2 and reducing again
-    // restores the plain representative.
-    const u128 ab_red = redc(mulWide(a, b));
-    return redc(mulWide(ab_red, r2_));
-}
-
-u128
-Modulus::mulGeneric(u128 a, u128 b) const
-{
-    // Double-and-add: O(128) additions, only used for even moduli.
-    u128 result = 0;
-    a %= q_;
-    while (b != 0) {
-        if (b & 1)
-            result = add(result, a);
-        a = add(a, a);
-        b >>= 1;
-    }
-    return result;
+    // r2 = 2^256 mod q, the square of 2^128 mod q.
+    const u128 r = add(reduce(~u128(0)), 1);
+    r2_ = mul(r, r);
 }
 
 u128
@@ -93,7 +55,7 @@ Modulus::pow(u128 a, u128 e) const
 u128
 Modulus::inv(u128 a) const
 {
-    rpu_assert(a % q_ != 0, "inverse of zero");
+    rpu_assert(reduce(a) != 0, "inverse of zero");
     return pow(a, q_ - 2);
 }
 

@@ -3,15 +3,20 @@
  * 128-bit modular arithmetic — the numeric core of the LAW engine.
  *
  * The RPU operates on 128-bit ring elements (paper section III-A).
- * Multiplication modulo a 128-bit prime requires 256-bit intermediate
- * products; we use Montgomery reduction (R = 2^128) for speed, with a
- * plain double-and-add fallback for even moduli so that the ISA-level
- * semantics ("a * b mod q") hold for any modulus value.
+ * Multiplication modulo a 128-bit modulus requires 256-bit
+ * intermediate products. Every modulus, odd or even, reduces them the
+ * same way: one Möller–Granlund 2-by-1 division by the modulus
+ * normalised to d = q * 2^s, with the reciprocal
+ * v = floor((2^256 - 1) / d) - 2^128 precomputed at construction
+ * ("Improved division by invariant integers", IEEE TC 2011). So the
+ * ISA-level semantics ("a * b mod q") hold exactly for any modulus
+ * and any operand values.
  *
  * All public entry points take and return *plain* (non-Montgomery)
- * representatives in [0, q); Montgomery form is an internal detail
- * except for the explicit toMont()/mulMontNormal() fast path used by
- * the reference NTT's precomputed twiddles.
+ * representatives in [0, q). Montgomery form (R = 2^128, odd moduli
+ * only) is kept for the explicit toMont()/mulMontNormal() fast path
+ * used by the reference NTT's precomputed twiddles, which keeps that
+ * reference on a reduction algorithm independent of mul().
  */
 
 #ifndef RPU_MODMATH_MODULUS_HH
@@ -27,7 +32,8 @@
 namespace rpu {
 
 /**
- * A fixed 128-bit modulus with precomputed Montgomery constants.
+ * A fixed 128-bit modulus with its precomputed division reciprocal
+ * (and, for odd moduli, Montgomery constants).
  */
 class Modulus
 {
@@ -36,28 +42,42 @@ class Modulus
     explicit Modulus(u128 q);
 
     u128 value() const { return q_; }
-    unsigned bits() const { return bits_; }
+    unsigned bits() const { return 128 - s_; }
 
-    /** (a + b) mod q; inputs must already be reduced. */
+    /**
+     * (a + b) mod q for reduced inputs. For any inputs the result is
+     * the 129-bit sum less q when it reaches q, taken mod 2^128 (one
+     * conditional subtraction).
+     */
     u128
     add(u128 a, u128 b) const
     {
-        // a + b can exceed 2^128; detect wraparound explicitly.
-        const u128 s = a + b;
-        if (s < a || s >= q_)
-            return s - q_;
-        return s;
+        // a + b can exceed 2^128: the wrap counts as reaching q.
+        const u128 t = a + b;
+        return t - (q_ & mask((t < a) | (t >= q_)));
     }
 
-    /** (a - b) mod q; inputs must already be reduced. */
+    /**
+     * (a - b) mod q for reduced inputs. For any inputs the result is
+     * a - b, plus q when a < b, taken mod 2^128.
+     */
     u128
     sub(u128 a, u128 b) const
     {
-        return a >= b ? a - b : a + (q_ - b);
+        return a - b + (q_ & mask(a < b));
     }
 
-    /** (a * b) mod q for any modulus; inputs must be reduced. */
-    u128 mul(u128 a, u128 b) const;
+    /** (a * b) mod q, exact for any a, b < 2^128. */
+    u128
+    mul(u128 a, u128 b) const
+    {
+        U256 p = mulWide(a, b);
+        // Reduced operands give p.hi < q; unreduced ones may not, and
+        // rem() needs it.
+        if (p.hi >= q_)
+            p.hi = rem(0, p.hi);
+        return rem(p.hi, p.lo);
+    }
 
     /** a^e mod q. */
     u128 pow(u128 a, u128 e) const;
@@ -67,9 +87,6 @@ class Modulus
 
     /** Reduce an arbitrary 128-bit value into [0, q). */
     u128 reduce(u128 a) const { return a % q_; }
-
-    /** Reduce a 256-bit value into [0, q). Setup/oracle path. */
-    u128 reduceWide(const U256 &a) const { return mod256by128(a, q_); }
 
     /** Negate: (q - a) mod q. */
     u128 neg(u128 a) const { return a == 0 ? 0 : q_ - a; }
@@ -106,16 +123,61 @@ class Modulus
     }
 
   private:
-    /** Montgomery reduction: t * 2^-128 mod q, for t < q * 2^128. */
-    u128 redc(U256 t) const;
+    /**
+     * All ones when @p c holds, else zero: the select behind the
+     * branch-free corrections. Built from one 64-bit mask, which
+     * compiles to far fewer instructions than negating a u128.
+     */
+    static u128
+    mask(bool c)
+    {
+        const uint64_t m = -uint64_t(c);
+        return (u128(m) << 64) | m;
+    }
 
-    /** Slow but fully general multiply (used for even moduli). */
-    u128 mulGeneric(u128 a, u128 b) const;
+    /**
+     * (hi * 2^128 + lo) mod q, for hi < q: Algorithm 4 of
+     * Möller–Granlund on the dividend shifted left by s.
+     */
+    u128
+    rem(u128 hi, u128 lo) const
+    {
+        // hi < q keeps the shifted top word u1 below d, as the division
+        // requires. (lo >> 1) >> (127 - s) is lo >> (128 - s) without a
+        // shift by 128 when s == 0.
+        const u128 u1 = (hi << s_) | ((lo >> 1) >> (127 - s_));
+        const u128 u0 = lo << s_;
+        // Quotient estimate <q1, q0> = v * u1 + <u1 + 1, u0>.
+        const U256 p = mulWide(v_, u1);
+        const u128 q0 = p.lo + u0;
+        const u128 q1 = p.hi + u1 + 1 + u128(q0 < u0);
+        u128 r = u0 - q1 * d_;
+        // The estimate is one too large about half the time, so that
+        // correction is branch-free; one too small is rare.
+        r += d_ & mask(r > q0);
+        if (r >= d_)
+            r -= d_;
+        return r >> s_;
+    }
+
+    /** Montgomery reduction: t * 2^-128 mod q, for t < q * 2^128. */
+    u128
+    redc(U256 t) const
+    {
+        // m = (t mod 2^128) * (-q^-1) mod 2^128; then
+        // t = (t + m * q) / 2^128, where the sum can carry out of 256
+        // bits and the quotient is below 2q.
+        const u128 m = t.lo * qInvNeg_;
+        const unsigned carry = addWithCarry(t, mulWide(m, q_));
+        return t.hi - (q_ & mask(carry | (t.hi >= q_)));
+    }
 
     u128 q_;
+    unsigned s_;       ///< q * 2^s has its top bit set
+    u128 d_;           ///< q * 2^s
+    u128 v_;           ///< floor((2^256 - 1) / d) - 2^128
     u128 qInvNeg_ = 0; ///< -q^-1 mod 2^128 (odd q only)
     u128 r2_ = 0;      ///< 2^256 mod q (odd q only)
-    unsigned bits_;
     std::optional<simd::NarrowModulus> narrow_; ///< q < 2^62 and odd
 };
 

@@ -15,10 +15,10 @@ constexpr unsigned VL = arch::kVectorLength;
 /**
  * The narrow lane kernels are exact only for canonical inputs: a lane
  * value >= q would be truncated by the u64 cast, whereas the u128
- * Montgomery path reduces it. Well-formed programs only ever put
+ * path reduces it exactly. Well-formed programs only ever put
  * canonical residues in vector registers, but the bit-identity
  * contract between RPU_HOST_SIMD modes must hold for any program, so
- * verify before narrowing and fall back to the scalar loop otherwise.
+ * verify before narrowing and fall back to the u128 loop otherwise.
  */
 bool
 narrowLanes(const u128 *v, u128 q, uint64_t *out)

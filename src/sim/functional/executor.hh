@@ -34,7 +34,7 @@ struct FunctionalCounts
 };
 
 /**
- * Montgomery contexts are expensive to build; launches that share a
+ * Modulus contexts are worth building once; launches that share a
  * modulus should share a cache (RpuDevice owns one per device so the
  * cost is paid once, not per launch). Thread-safe: a multi-worker
  * device executes launches concurrently, and every one of them goes

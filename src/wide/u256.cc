@@ -4,41 +4,6 @@
 
 namespace rpu {
 
-U256
-mulWide(u128 a, u128 b)
-{
-    const u128 mask = (u128(1) << 64) - 1;
-    const u128 a0 = a & mask, a1 = a >> 64;
-    const u128 b0 = b & mask, b1 = b >> 64;
-
-    const u128 p00 = a0 * b0;
-    const u128 p01 = a0 * b1;
-    const u128 p10 = a1 * b0;
-    const u128 p11 = a1 * b1;
-
-    // Accumulate the middle partial products into the 64-bit-aligned
-    // columns, tracking carries explicitly.
-    u128 mid = (p00 >> 64) + (p01 & mask) + (p10 & mask);
-
-    U256 r;
-    r.lo = (p00 & mask) | (mid << 64);
-    r.hi = p11 + (p01 >> 64) + (p10 >> 64) + (mid >> 64);
-    return r;
-}
-
-unsigned
-addWithCarry(U256 &acc, const U256 &x)
-{
-    acc.lo += x.lo;
-    const unsigned carry_lo = acc.lo < x.lo ? 1 : 0;
-    acc.hi += x.hi;
-    unsigned carry_hi = acc.hi < x.hi ? 1 : 0;
-    acc.hi += carry_lo;
-    if (acc.hi < carry_lo)
-        carry_hi = 1;
-    return carry_hi;
-}
-
 unsigned
 subWithBorrow(U256 &acc, const U256 &x)
 {

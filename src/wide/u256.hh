@@ -40,11 +40,39 @@ struct U256
     constexpr bool operator>=(const U256 &o) const { return !(*this < o); }
 };
 
-/** Full 128x128 -> 256-bit product. */
-U256 mulWide(u128 a, u128 b);
+/**
+ * Full 128x128 -> 256-bit product from four 64x64 -> 128-bit limb
+ * products. Inline: it sits inside every 128-bit modular multiply.
+ */
+inline U256
+mulWide(u128 a, u128 b)
+{
+    const uint64_t a0 = uint64_t(a), a1 = uint64_t(a >> 64);
+    const uint64_t b0 = uint64_t(b), b1 = uint64_t(b >> 64);
+
+    const u128 p00 = u128(a0) * b0;
+    const u128 p01 = u128(a0) * b1;
+    const u128 p10 = u128(a1) * b0;
+    const u128 p11 = u128(a1) * b1;
+
+    // The middle 64-bit column: three terms below 2^64 each, so the
+    // sum cannot overflow and its high half is the carry upward.
+    const u128 mid = (p00 >> 64) + uint64_t(p01) + uint64_t(p10);
+    return {p11 + (p01 >> 64) + (p10 >> 64) + (mid >> 64),
+            (mid << 64) | uint64_t(p00)};
+}
 
 /** 256-bit addition; returns the carry-out (0 or 1). */
-unsigned addWithCarry(U256 &acc, const U256 &x);
+inline unsigned
+addWithCarry(U256 &acc, const U256 &x)
+{
+    acc.lo += x.lo;
+    const unsigned carryLo = acc.lo < x.lo;
+    acc.hi += x.hi;
+    const unsigned carryHi = acc.hi < x.hi;
+    acc.hi += carryLo;
+    return carryHi | unsigned(acc.hi < carryLo);
+}
 
 /** 256-bit subtraction acc -= x; returns the borrow-out (0 or 1). */
 unsigned subWithBorrow(U256 &acc, const U256 &x);
@@ -57,8 +85,8 @@ U256 shiftLeft(const U256 &x, unsigned s);
 
 /**
  * Remainder of a 256-bit value modulo a 128-bit modulus, by binary
- * long division. Slow; used only at setup time (e.g. computing
- * Montgomery constants) and as an independent oracle in tests.
+ * long division. Slow; the independent oracle the tests check
+ * Modulus against.
  */
 u128 mod256by128(const U256 &x, u128 q);
 

@@ -2,8 +2,9 @@
  * @file
  * Functional simulator tests: exact semantics of every B512
  * instruction, all four addressing modes, destination aliasing in
- * both host-SIMD modes, bounds faulting (bulk and partial), and state
- * reset.
+ * both host-SIMD modes, 124- and 128-bit moduli on non-canonical lanes
+ * against the wide-integer oracle, bounds faulting (bulk and partial),
+ * and state reset.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "modmath/primegen.hh"
 #include "modmath/simd.hh"
 #include "sim/functional/executor.hh"
+#include "wide/u256.hh"
 
 namespace rpu {
 namespace {
@@ -607,6 +609,144 @@ TEST_P(LaneAliasing, NonCanonicalLanesTakeTheExactPath)
     stepAndCheck(Instruction::vs_(Opcode::VSMULMOD, 6, 2, 10, 1));
     stepAndCheck(Instruction::vs_(Opcode::VSADDMOD, 7, 1, 10, 1));
 }
+
+// -- Wide moduli with non-canonical lanes, both SIMD modes ------------
+
+/** a * b mod q by the 256-bit long-division oracle. */
+u128
+mulOracle(u128 a, u128 b, u128 q)
+{
+    return mod256by128(mulWide(a, b), q);
+}
+
+/**
+ * The lane adder on any inputs: the 129-bit sum less q when it reaches
+ * q, truncated to 128 bits.
+ */
+u128
+addOracle(u128 a, u128 b, u128 q)
+{
+    U256 sum = U256::fromU128(a);
+    addWithCarry(sum, U256::fromU128(b));
+    if (sum >= U256::fromU128(q))
+        subWithBorrow(sum, U256::fromU128(q));
+    return sum.lo;
+}
+
+/** The lane subtracter on any inputs: a - b, plus q when a < b. */
+u128
+subOracle(u128 a, u128 b, u128 q)
+{
+    U256 diff = U256::fromU128(a);
+    if (a < b)
+        addWithCarry(diff, U256::fromU128(q));
+    subWithBorrow(diff, U256::fromU128(b));
+    return diff.lo;
+}
+
+struct WideCase
+{
+    simd::HostSimdMode mode;
+    unsigned bits; ///< 124: q normalised by a shift; 128: top bit set
+};
+
+class WideLanes : public testing::TestWithParam<WideCase>
+{
+  protected:
+    WideLanes()
+        : guard(GetParam().mode), sim(state),
+          q(GetParam().bits == 128 ? ~u128(0) - 158
+                                   : nttPrime(GetParam().bits, 1024))
+    {
+        state.setMreg(1, q);
+        state.setSreg(9, q - 5);
+        state.setSreg(10, ~u128(0) - 7); // non-canonical scalar
+        Rng rng(GetParam().bits);
+        // Every register mixes canonical lanes with lanes in [q, 2q)
+        // and lanes anywhere up to 2^128 - 1.
+        for (unsigned r = 1; r <= 3; ++r) {
+            for (unsigned i = 0; i < VL; ++i) {
+                u128 v = rng.below128(q);
+                if (i % 4 == 1)
+                    v += q; // wraps past 2^128 only for the 128-bit q
+                else if (i % 4 == 2)
+                    v = rng.next128();
+                else if (i % 4 == 3)
+                    v = ~u128(0) - i;
+                state.vreg(r)[i] = v;
+            }
+        }
+    }
+
+    /** Step @p in and check its destinations lane by lane. */
+    void
+    stepAndCheck(const Instruction &in)
+    {
+        const ArchState &view = state;
+        const Vreg a = view.vreg(in.vs);
+        const Vreg b = view.vreg(in.vt);
+        const Vreg w = view.vreg(in.vt1);
+        const u128 s = view.sreg(in.rt);
+        Vreg want{}, want1{};
+        for (unsigned i = 0; i < VL; ++i) {
+            if (in.isButterfly()) {
+                const u128 t = mulOracle(w[i], b[i], q);
+                want[i] = addOracle(a[i], t, q);
+                want1[i] = subOracle(a[i], t, q);
+                continue;
+            }
+            switch (in.op) {
+              case Opcode::VADDMOD: want[i] = addOracle(a[i], b[i], q); break;
+              case Opcode::VSUBMOD: want[i] = subOracle(a[i], b[i], q); break;
+              case Opcode::VMULMOD: want[i] = mulOracle(a[i], b[i], q); break;
+              case Opcode::VSADDMOD: want[i] = addOracle(a[i], s, q); break;
+              case Opcode::VSSUBMOD: want[i] = subOracle(a[i], s, q); break;
+              case Opcode::VSMULMOD: want[i] = mulOracle(a[i], s, q); break;
+              default:
+                ADD_FAILURE() << "no oracle for " << in.toString();
+            }
+        }
+        sim.step(in);
+        EXPECT_EQ(view.vreg(in.vd), want) << in.toString();
+        if (in.isButterfly()) {
+            EXPECT_EQ(view.vreg(in.vd1), want1) << in.toString();
+        }
+    }
+
+    ModeGuard guard;
+    ArchState state;
+    FunctionalSimulator sim;
+    u128 q;
+};
+
+TEST_P(WideLanes, EveryComputeOpMatchesTheWideOracle)
+{
+    for (Opcode op : {Opcode::VADDMOD, Opcode::VSUBMOD, Opcode::VMULMOD})
+        stepAndCheck(Instruction::vv(op, 5, 1, 2, 1));
+    for (Opcode op :
+         {Opcode::VSADDMOD, Opcode::VSSUBMOD, Opcode::VSMULMOD}) {
+        stepAndCheck(Instruction::vs_(op, 6, 1, 9, 1));
+        stepAndCheck(Instruction::vs_(op, 7, 2, 10, 1)); // s >= q
+    }
+    stepAndCheck(Instruction::butterfly(5, 6, 1, 2, 3, 1));
+    stepAndCheck(Instruction::butterfly(7, 8, 3, 1, 2, 1));
+    // In place: destinations alias the sources lane for lane.
+    stepAndCheck(Instruction::vv(Opcode::VMULMOD, 1, 1, 2, 1));
+    stepAndCheck(Instruction::butterfly(2, 3, 2, 3, 1, 1));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesAndWidths, WideLanes,
+    testing::Values(WideCase{simd::HostSimdMode::Scalar, 124},
+                    WideCase{simd::HostSimdMode::Scalar, 128},
+                    WideCase{simd::HostSimdMode::Native, 124},
+                    WideCase{simd::HostSimdMode::Native, 128}),
+    [](const auto &info) {
+        return std::string(info.param.mode == simd::HostSimdMode::Scalar
+                               ? "scalar"
+                               : "native") +
+               std::to_string(info.param.bits);
+    });
 
 INSTANTIATE_TEST_SUITE_P(
     HostSimdModes, LaneAliasing,

@@ -3,10 +3,10 @@
  * Bit-identity and bounds tests for the vectorised host math layer.
  *
  * The narrow (u64) kernel set must be element-for-element identical
- * to the u128 Montgomery reference for canonical inputs — that is the
- * contract that lets RPU_HOST_SIMD switch freely between modes. This
- * file fuzzes every batch kernel against the `Modulus` oracle across
- * ~20 NTT primes of widths spanning the narrow domain, drives the
+ * to the exact u128 `Modulus` arithmetic for canonical inputs — that
+ * is the contract that lets RPU_HOST_SIMD switch freely between modes.
+ * This file fuzzes every batch kernel against the `Modulus` oracle
+ * across ~20 NTT primes of widths spanning the narrow domain, drives the
  * lazy butterfly kernels at their reduction boundaries, checks the
  * transforms stage-for-stage across ring dimensions that cross the
  * cache-blocking tile, and runs full BFV and CKKS pipelines under

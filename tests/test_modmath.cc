@@ -1,11 +1,15 @@
 /**
  * @file
- * Modular-arithmetic tests: the Montgomery fast path against the
- * binary-long-division oracle, primality testing against known
- * primes/composites, and NTT-friendly prime generation invariants.
+ * Modular-arithmetic tests: the preinverted-division multiply, the
+ * Montgomery twiddle path and add/sub against the binary-long-division
+ * oracle (every modulus width, unreduced operands), primality testing
+ * against known primes/composites, and NTT-friendly prime generation
+ * invariants.
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "common/random.hh"
 #include "modmath/mod64.hh"
@@ -88,6 +92,108 @@ TEST(Modulus, EvenModulusGenericPath)
             EXPECT_EQ(mod.mul(a, b), mulOracle(a, b, q));
         }
     }
+}
+
+// -- Every width, odd and even, arbitrary (unreduced) operands --------
+
+/** a + b for a reduced pair, by the 256-bit oracle. */
+u128
+addOracle(u128 a, u128 b, u128 q)
+{
+    U256 sum = U256::fromU128(a);
+    addWithCarry(sum, U256::fromU128(b));
+    return mod256by128(sum, q);
+}
+
+/**
+ * add() on any inputs: the 129-bit sum less q when it reaches q,
+ * truncated to 128 bits (one conditional subtraction).
+ */
+u128
+addOneSubtraction(u128 a, u128 b, u128 q)
+{
+    U256 sum = U256::fromU128(a);
+    addWithCarry(sum, U256::fromU128(b));
+    if (sum >= U256::fromU128(q))
+        subWithBorrow(sum, U256::fromU128(q));
+    return sum.lo;
+}
+
+/** sub() on any inputs: a - b, plus q when a < b, mod 2^128. */
+u128
+subOneAddition(u128 a, u128 b, u128 q)
+{
+    U256 diff = U256::fromU128(a);
+    if (a < b)
+        addWithCarry(diff, U256::fromU128(q));
+    subWithBorrow(diff, U256::fromU128(b));
+    return diff.lo;
+}
+
+/** A few moduli of exactly @p bits bits, odd and even. */
+std::vector<u128>
+modulusSample(unsigned bits, Rng &rng)
+{
+    const u128 top = u128(1) << (bits - 1);
+    const u128 low = bits == 128 ? ~u128(0) >> 1 : top - 1;
+    std::vector<u128> qs = {top, top | low, top | 1};
+    for (int i = 0; i < 2; ++i) {
+        const u128 q = top | (rng.next128() & low);
+        qs.push_back(q | 1);
+        qs.push_back(q & ~u128(1));
+    }
+    return qs;
+}
+
+/**
+ * Operands that stress the reduction: edges around q (q - 1 gives the
+ * largest product of reduced operands) and up to 2^128 - 1.
+ */
+std::vector<u128>
+operandSample(u128 q, Rng &rng)
+{
+    std::vector<u128> ops = {0,     1,     q - 1,        q,
+                             q + 1, 2 * q, ~u128(0) - 1, ~u128(0)};
+    for (int i = 0; i < 4; ++i) {
+        ops.push_back(rng.below128(q));     // reduced
+        ops.push_back(rng.next128());       // anywhere
+        ops.push_back(q + rng.below128(q)); // in [q, 2q), mod 2^128
+    }
+    return ops;
+}
+
+/** Check every operation on one modulus against the oracles. */
+void
+expectExactOn(u128 q, Rng &rng)
+{
+    const Modulus mod(q);
+    const std::vector<u128> ops = operandSample(q, rng);
+    for (u128 a : ops) {
+        EXPECT_EQ(mod.reduce(a), mod256by128(U256::fromU128(a), q));
+        for (u128 b : ops) {
+            ASSERT_EQ(mod.mul(a, b), mod256by128(mulWide(a, b), q))
+                << "q=" << uint64_t(q >> 64) << ":" << uint64_t(q);
+            EXPECT_EQ(mod.add(a, b), addOneSubtraction(a, b, q));
+            EXPECT_EQ(mod.sub(a, b), subOneAddition(a, b, q));
+            if (a < q && b < q) {
+                EXPECT_EQ(mod.add(a, b), addOracle(a, b, q));
+            }
+        }
+    }
+}
+
+TEST(ModulusOracle, EveryWidthOddAndEvenAnyOperands)
+{
+    Rng rng(11);
+    for (unsigned bits = 2; bits <= 128; ++bits)
+        for (u128 q : modulusSample(bits, rng))
+            expectExactOn(q, rng);
+    // Named edges: 2^64 +- small, either side of 2^127, near 2^128.
+    const u128 two64 = u128(1) << 64;
+    const u128 two127 = u128(1) << 127;
+    for (u128 q : {two64 - 59, two64 + 13, two127 - 1, two127 + 1,
+                   ~u128(0) - 158, ~u128(0) - 1})
+        expectExactOn(q, rng);
 }
 
 TEST(Modulus, PowMatchesRepeatedMul)
