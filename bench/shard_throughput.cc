@@ -27,7 +27,7 @@
  *     request set replays against 1/2/4/8-device topologies through a
  *     paused server (deterministic chunk composition, serial devices,
  *     one dispatcher), once per scheduler policy tier — greedy,
- *     +lookahead, +split, +steal (cumulative; see SchedulerPolicy) —
+ *     +lookahead, +split (cumulative; see SchedulerPolicy) —
  *     and the topology-wide makespan window prices each
  *     configuration: modelled sustained throughput = requests /
  *     makespan seconds at the 64-bank design clock. Gates: results
@@ -35,7 +35,7 @@
  *     conserved across every device count *and* policy (placement
  *     only moves launches, never changes them), 1→2-device scaling
  *     >= 1.6x per tier, and — on the full request budget — the
- *     all-policies tier reaching >= 7.0x at 8 devices (the greedy
+ *     +split tier reaching >= 7.0x at 8 devices (the greedy
  *     baseline's chunk granularity caps it at 6.00x; chunk splitting
  *     is what lifts the ceiling).
  *
@@ -51,7 +51,7 @@
  * RPU_SHARD_REQUESTS scales the replay/open-loop request counts down
  * for sanitizer jobs (the 8-device >= 7.0x gate needs the full
  * 96-request budget and is skipped below it). RPU_SHARD_POLICY
- * restricts the run to one tier (greedy|lookahead|split|steal) — CI
+ * restricts the run to one tier (greedy|lookahead|split) — CI
  * uses this to keep the greedy baseline as a regression anchor while
  * exercising every policy end to end. The binary exits 1 on any
  * divergence; CI treats that as a job failure.
@@ -110,14 +110,13 @@ policyTiers()
 {
     static const std::vector<PolicyTier> tiers = {
         {"greedy", SchedulerPolicy::greedy()},
-        {"+lookahead", {true, false, false}},
-        {"+split", {true, true, false}},
-        {"+steal", SchedulerPolicy::all()},
+        {"+lookahead", {true, false}},
+        {"+split", SchedulerPolicy::all()},
     };
     return tiers;
 }
 
-/** RPU_SHARD_POLICY selects one tier; unset/"all" runs all four. */
+/** RPU_SHARD_POLICY selects one tier; unset/"all" runs all three. */
 std::vector<PolicyTier>
 selectedTiers()
 {
@@ -130,7 +129,7 @@ selectedTiers()
             (t.name[0] == '+' && std::strcmp(env, t.name + 1) == 0))
             return {t};
     }
-    fail("RPU_SHARD_POLICY must be greedy|lookahead|split|steal|all");
+    fail("RPU_SHARD_POLICY must be greedy|lookahead|split|all");
 }
 
 std::unique_ptr<HeServer>
@@ -324,7 +323,6 @@ struct ReplayRow
     uint64_t busyTotal = 0; ///< summed busy cycles (work conserved)
     double modelled = 0;    ///< modelled sustained ops/s
     uint64_t split = 0;     ///< chunks whose stages spread devices
-    uint64_t stolen = 0;    ///< chunks re-claimed by idle dispatchers
 };
 
 ReplayRow
@@ -370,7 +368,6 @@ runReplay(const SchedulerPolicy &policy, size_t deviceCount,
     row.busyTotal = RpuTopology::aggregate(window).busyCycleTotal();
     row.modelled = modelledOpsPerSec(requests, row.makespan);
     row.split = server->stats().splitChunks;
-    row.stolen = server->stats().stolenChunks;
     return row;
 }
 
@@ -416,18 +413,17 @@ phaseModelledCapacity(const std::vector<PolicyTier> &tiers,
         const ReplayRow &r8 = rows.back();
         const double scale8 = r8.modelled / rows.front().modelled;
         std::printf("  %-11s 1->2: %.2fx (gate >= 1.60x); 8-dev: "
-                    "%.2fx; split %llu, stolen %llu chunks\n",
+                    "%.2fx; split %llu chunks\n",
                     tier.name, scale12, scale8,
-                    (unsigned long long)r8.split,
-                    (unsigned long long)r8.stolen);
-        // The headline gate: with every policy on, chunk splitting
-        // must lift 8-device scaling past the 6.00x chunk-granularity
-        // ceiling. Only meaningful on the full request budget — the
-        // reduced sanitizer run has too few chunks per device for the
-        // balance to converge.
-        if (tier.policy.split && tier.policy.steal) {
+                    (unsigned long long)r8.split);
+        // The headline gate: chunk splitting must lift 8-device
+        // scaling past the 6.00x chunk-granularity ceiling. Only
+        // meaningful on the full request budget — the reduced
+        // sanitizer run has too few chunks per device for the balance
+        // to converge.
+        if (tier.policy.split) {
             if (requests >= 96 && !(scale8 >= 7.0))
-                fail("all-policy 8-device modelled scaling < 7.0x");
+                fail("+split 8-device modelled scaling < 7.0x");
             if (requests < 96)
                 std::printf("  (8-device >= 7.0x gate skipped below "
                             "the 96-request budget)\n");

@@ -54,18 +54,6 @@ BoundedRequestQueue::push(ServeRequest &req)
 }
 
 std::vector<ServeRequest>
-BoundedRequestQueue::popBatch(size_t maxBatch, size_t maxPerTenant)
-{
-    rpu_assert(maxBatch >= 1 && maxPerTenant >= 1,
-               "batch bounds must be positive");
-    std::unique_lock<std::mutex> lock(mutex_);
-    ready_.wait(lock, [&] { return size_ > 0 || closed_; });
-    if (size_ == 0)
-        return {}; // closed and drained: the consumer exit signal
-    return sweepLocked(maxBatch, maxPerTenant);
-}
-
-std::vector<ServeRequest>
 BoundedRequestQueue::popBatchFor(
     size_t maxBatch, size_t maxPerTenant,
     std::chrono::steady_clock::duration timeout, bool &closedOut)
@@ -78,12 +66,7 @@ BoundedRequestQueue::popBatchFor(
     closedOut = closed_ && size_ == 0;
     if (size_ == 0)
         return {};
-    return sweepLocked(maxBatch, maxPerTenant);
-}
 
-std::vector<ServeRequest>
-BoundedRequestQueue::sweepLocked(size_t maxBatch, size_t maxPerTenant)
-{
     // One round-robin sweep from the rotating cursor: every lane
     // with pending work is visited exactly once and contributes at
     // most maxPerTenant requests, so no tenant waits more than one
@@ -106,7 +89,7 @@ BoundedRequestQueue::sweepLocked(size_t maxBatch, size_t maxPerTenant)
     cursor_ = lanes == 0 ? 0 : (cursor_ + 1) % lanes;
 
     // A producer blocked on a full queue has no wait path (push is
-    // non-blocking), but a concurrent popBatch may be waiting for
+    // non-blocking), but a concurrent pop may be waiting for
     // work that another consumer just exposed — and close() needs
     // every consumer awake eventually.
     if (size_ > 0 || closed_)

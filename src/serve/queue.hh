@@ -14,18 +14,23 @@
  *    submit reports RejectedShutdown.
  *
  *  - A per-tenant fairness bound. Requests live in per-tenant FIFO
- *    lanes and popBatch() sweeps the lanes round-robin from a
+ *    lanes and popBatchFor() sweeps the lanes round-robin from a
  *    rotating cursor, taking at most maxPerTenant per lane per
  *    batch. A hog tenant with a thousand queued requests therefore
  *    cannot starve anyone: every other tenant with pending work is
  *    visited once per sweep, so its head-of-line request is served
  *    within one batch of the hog's — the bound the serve tests pin.
  *
+ * The one pop waits a bounded time. A dispatcher has two work
+ * sources — this queue and the server's shared chunk FIFO — and the
+ * bound keeps it from parking here while another dispatcher's chunks
+ * wait to be drained.
+ *
  * Shutdown is a graceful drain: close() rejects new work but
  * consumers keep popping until the lanes are empty, and only then
- * does popBatch() return an empty batch (the consumer's exit
- * signal). No accepted request is ever dropped — its promise is
- * always eventually fulfilled by whoever pops it.
+ * does popBatchFor() report "closed" (the consumer's exit signal).
+ * No accepted request is ever dropped — its promise is always
+ * eventually fulfilled by whoever pops it.
  */
 
 #ifndef RPU_SERVE_QUEUE_HH
@@ -112,22 +117,13 @@ class BoundedRequestQueue
     SubmitStatus push(ServeRequest &req);
 
     /**
-     * Pop the next batch: blocks while the queue is open and empty;
-     * returns an empty batch only after close() once every lane has
-     * drained. The sweep starts at a cursor that rotates between
-     * calls and takes at most @p maxPerTenant requests from each
-     * lane, up to @p maxBatch total — the fairness bound.
-     */
-    std::vector<ServeRequest> popBatch(size_t maxBatch,
-                                       size_t maxPerTenant);
-
-    /**
-     * popBatch with a bounded wait: returns an empty batch after
-     * @p timeout even while the queue is open, so a consumer with a
-     * second work source (the work-stealing dispatcher) can poll both
-     * instead of parking here forever. @p closedOut reports whether
-     * the queue is closed *and* drained — the only empty return that
-     * means "no work will ever come".
+     * Pop the next batch, waiting at most @p timeout for work. The
+     * sweep starts at a cursor that rotates between calls and takes
+     * at most @p maxPerTenant requests from each lane, up to
+     * @p maxBatch total — the fairness bound. An empty batch means
+     * the wait timed out or the queue is closed and drained;
+     * @p closedOut tells the two apart (true only for the latter, the
+     * one empty return that means "no work will ever come").
      */
     std::vector<ServeRequest>
     popBatchFor(size_t maxBatch, size_t maxPerTenant,
@@ -142,10 +138,6 @@ class BoundedRequestQueue
     bool closed() const;
 
   private:
-    /** The rotating round-robin sweep both pops share; under mutex_. */
-    std::vector<ServeRequest> sweepLocked(size_t maxBatch,
-                                          size_t maxPerTenant);
-
     struct Lane
     {
         uint64_t tenant = 0;

@@ -61,9 +61,8 @@ MakespanScheduler::estimateLocked(RequestOp op,
     return it == estimates_.end() ? Estimate{} : it->second;
 }
 
-size_t
-MakespanScheduler::bestDeviceLocked(size_t requests,
-                                    const Estimate &est) const
+MakespanScheduler::Placement
+MakespanScheduler::bookLocked(size_t requests, const Estimate &est)
 {
     // Greedy makespan minimisation: land on the device whose load
     // plus this chunk's contended marginal cost is smallest. The
@@ -89,14 +88,9 @@ MakespanScheduler::bestDeviceLocked(size_t requests,
     }
     rpu_assert(best < devices_.size(),
                "every device of the topology is paused");
-    return best;
-}
 
-MakespanScheduler::Placement
-MakespanScheduler::bookLocked(size_t requests, const Estimate &est)
-{
     Placement p;
-    p.device = bestDeviceLocked(requests, est);
+    p.device = best;
     // Cold classes (no samples yet) book a nominal cycle so that the
     // chunks of one batch still spread instead of all tying onto
     // device 0 before the first completion corrects the ledger.
@@ -249,28 +243,6 @@ MakespanScheduler::splitPlans(Placement &p, RequestOp op,
         plans[g.stage][g.index] = best;
     }
     return plans;
-}
-
-bool
-MakespanScheduler::rehome(Placement &p, RequestOp op,
-                          const std::string &cls, size_t requests)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-
-    // Release, re-score, re-book — all under one lock, so the ledger
-    // never double-counts the chunk and never drops it either.
-    DeviceState &cur = devices_.at(p.device);
-    cur.load -= std::min(cur.load, p.booked);
-    if (cur.inflight > 0)
-        --cur.inflight;
-
-    const size_t best =
-        bestDeviceLocked(requests, estimateLocked(op, cls));
-    const bool moved = best != p.device;
-    p.device = best;
-    devices_[best].load += p.booked;
-    ++devices_[best].inflight;
-    return moved;
 }
 
 void

@@ -1,7 +1,7 @@
 /**
  * @file
  * MakespanScheduler: contention-aware placement of serving work
- * across an RpuTopology, with three stacked policies on top of the
+ * across an RpuTopology, with two stacked policies on top of the
  * greedy baseline.
  *
  * The placement unit is exactly what the dispatcher produces: a
@@ -25,7 +25,7 @@
  * a cost sample, and folding it in would poison every later
  * placement of the class.
  *
- * The SchedulerPolicy flags stack three refinements over the greedy
+ * The SchedulerPolicy flags stack two refinements over the greedy
  * chunk-at-a-time baseline (all on by default; the shard bench's
  * ablation table prices each):
  *
@@ -52,11 +52,11 @@
  * groups from the placement device across the unpaused devices in
  * ascending-load order.
  *
- *  - steal: rehome() re-places a booked-but-unstarted chunk that an
- *    idle dispatcher re-claimed from the most-loaded device's
- *    pending list. The booking moves atomically (release + rebook
- *    under one lock), so the makespan ledger stays conserved, and a
- *    paused device is never a destination.
+ * A placement is final: the server's dispatchers execute chunks from
+ * one shared FIFO in the order they were cut, so nothing re-homes a
+ * booked chunk. Taking chunks in that global order is what keeps two
+ * dispatchers off the same device at once — the lookahead placer
+ * alternates consecutive chunks across devices.
  *
  * Paused (drained-for-maintenance) devices are never selected by any
  * placement path; a 1-device topology degenerates to "always device
@@ -91,16 +91,13 @@ struct SchedulerPolicy
 {
     bool lookahead = true; ///< joint LPT booking of a popped batch
     bool split = true;     ///< per-stage group spreading of a chunk
-    bool steal = true;     ///< idle dispatchers re-claim booked chunks
 
-    /** The PR 9 baseline: chunk-at-a-time, chunk-grained, no steal. */
-    static SchedulerPolicy greedy() { return {false, false, false}; }
-    static SchedulerPolicy all() { return {true, true, true}; }
+    /** The baseline: chunk-at-a-time, chunk-grained placement. */
+    static SchedulerPolicy greedy() { return {false, false}; }
+    static SchedulerPolicy all() { return {true, true}; }
 
     const char *name() const
     {
-        if (steal)
-            return "+steal";
         if (split)
             return "+split";
         if (lookahead)
@@ -183,16 +180,6 @@ class MakespanScheduler
                size_t requests, const std::vector<StageShape> &stages);
 
     /**
-     * Steal policy: re-place a booked-but-unstarted chunk that an
-     * idle dispatcher claimed. The booking is released from
-     * p.device and re-booked on the currently best-scoring unpaused
-     * device under one lock — load is conserved, and a paused device
-     * is never a destination. Returns true when the chunk moved.
-     */
-    bool rehome(Placement &p, RequestOp op, const std::string &cls,
-                size_t requests);
-
-    /**
      * Replace the placement's bookings with the measured per-device
      * cost and fold the per-request busy/staging cycles into the
      * (op, class) estimate. @p busyPerDevice is the topology window
@@ -246,11 +233,8 @@ class MakespanScheduler
 
     static std::string key(RequestOp op, const std::string &cls);
 
-    /** The greedy scoring step, under mutex_: the best-scoring
-     *  unpaused device for a @p requests chunk with @p est. */
-    size_t bestDeviceLocked(size_t requests, const Estimate &est) const;
-
-    /** bestDeviceLocked with the chunk's booking applied. */
+    /** The greedy scoring step, under mutex_: book a @p requests
+     *  chunk with @p est onto the best-scoring unpaused device. */
     Placement bookLocked(size_t requests, const Estimate &est);
 
     Estimate estimateLocked(RequestOp op, const std::string &cls) const;

@@ -1,6 +1,7 @@
 #include "serve/server.hh"
 
 #include <chrono>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -29,6 +30,29 @@ pow2Floor(size_t v)
     return p;
 }
 
+/**
+ * Whether @p values can be encoded by @p sess's encoder without
+ * tripping its internal checks: at most slots() values, every
+ * component finite, and |v| * scale < 2^61. The encoder's inverse FFT
+ * is 1/n-normalised, so every coefficient is bounded by
+ * max|v| * scale; 2^61 leaves a margin below its 2^62 limit.
+ */
+bool
+valuesFit(const Session &sess,
+          const std::vector<std::complex<double>> &values)
+{
+    if (values.size() > sess.ctx().slots())
+        return false;
+    const double limit = std::ldexp(1.0, 61) / sess.config().params.scale;
+    // A NaN component fails the comparison; an infinite one exceeds
+    // the limit.
+    for (const std::complex<double> &v : values) {
+        if (!(std::abs(v) < limit))
+            return false;
+    }
+    return true;
+}
+
 } // namespace
 
 HeServer::HeServer(const ServeConfig &cfg,
@@ -51,7 +75,6 @@ HeServer::HeServer(const ServeConfig &cfg,
         scheduler_ =
             std::make_unique<MakespanScheduler>(topology_, cfg_.policy);
         device_ = topology_->device(0);
-        pending_.resize(topology_->size());
     }
     if (!cfg_.startPaused)
         start();
@@ -107,9 +130,12 @@ HeServer::submit(uint64_t tenant_id, RequestOp op,
 {
     Submission sub;
     Session *sess = tenant(tenant_id);
-    if (sess == nullptr) {
-        // A client's bad id is its error, not the server's: reject it
-        // with a status and keep serving everyone else.
+    if (sess == nullptr || !valuesFit(*sess, a) || !valuesFit(*sess, b)) {
+        // A client's bad id or values are its error, not the server's:
+        // reject with a status — before the encoder's asserts could
+        // abort every tenant's server in a dispatcher — and keep
+        // serving everyone else. No seq is taken, so later requests'
+        // randomness does not shift.
         sub.status = SubmitStatus::RejectedInvalid;
         ++rejected_invalid_;
         return sub;
@@ -144,7 +170,7 @@ HeServer::submit(uint64_t tenant_id, RequestOp op,
         ++rejected_shutdown_;
         break;
       case SubmitStatus::RejectedInvalid:
-        break; // only the tenant check above rejects so
+        break; // only the checks above reject so
     }
     return sub;
 }
@@ -225,46 +251,45 @@ HeServer::stats() const
     s.coalescedChunks = coalesced_chunks_;
     s.coalescedRequests = coalesced_requests_;
     s.splitChunks = split_chunks_;
-    s.stolenChunks = stolen_chunks_;
     return s;
 }
 
 void
 HeServer::dispatchLoop()
 {
-    const bool stealing = scheduler_ != nullptr && cfg_.policy.steal;
     for (;;) {
-        if (!stealing) {
-            std::vector<ServeRequest> batch =
-                queue_.popBatch(cfg_.maxBatch, cfg_.maxPerTenant);
-            if (batch.empty())
-                return; // closed and drained
-            dispatchBatch(std::move(batch));
-            continue;
-        }
-
-        // Steal policy: the dispatcher polls two work sources — the
-        // admission queue and the per-device pending lists. The
-        // bounded pop keeps the thief responsive (a chunk never waits
-        // longer than the poll period for an idle dispatcher) without
-        // busy-spinning an idle server.
+        // The bounded pop keeps this dispatcher responsive to chunks
+        // another dispatcher queued (none waits longer than the poll
+        // period for an idle dispatcher) without busy-spinning an
+        // idle server.
         bool closed = false;
         std::vector<ServeRequest> batch = queue_.popBatchFor(
             cfg_.maxBatch, cfg_.maxPerTenant,
             std::chrono::milliseconds(1), closed);
-        if (!batch.empty()) {
-            dispatchBatch(std::move(batch));
-            continue;
+        if (!batch.empty())
+            enqueueBatch(std::move(batch));
+
+        // Drain the shared FIFO from its front until it is empty.
+        // Whoever queues chunks also drains them, so a dispatcher
+        // that leaves below can strand nothing.
+        for (;;) {
+            PendingChunk pc;
+            {
+                std::lock_guard<std::mutex> lock(fifo_mutex_);
+                if (fifo_.empty())
+                    break;
+                pc = std::move(fifo_.front());
+                fifo_.pop_front();
+            }
+            executeChunk(std::move(pc));
         }
-        if (stealOne())
-            continue;
         if (closed)
-            return; // drained: queue closed and nothing left to steal
+            return; // queue closed and drained, FIFO empty
     }
 }
 
 void
-HeServer::dispatchBatch(std::vector<ServeRequest> batch)
+HeServer::enqueueBatch(std::vector<ServeRequest> batch)
 {
     const uint64_t dispatch_index = dispatches_.fetch_add(1);
     const auto popped = std::chrono::steady_clock::now();
@@ -318,13 +343,11 @@ HeServer::dispatchBatch(std::vector<ServeRequest> batch)
         }
     }
 
-    // Lookahead (and the steal policy, which needs placements before
-    // chunks can sit on a pending list) books the whole batch's
-    // chunks jointly up front. The plain greedy tier keeps the
-    // original place-at-execute-time flow — completions landing
-    // between placements and all — so it stays the exact regression
-    // baseline.
-    if (scheduler_ && (cfg_.policy.lookahead || cfg_.policy.steal)) {
+    // Lookahead books the whole batch's chunks jointly up front. The
+    // plain greedy tier keeps the place-at-execute-time flow —
+    // completions landing between placements and all — so it stays
+    // the exact regression baseline.
+    if (scheduler_ && cfg_.policy.lookahead) {
         std::vector<MakespanScheduler::ChunkDesc> descs;
         descs.reserve(cut.size());
         for (const PendingChunk &pc : cut) {
@@ -341,79 +364,9 @@ HeServer::dispatchBatch(std::vector<ServeRequest> batch)
         }
     }
 
-    if (scheduler_ && cfg_.policy.steal) {
-        // Park the placed chunks on their devices' pending lists,
-        // then drain in global FIFO order. With one dispatcher this
-        // executes exactly the sequence the direct path would; with
-        // several, idle dispatchers pull from the lists concurrently.
-        {
-            std::lock_guard<std::mutex> lock(pending_mutex_);
-            for (PendingChunk &pc : cut) {
-                pc.ordinal = next_ordinal_++;
-                pending_[pc.placement.device].push_back(std::move(pc));
-            }
-        }
-        drainPending();
-        return;
-    }
+    std::lock_guard<std::mutex> lock(fifo_mutex_);
     for (PendingChunk &pc : cut)
-        executeChunk(std::move(pc));
-}
-
-void
-HeServer::drainPending()
-{
-    for (;;) {
-        PendingChunk pc;
-        {
-            std::lock_guard<std::mutex> lock(pending_mutex_);
-            std::deque<PendingChunk> *oldest = nullptr;
-            for (std::deque<PendingChunk> &dq : pending_) {
-                if (dq.empty())
-                    continue;
-                if (!oldest ||
-                    dq.front().ordinal < oldest->front().ordinal)
-                    oldest = &dq;
-            }
-            if (!oldest)
-                return;
-            pc = std::move(oldest->front());
-            oldest->pop_front();
-        }
-        executeChunk(std::move(pc));
-    }
-}
-
-bool
-HeServer::stealOne()
-{
-    PendingChunk pc;
-    {
-        std::lock_guard<std::mutex> lock(pending_mutex_);
-        // Victim: the most-loaded device that still has unstarted
-        // chunks parked — relieving it is the biggest makespan win.
-        size_t victim = pending_.size();
-        uint64_t worst = 0;
-        for (size_t d = 0; d < pending_.size(); ++d) {
-            if (pending_[d].empty())
-                continue;
-            const uint64_t l = scheduler_->load(d);
-            if (victim == pending_.size() || l > worst) {
-                victim = d;
-                worst = l;
-            }
-        }
-        if (victim == pending_.size())
-            return false;
-        pc = std::move(pending_[victim].front());
-        pending_[victim].pop_front();
-    }
-    const std::string &cls = tenant(pc.chunk[0].tenant)->kernelClass();
-    if (scheduler_->rehome(pc.placement, pc.chunk[0].op, cls,
-                           pc.chunk.size()))
-        ++stolen_chunks_;
-    executeChunk(std::move(pc));
-    return true;
+        fifo_.push_back(std::move(pc));
 }
 
 void
@@ -443,7 +396,7 @@ HeServer::executeChunk(PendingChunk pc)
     // Place the chunk before touching the device: the scheduler books
     // its estimated cost onto the chosen device's load ledger, and
     // the booking is corrected to the measured window on completion.
-    // Batch-placed (lookahead/steal) chunks arrive already booked.
+    // Batch-placed (lookahead) chunks arrive already booked.
     // On a 1-device topology this is always device 0 with uniform
     // plans.
     MakespanScheduler::Placement placement = std::move(pc.placement);

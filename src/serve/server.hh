@@ -10,24 +10,32 @@
  *  - Admission: a BoundedRequestQueue with per-tenant lanes —
  *    non-blocking submit that rejects with a status under
  *    backpressure, shutdown or a malformed request (an unknown
- *    tenant), round-robin draining with a per-batch per-tenant cap
+ *    tenant, or values the tenant's encoder cannot take; see
+ *    submit()), round-robin draining with a per-batch per-tenant cap
  *    (the fairness bound).
  *
- *  - Scheduling: dispatcher threads pop batches, group them by
- *    (op, kernel class) and cut each group into chunks of
+ *  - Scheduling: every dispatcher thread runs one loop. A bounded
+ *    pop takes a batch from the queue; the dispatcher groups it by
+ *    (op, kernel class) and cuts each group into chunks of
  *    power-of-two sizes up to maxCoalesce (MulPlainRescale only;
- *    MulCtRescale chunks hold one request). Every chunk is then
- *    *placed*: a MakespanScheduler routes it to the device of the
- *    RpuTopology minimising the projected contention-aware makespan.
- *    The ServeConfig's SchedulerPolicy stacks three refinements on
- *    that greedy baseline (see scheduler.hh): lookahead books the
- *    whole popped batch's chunks jointly longest-first; split spreads
- *    one chunk's stage groups across idle devices; steal parks placed
- *    chunks on per-device pending lists so an idle dispatcher can
- *    re-claim work from the most-loaded device (bookings moved
- *    atomically). A 1-device topology degenerates to the
- *    single-device path exactly under every policy (always device 0,
- *    uniform plans, identical launches and ledger).
+ *    MulCtRescale chunks hold one request). Every chunk is *placed*:
+ *    a MakespanScheduler routes it to the device of the RpuTopology
+ *    minimising the projected contention-aware makespan. The
+ *    ServeConfig's SchedulerPolicy stacks two refinements on that
+ *    greedy baseline (see scheduler.hh): lookahead books the whole
+ *    popped batch's chunks jointly longest-first before they are
+ *    queued, and split spreads one chunk's stage groups across idle
+ *    devices. The greedy tier places each chunk when it executes.
+ *    The cut chunks join one shared FIFO, which every dispatcher
+ *    drains from its front — its own chunks and any another
+ *    dispatcher queued. Taking chunks in that global order keeps two
+ *    dispatchers off the same device at once, since lookahead
+ *    alternates consecutive chunks across devices; with one
+ *    dispatcher the FIFO runs exactly the popped batch's chunks in
+ *    order. A 1-device topology degenerates to the single-device
+ *    path exactly under every policy (always device 0, uniform
+ *    plans, identical launches and ledger). Host-only servers run
+ *    the same loop with no placement.
  *
  *  - Execution: one pipeline for every chunk, whatever its op and
  *    size — Session::runBatch: encrypt on the host, the batched CKKS
@@ -97,8 +105,8 @@ struct ServeConfig
     bool coalesce = true;       ///< cross-tenant launch coalescing
 
     /** Which placement policies stack on the greedy baseline (all on
-     *  by default; SchedulerPolicy::greedy() is the PR 9 behaviour).
-     *  Irrelevant to host-only servers. See scheduler.hh. */
+     *  by default; SchedulerPolicy::greedy() is chunk-at-a-time
+     *  placement). Irrelevant to host-only servers. See scheduler.hh. */
     SchedulerPolicy policy;
 
     /** Don't start dispatchers in the constructor; the first start()
@@ -114,7 +122,7 @@ struct ServerStats
     uint64_t accepted = 0;
     uint64_t rejectedFull = 0;
     uint64_t rejectedShutdown = 0;
-    uint64_t rejectedInvalid = 0; ///< malformed submits (unknown tenant)
+    uint64_t rejectedInvalid = 0; ///< malformed submits (see submit())
     uint64_t completed = 0;
     uint64_t failed = 0;
     uint64_t dispatches = 0;        ///< batches popped
@@ -122,7 +130,10 @@ struct ServerStats
     uint64_t coalescedChunks = 0;   ///< chunks with > 1 request
     uint64_t coalescedRequests = 0; ///< requests inside those
     uint64_t splitChunks = 0;       ///< chunks whose stages spread devices
-    uint64_t stolenChunks = 0;      ///< chunks re-claimed by idle dispatchers
+    /** Always 0: no chunk moves after placement. Kept so existing
+     *  readers of the stats (the benchmark's serve.stolen_chunks)
+     *  still compile. */
+    uint64_t stolenChunks = 0;
 };
 
 /** What submit() hands back. */
@@ -176,8 +187,12 @@ class HeServer
      * Submit one request: assigns the tenant's next seq, stamps the
      * arrival time, and offers it to the queue. Non-blocking — a
      * full queue rejects immediately (open-loop generators depend on
-     * this), and an unknown tenant id gets RejectedInvalid. Thread-safe
-     * from any number of producers.
+     * this). A malformed request gets RejectedInvalid and takes no
+     * seq: an unknown tenant id, more values in @p a or @p b than the
+     * tenant's slots, a non-finite component, or a value whose
+     * magnitude times the tenant's scale reaches 2^61 (the encoder's
+     * coefficients would overflow). Thread-safe from any number of
+     * producers.
      */
     Submission submit(uint64_t tenant, RequestOp op,
                       std::vector<std::complex<double>> a,
@@ -210,10 +225,7 @@ class HeServer
     ServerStats stats() const;
 
   private:
-    /** One cut chunk on its way to a device: what the dispatcher
-     *  executes directly, or — under the steal policy — what sits on
-     *  a device's pending list until its placement device's
-     *  dispatcher (or an idle thief) claims it. */
+    /** One cut chunk waiting in the shared FIFO for a dispatcher. */
     struct PendingChunk
     {
         std::vector<ServeRequest> chunk;
@@ -221,22 +233,14 @@ class HeServer
         bool placed = false; ///< placement pre-booked by the batch placer
         uint64_t dispatchIndex = 0;
         std::chrono::steady_clock::time_point popped;
-        uint64_t ordinal = 0; ///< global FIFO order across devices
     };
 
+    /** The one dispatch loop every dispatcher runs (file comment). */
     void dispatchLoop();
 
-    /** Group, cut, place, and execute (or enqueue) one popped batch. */
-    void dispatchBatch(std::vector<ServeRequest> batch);
-
-    /** Execute queued pending chunks in global FIFO order until the
-     *  pending lists are empty. */
-    void drainPending();
-
-    /** Steal policy: claim the oldest booked-but-unstarted chunk from
-     *  the most-loaded device's pending list, re-place it on the best
-     *  device, and execute it. Returns false when nothing is pending. */
-    bool stealOne();
+    /** Group, cut and (lookahead) place one popped batch, then append
+     *  its chunks to the shared FIFO. */
+    void enqueueBatch(std::vector<ServeRequest> batch);
 
     /** Execute one same-(op, class) chunk — Session::runBatch along
      *  the scheduler's stage plans — and fulfil its promises. */
@@ -266,15 +270,11 @@ class HeServer
     std::atomic<uint64_t> coalesced_chunks_{0};
     std::atomic<uint64_t> coalesced_requests_{0};
     std::atomic<uint64_t> split_chunks_{0};
-    std::atomic<uint64_t> stolen_chunks_{0};
 
-    /** Steal-policy state: per-device lists of placed-but-unstarted
-     *  chunks, claimed under pending_mutex_ (by the placing
-     *  dispatcher in ordinal order, or by an idle thief from the
-     *  most-loaded device). Untouched when the steal policy is off. */
-    std::mutex pending_mutex_;
-    std::vector<std::deque<PendingChunk>> pending_;
-    uint64_t next_ordinal_ = 0;
+    /** Cut chunks in the order they were queued; every dispatcher
+     *  executes from the front. */
+    std::mutex fifo_mutex_;
+    std::deque<PendingChunk> fifo_;
 
     std::mutex shutdown_mutex_; ///< guards started_/shut_down_/threads
     bool started_ = false;

@@ -13,12 +13,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cmath>
 #include <complex>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "modmath/primegen.hh"
@@ -102,6 +106,13 @@ TEST(BoundedRequestQueue, RejectsWhenFullWithoutConsumingRequest)
 TEST(BoundedRequestQueue, RejectsAfterCloseAndDrainsRemainder)
 {
     BoundedRequestQueue q(8);
+    // Open and empty: the pop times out without reporting "closed",
+    // so a dispatcher keeps polling.
+    bool closed = true;
+    EXPECT_TRUE(
+        q.popBatchFor(16, 16, std::chrono::milliseconds(1), closed).empty());
+    EXPECT_FALSE(closed);
+
     ServeRequest r0 = makeRequest(1, 0);
     ServeRequest r1 = makeRequest(1, 1);
     ASSERT_EQ(q.push(r0), SubmitStatus::Accepted);
@@ -112,10 +123,13 @@ TEST(BoundedRequestQueue, RejectsAfterCloseAndDrainsRemainder)
     EXPECT_EQ(q.push(late), SubmitStatus::RejectedShutdown);
 
     // Closed but not empty: consumers still drain everything...
-    auto batch = q.popBatch(16, 16);
+    auto batch = q.popBatchFor(16, 16, std::chrono::milliseconds(1), closed);
     EXPECT_EQ(batch.size(), 2u);
-    // ...and only then does popBatch report exhaustion.
-    EXPECT_TRUE(q.popBatch(16, 16).empty());
+    EXPECT_FALSE(closed);
+    // ...and only then does the pop report exhaustion.
+    EXPECT_TRUE(
+        q.popBatchFor(16, 16, std::chrono::milliseconds(1), closed).empty());
+    EXPECT_TRUE(closed);
 }
 
 TEST(BoundedRequestQueue, RoundRobinSweepBoundsPerTenantTake)
@@ -131,7 +145,9 @@ TEST(BoundedRequestQueue, RoundRobinSweepBoundsPerTenantTake)
     // The hog's lane was created first, yet the victim's head-of-line
     // request rides in the very first batch: the sweep caps the hog
     // at maxPerTenant and moves on.
-    auto batch = q.popBatch(4, 2);
+    bool closed = true;
+    auto batch = q.popBatchFor(4, 2, std::chrono::milliseconds(1), closed);
+    EXPECT_FALSE(closed);
     ASSERT_EQ(batch.size(), 3u);
     size_t hog_taken = 0, victim_taken = 0;
     for (const auto &r : batch) {
@@ -455,8 +471,7 @@ TEST(HeServer, CrossTenantCoalescingIsBitIdenticalToSerial)
         const ModeGuard guard(mode);
         for (const size_t devices : {1, 2}) {
             for (const SchedulerPolicy policy :
-                 {SchedulerPolicy::greedy(), SchedulerPolicy{true, false, false},
-                  SchedulerPolicy{true, true, false},
+                 {SchedulerPolicy::greedy(), SchedulerPolicy{true, false},
                   SchedulerPolicy::all()}) {
                 const std::string where =
                     std::string(policy.name()) + " on " +
@@ -767,6 +782,53 @@ TEST(HeServer, UnknownTenantIsRejectedAndServingContinues)
     EXPECT_EQ(server.stats().completed, 1u);
     EXPECT_EQ(server.stats().failed, 0u);
     EXPECT_EQ(server.tenant(1)->accounting().accepted, 1u);
+}
+
+TEST(HeServer, MalformedValuesAreRejectedAndServingContinues)
+{
+    ServeConfig cfg;
+    cfg.startPaused = true;
+    HeServer server(cfg, std::make_shared<RpuDevice>());
+    server.addTenant({1, serveParams(), 30});
+    const size_t slots = server.tenant(1)->ctx().slots();
+
+    const auto a = slotValues(8, 21);
+    const auto b = slotValues(8, 22);
+    const double inf = std::numeric_limits<double>::infinity();
+    auto with = [&](Cplx v) {
+        std::vector<Cplx> out = a;
+        out[3] = v;
+        return out;
+    };
+    // Each of these would reach the encoder in a dispatcher thread
+    // and abort the process: more values than slots, a NaN, an
+    // infinity, and a value whose coefficients overflow at 2^40 scale.
+    const std::vector<std::pair<std::vector<Cplx>, std::vector<Cplx>>>
+        malformed = {
+            {slotValues(slots + 1, 23), b},
+            {with({std::nan(""), 0.0}), b},
+            {a, with({0.0, -inf})},
+            {with({1e7, 0.0}), b},
+        };
+    for (const auto &[x, y] : malformed) {
+        for (const RequestOp op :
+             {RequestOp::MulPlainRescale, RequestOp::MulCtRescale}) {
+            EXPECT_EQ(server.submit(1, op, x, y).status,
+                      SubmitStatus::RejectedInvalid);
+        }
+    }
+    EXPECT_EQ(server.stats().rejectedInvalid, 2 * malformed.size());
+    EXPECT_EQ(server.stats().accepted, 0u);
+
+    // No rejected request took a seq: the next valid one is seq 0.
+    auto good = server.submit(1, RequestOp::MulPlainRescale, a, b);
+    ASSERT_EQ(good.status, SubmitStatus::Accepted);
+    server.shutdown();
+    EXPECT_EQ(good.response.get().values,
+              server.tenant(1)->runSerial(RequestOp::MulPlainRescale, a,
+                                          b, 0));
+    EXPECT_EQ(server.stats().completed, 1u);
+    EXPECT_EQ(server.stats().failed, 0u);
 }
 
 TEST(HeServer, PrewarmCoversEveryKernelADrainLaunches)
