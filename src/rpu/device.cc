@@ -4,6 +4,7 @@
 #include <exception>
 
 #include "common/logging.hh"
+#include "modmath/simd.hh"
 #include "sim/cycle/simulator.hh"
 #include "sim/functional/state.hh"
 
@@ -13,43 +14,66 @@ namespace rpu {
 // Backends
 // ----------------------------------------------------------------------
 
-std::unique_ptr<ArchState>
+LaneWord
+FunctionalSimBackend::laneWordFor(const KernelImage &image)
+{
+    if (!simd::narrowLanesActive())
+        return LaneWord::U128;
+    for (u128 q : image.moduli) {
+        if (!simd::narrowModulusOk(q))
+            return LaneWord::U128;
+    }
+    for (u128 w : image.sdmImage) {
+        if (w >> 64)
+            return LaneWord::U128;
+    }
+    return LaneWord::U64;
+}
+
+template <typename Word>
+std::unique_ptr<BasicArchState<Word>>
 FunctionalSimBackend::acquireState(size_t vdm_bytes)
 {
     {
         std::lock_guard<std::mutex> lock(free_mutex_);
-        auto it = free_states_.find(vdm_bytes);
-        if (it != free_states_.end() && !it->second.empty()) {
-            std::unique_ptr<ArchState> state = std::move(it->second.back());
+        auto &free = std::get<FreeList<Word>>(free_states_);
+        auto it = free.find(vdm_bytes);
+        if (it != free.end() && !it->second.empty()) {
+            auto state = std::move(it->second.back());
             it->second.pop_back();
             return state;
         }
     }
-    return std::make_unique<ArchState>(vdm_bytes);
+    return std::make_unique<BasicArchState<Word>>(vdm_bytes);
 }
 
+template <typename Word>
 void
-FunctionalSimBackend::releaseState(std::unique_ptr<ArchState> state)
+FunctionalSimBackend::releaseState(
+    std::unique_ptr<BasicArchState<Word>> state)
 {
     state->reset(); // outside the lock: zeroing is the expensive part
     const size_t vdm_bytes = state->vdmWords() * arch::kWordBytes;
     std::lock_guard<std::mutex> lock(free_mutex_);
-    free_states_[vdm_bytes].push_back(std::move(state));
+    std::get<FreeList<Word>>(free_states_)[vdm_bytes].push_back(
+        std::move(state));
 }
 
-std::vector<std::vector<u128>>
-FunctionalSimBackend::execute(RpuDevice &dev, const KernelImage &image,
-                              const std::vector<std::vector<u128>> &inputs)
+template <typename Word>
+bool
+FunctionalSimBackend::run(RpuDevice &dev, const KernelImage &image,
+                          const std::vector<std::vector<u128>> &inputs,
+                          std::vector<std::vector<u128>> &outputs)
 {
     // Hand the state back on every exit path, the throwing ones too:
     // reset() clears whatever a partial launch wrote.
     struct Lease
     {
         FunctionalSimBackend &backend;
-        std::unique_ptr<ArchState> state;
+        std::unique_ptr<BasicArchState<Word>> state;
         ~Lease() { backend.releaseState(std::move(state)); }
-    } lease{*this, acquireState(image.vdmBytesRequired)};
-    ArchState &state = *lease.state;
+    } lease{*this, acquireState<Word>(image.vdmBytesRequired)};
+    BasicArchState<Word> &state = *lease.state;
 
     // Launch code: stage constants and data into the scratchpads.
     for (size_t i = 0; i < image.sdmImage.size(); ++i)
@@ -59,13 +83,28 @@ FunctionalSimBackend::execute(RpuDevice &dev, const KernelImage &image,
     const auto in_regions = image.inputRegions();
     for (size_t i = 0; i < in_regions.size(); ++i)
         state.loadVdm(in_regions[i]->base, inputs[i]);
+    if (state.truncated())
+        return false;
 
-    FunctionalSimulator sim(state, dev.modulusCache());
+    BasicFunctionalSimulator<Word> sim(state, dev.modulusCache());
     sim.run(image.program);
+    if (state.truncated())
+        return false;
 
-    std::vector<std::vector<u128>> outputs;
     for (const DataRegion *r : image.outputRegions())
         outputs.push_back(state.dumpVdm(r->base, r->words));
+    return true;
+}
+
+std::vector<std::vector<u128>>
+FunctionalSimBackend::execute(RpuDevice &dev, const KernelImage &image,
+                              const std::vector<std::vector<u128>> &inputs)
+{
+    std::vector<std::vector<u128>> outputs;
+    if (laneWordFor(image) == LaneWord::U64 &&
+        run<uint64_t>(dev, image, inputs, outputs))
+        return outputs;
+    run<u128>(dev, image, inputs, outputs);
     return outputs;
 }
 

@@ -40,6 +40,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "codegen/ntt_codegen.hh"
@@ -108,19 +109,32 @@ class ExecutionBackend
             const std::vector<std::vector<u128>> &inputs) = 0;
 };
 
+/** The lane word a functional-simulator launch runs on. */
+enum class LaneWord
+{
+    U64,  ///< BasicArchState<uint64_t>: narrow-modulus kernels
+    U128, ///< ArchState: the architectural 128-bit lanes, exact for all
+};
+
 /**
  * Bit-exact functional simulation of the B512 program — the paper's
  * verification path and this repository's default execution engine.
  *
- * State reuse: building and zero-filling a multi-MiB ArchState per
- * launch would cost more than many kernels take to run, so the
- * backend keeps a mutex-guarded free list of states keyed by VDM
- * size. A launch takes one (or builds one when none is free), and
- * hands it back after reset(), which zeroes only what the launch
- * wrote (ArchState's dirty-range contract) and leaves it
- * indistinguishable from a fresh state. Concurrent launches on a
- * pooled device each hold their own state, so the list grows to the
- * peak number of launches in flight per VDM size.
+ * Lane word: a launch runs on u64 lanes when laneWordFor() allows it,
+ * and on u128 lanes otherwise. A u64 launch that truncated a value
+ * (a staged word or a lane result of 2^64 or more, see
+ * BasicArchState) reruns on u128 lanes, so outputs never depend on
+ * the lane word.
+ *
+ * State reuse: building and zero-filling a multi-MiB state per launch
+ * would cost more than many kernels take to run, so the backend keeps
+ * a mutex-guarded free list of states keyed by (VDM size, lane word).
+ * A launch takes one (or builds one when none is free), and hands it
+ * back after reset(), which zeroes only what the launch wrote (the
+ * state's dirty-range contract) and leaves it indistinguishable from
+ * a fresh state. Concurrent launches on a pooled device each hold
+ * their own state, so each list grows to the peak number of launches
+ * in flight per key.
  */
 class FunctionalSimBackend : public ExecutionBackend
 {
@@ -131,15 +145,38 @@ class FunctionalSimBackend : public ExecutionBackend
     execute(RpuDevice &dev, const KernelImage &image,
             const std::vector<std::vector<u128>> &inputs) override;
 
+    /**
+     * U64 when narrow lanes are active (RPU_HOST_SIMD), every modulus
+     * of @p image is in the narrow-kernel domain and every word of
+     * its SDM image fits in 64 bits; U128 otherwise.
+     */
+    static LaneWord laneWordFor(const KernelImage &image);
+
   private:
+    template <typename Word>
+    using FreeList =
+        std::map<size_t,
+                 std::vector<std::unique_ptr<BasicArchState<Word>>>>;
+
+    /**
+     * Run one launch on @p Word lanes into @p outputs; false when a
+     * u64 state truncated a value, and the launch must rerun on u128.
+     */
+    template <typename Word>
+    bool run(RpuDevice &dev, const KernelImage &image,
+             const std::vector<std::vector<u128>> &inputs,
+             std::vector<std::vector<u128>> &outputs);
+
     /** A zeroed state of @p vdm_bytes: from the free list, else new. */
-    std::unique_ptr<ArchState> acquireState(size_t vdm_bytes);
+    template <typename Word>
+    std::unique_ptr<BasicArchState<Word>> acquireState(size_t vdm_bytes);
 
     /** Reset @p state and return it to the free list. */
-    void releaseState(std::unique_ptr<ArchState> state);
+    template <typename Word>
+    void releaseState(std::unique_ptr<BasicArchState<Word>> state);
 
     std::mutex free_mutex_;
-    std::map<size_t, std::vector<std::unique_ptr<ArchState>>> free_states_;
+    std::tuple<FreeList<uint64_t>, FreeList<u128>> free_states_;
 };
 
 /**

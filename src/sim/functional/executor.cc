@@ -1,6 +1,7 @@
 #include "sim/functional/executor.hh"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "common/logging.hh"
@@ -11,32 +12,6 @@ namespace rpu {
 namespace {
 
 constexpr unsigned VL = arch::kVectorLength;
-
-/**
- * The narrow lane kernels are exact only for canonical inputs: a lane
- * value >= q would be truncated by the u64 cast, whereas the u128
- * path reduces it exactly. Well-formed programs only ever put
- * canonical residues in vector registers, but the bit-identity
- * contract between RPU_HOST_SIMD modes must hold for any program, so
- * verify before narrowing and fall back to the u128 loop otherwise.
- */
-bool
-narrowLanes(const u128 *v, u128 q, uint64_t *out)
-{
-    for (unsigned i = 0; i < VL; ++i) {
-        if (v[i] >= q)
-            return false;
-        out[i] = uint64_t(v[i]);
-    }
-    return true;
-}
-
-void
-widenLanes(const uint64_t *v, u128 *out)
-{
-    for (unsigned i = 0; i < VL; ++i)
-        out[i] = v[i];
-}
 
 /**
  * Mode values below this keep every lane offset of a vector access
@@ -59,11 +34,104 @@ accessSpan(AddrMode mode, unsigned value)
     return FunctionalSimulator::laneOffset(mode, value, VL - 1) + 1;
 }
 
+/**
+ * All lanes of @p v below @p q, for q < 2^62: an OR-reduced compare,
+ * no copy. Baseline x86-64 (SSE2) has no unsigned 64-bit compare, so
+ * the compare is written in subtractions and masks that vectorise:
+ * v < q exactly when v - q wraps (top bit set) and v < 2^63, since
+ * for q <= v < 2^63 the difference stays below 2^63.
+ */
+bool
+canonical(const uint64_t *v, uint64_t q)
+{
+    uint64_t wrapped = ~uint64_t(0);
+    uint64_t any = 0;
+    for (unsigned i = 0; i < VL; ++i) {
+        wrapped &= v[i] - q;
+        any |= v[i];
+    }
+    return ((wrapped & ~any) >> 63) != 0;
+}
+
+/**
+ * Run compute op @p instr on the u64 kernels, in place on the
+ * register file. False, with nothing written, when the kernels do not
+ * cover it: VSADDMOD/VSSUBMOD, a scalar operand >= q, or any source
+ * lane >= q (the kernels are exact only on canonical inputs).
+ */
+bool
+narrowCompute(BasicArchState<uint64_t> &state, const Instruction &instr,
+              const simd::NarrowModulus &nm)
+{
+    using Vreg = BasicArchState<uint64_t>::Vreg;
+    const BasicArchState<uint64_t> &in = state;
+    const uint64_t q = nm.q;
+    const uint64_t *vs = in.vreg(instr.vs).data();
+
+    if (instr.isButterfly()) {
+        const uint64_t *vt = in.vreg(instr.vt).data();
+        const uint64_t *vt1 = in.vreg(instr.vt1).data();
+        if (!canonical(vs, q) || !canonical(vt, q) || !canonical(vt1, q))
+            return false;
+        const auto reads = [&](unsigned r) {
+            return r == instr.vs || r == instr.vt || r == instr.vt1;
+        };
+        if (reads(instr.vd) || reads(instr.vd1) || instr.vd == instr.vd1) {
+            // butterflyMulModSpan forbids its outputs to alias its
+            // inputs; the difference lands last.
+            Vreg sum, diff;
+            simd::butterflyMulModSpan(vs, vt, vt1, sum.data(),
+                                      diff.data(), VL, nm);
+            state.vreg(instr.vd) = sum;
+            state.vreg(instr.vd1) = diff;
+        } else {
+            simd::butterflyMulModSpan(vs, vt, vt1,
+                                      state.vreg(instr.vd).data(),
+                                      state.vreg(instr.vd1).data(), VL,
+                                      nm);
+        }
+        return true;
+    }
+
+    switch (instr.op) {
+      case Opcode::VADDMOD:
+      case Opcode::VSUBMOD:
+      case Opcode::VMULMOD: {
+        const uint64_t *vt = in.vreg(instr.vt).data();
+        if (!canonical(vs, q) || !canonical(vt, q))
+            return false;
+        // The span kernels allow out to alias either input.
+        uint64_t *out = state.vreg(instr.vd).data();
+        if (instr.op == Opcode::VADDMOD)
+            simd::addModSpan(vs, vt, out, VL, q);
+        else if (instr.op == Opcode::VSUBMOD)
+            simd::subModSpan(vs, vt, out, VL, q);
+        else
+            simd::mulModSpan(vs, vt, out, VL, nm);
+        return true;
+      }
+      case Opcode::VSMULMOD: {
+        const u128 s = in.sreg(instr.rt);
+        if (s >= q || !canonical(vs, q))
+            return false;
+        // Per-instruction Shoup precompute: one 128/64 division
+        // amortised over all kVectorLength lanes.
+        const uint64_t w = uint64_t(s);
+        simd::mulShoupSpan(vs, state.vreg(instr.vd).data(), VL, w,
+                           simd::shoupPrecompute64(w, q), q);
+        return true;
+      }
+      default:
+        return false;
+    }
+}
+
 } // namespace
 
+template <typename Word>
 uint64_t
-FunctionalSimulator::laneOffset(AddrMode mode, unsigned value,
-                                unsigned lane)
+BasicFunctionalSimulator<Word>::laneOffset(AddrMode mode, unsigned value,
+                                           unsigned lane)
 {
     switch (mode) {
       case AddrMode::CONTIGUOUS:
@@ -81,8 +149,9 @@ FunctionalSimulator::laneOffset(AddrMode mode, unsigned value,
     rpu_panic("unknown addressing mode");
 }
 
+template <typename Word>
 const Modulus &
-FunctionalSimulator::modulusFor(u128 q)
+BasicFunctionalSimulator<Word>::modulusFor(u128 q)
 {
     auto it = resolved_.find(q);
     if (it == resolved_.end()) {
@@ -93,8 +162,9 @@ FunctionalSimulator::modulusFor(u128 q)
     return *it->second;
 }
 
+template <typename Word>
 void
-FunctionalSimulator::step(const Instruction &instr)
+BasicFunctionalSimulator<Word>::step(const Instruction &instr)
 {
     ++counts_.instructions;
     switch (instr.pipeClass()) {
@@ -110,8 +180,9 @@ FunctionalSimulator::step(const Instruction &instr)
     }
 }
 
+template <typename Word>
 void
-FunctionalSimulator::run(const Program &prog)
+BasicFunctionalSimulator<Word>::run(const Program &prog)
 {
     if (prog.size() > arch::kImMaxInstrs)
         rpu_fatal("program '%s' (%zu instrs) exceeds instruction memory",
@@ -120,20 +191,22 @@ FunctionalSimulator::run(const Program &prog)
         step(instr);
 }
 
+template <typename Word>
 void
-FunctionalSimulator::execVload(const Instruction &instr)
+BasicFunctionalSimulator<Word>::execVload(const Instruction &instr)
 {
     const AddrMode mode = instr.mode;
     const unsigned value = instr.modeValue;
     const uint64_t base = state_.areg(instr.rm) + instr.address;
     const uint64_t span = accessSpan(mode, value);
-    const u128 *src = span ? state_.vdmSpan(base, span) : nullptr;
-    u128 *dst = state_.vreg(instr.vd).data();
+    const Word *src = span ? state_.vdmSpan(base, span) : nullptr;
+    Word *dst = state_.vreg(instr.vd).data();
     if (!src) {
         // Not provably in bounds: word at a time, so the first
         // out-of-range lane faults exactly as it always has.
         for (unsigned i = 0; i < VL; ++i)
-            dst[i] = state_.readVdm(base + laneOffset(mode, value, i));
+            dst[i] = Word(
+                state_.readVdm(base + laneOffset(mode, value, i)));
     } else if (mode == AddrMode::CONTIGUOUS) {
         std::copy(src, src + VL, dst);
     } else {
@@ -143,8 +216,9 @@ FunctionalSimulator::execVload(const Instruction &instr)
     counts_.vdmWordsRead += VL;
 }
 
+template <typename Word>
 void
-FunctionalSimulator::execVstore(const Instruction &instr)
+BasicFunctionalSimulator<Word>::execVstore(const Instruction &instr)
 {
     const AddrMode mode = instr.mode;
     const unsigned value = instr.modeValue;
@@ -152,8 +226,8 @@ FunctionalSimulator::execVstore(const Instruction &instr)
         rpu_fatal("REPEATED mode is not defined for stores");
     const uint64_t base = state_.areg(instr.rm) + instr.address;
     const uint64_t span = accessSpan(mode, value);
-    u128 *dst = span ? state_.vdmSpanForWrite(base, span) : nullptr;
-    const u128 *src = std::as_const(state_).vreg(instr.vs).data();
+    Word *dst = span ? state_.vdmSpanForWrite(base, span) : nullptr;
+    const Word *src = std::as_const(state_).vreg(instr.vs).data();
     if (!dst) {
         for (unsigned i = 0; i < VL; ++i)
             state_.writeVdm(base + laneOffset(mode, value, i), src[i]);
@@ -166,8 +240,9 @@ FunctionalSimulator::execVstore(const Instruction &instr)
     counts_.vdmWordsWritten += VL;
 }
 
+template <typename Word>
 void
-FunctionalSimulator::execLoadStore(const Instruction &instr)
+BasicFunctionalSimulator<Word>::execLoadStore(const Instruction &instr)
 {
     switch (instr.op) {
       case Opcode::VLOAD:
@@ -178,7 +253,7 @@ FunctionalSimulator::execLoadStore(const Instruction &instr)
         break;
       case Opcode::VBCAST: {
         const uint64_t addr = state_.areg(instr.rm) + instr.address;
-        const u128 v = state_.readSdm(addr);
+        const Word v = state_.toLane(state_.readSdm(addr));
         state_.vreg(instr.vd).fill(v);
         ++counts_.sdmWordsRead;
         break;
@@ -200,69 +275,65 @@ FunctionalSimulator::execLoadStore(const Instruction &instr)
     }
 }
 
+template <typename Word>
 void
-FunctionalSimulator::execCompute(const Instruction &instr)
+BasicFunctionalSimulator<Word>::execCompute(const Instruction &instr)
 {
-    // Sources are read in place through the const view (reads never
-    // mark a register dirty); every lane reads all of its sources
-    // before it writes, per the aliasing rule in executor.hh.
-    const ArchState &in = state_;
-    const Modulus &mod = modulusFor(in.mreg(instr.rm));
-    const u128 q = mod.value();
-    const simd::NarrowModulus *nm =
-        simd::narrowLanesActive() ? mod.narrow() : nullptr;
-    const u128 *vs = in.vreg(instr.vs).data();
-
     if (instr.isButterfly()) {
-        const u128 *vt = in.vreg(instr.vt).data();
-        const u128 *vt1 = in.vreg(instr.vt1).data();
-        u128 *sum = state_.vreg(instr.vd).data();
-        u128 *diff = state_.vreg(instr.vd1).data();
-        uint64_t nx[VL], ny[VL], nw[VL];
-        if (nm && narrowLanes(vs, q, nx) && narrowLanes(vt, q, ny) &&
-            narrowLanes(vt1, q, nw)) {
-            uint64_t ns[VL], nd[VL];
-            simd::butterflyMulModSpan(nx, ny, nw, ns, nd, VL, *nm);
-            widenLanes(ns, sum);
-            widenLanes(nd, diff);
-        } else {
-            for (unsigned i = 0; i < VL; ++i) {
-                const u128 x = vs[i];
-                const u128 t = mod.mul(vt1[i], vt[i]);
-                sum[i] = mod.add(x, t);
-                diff[i] = mod.sub(x, t);
-            }
-        }
         counts_.laneMuls += VL;
         counts_.laneAdds += 2ull * VL;
+    } else if (instr.op == Opcode::VMULMOD ||
+               instr.op == Opcode::VSMULMOD) {
+        counts_.laneMuls += VL;
+    } else {
+        counts_.laneAdds += VL;
+    }
+
+    const Modulus &mod = modulusFor(state_.mreg(instr.rm));
+    if constexpr (std::is_same_v<Word, uint64_t>) {
+        const simd::NarrowModulus *nm =
+            simd::narrowLanesActive() ? mod.narrow() : nullptr;
+        if (nm && narrowCompute(state_, instr, *nm))
+            return;
+    }
+
+    // The exact reference loop. Sources are read in place through the
+    // const view (reads never mark a register dirty); every lane reads
+    // all of its sources before it writes, per the aliasing rule in
+    // executor.hh.
+    const State &in = state_;
+    const Word *vs = in.vreg(instr.vs).data();
+    const auto lane = [this](u128 v) { return state_.toLane(v); };
+
+    if (instr.isButterfly()) {
+        const Word *vt = in.vreg(instr.vt).data();
+        const Word *vt1 = in.vreg(instr.vt1).data();
+        Word *sum = state_.vreg(instr.vd).data();
+        Word *diff = state_.vreg(instr.vd1).data();
+        for (unsigned i = 0; i < VL; ++i) {
+            const u128 x = vs[i];
+            const u128 t = mod.mul(vt1[i], vt[i]);
+            sum[i] = lane(mod.add(x, t));
+            diff[i] = lane(mod.sub(x, t));
+        }
         return;
     }
 
-    u128 *out = state_.vreg(instr.vd).data();
+    Word *out = state_.vreg(instr.vd).data();
     switch (instr.op) {
       case Opcode::VADDMOD:
       case Opcode::VSUBMOD:
       case Opcode::VMULMOD: {
-        const u128 *vt = in.vreg(instr.vt).data();
-        uint64_t na[VL], nb[VL];
-        if (nm && narrowLanes(vs, q, na) && narrowLanes(vt, q, nb)) {
-            uint64_t no[VL];
-            if (instr.op == Opcode::VADDMOD)
-                simd::addModSpan(na, nb, no, VL, nm->q);
-            else if (instr.op == Opcode::VSUBMOD)
-                simd::subModSpan(na, nb, no, VL, nm->q);
-            else
-                simd::mulModSpan(na, nb, no, VL, *nm);
-            widenLanes(no, out);
-        } else if (instr.op == Opcode::VADDMOD) {
+        const Word *vt = in.vreg(instr.vt).data();
+        if (instr.op == Opcode::VADDMOD) {
             for (unsigned i = 0; i < VL; ++i)
-                out[i] = mod.add(vs[i], vt[i]);
+                out[i] = lane(mod.add(vs[i], vt[i]));
         } else if (instr.op == Opcode::VSUBMOD) {
             for (unsigned i = 0; i < VL; ++i)
-                out[i] = mod.sub(vs[i], vt[i]);
+                out[i] = lane(mod.sub(vs[i], vt[i]));
         } else {
             for (unsigned i = 0; i < VL; ++i)
-                out[i] = mod.mul(vs[i], vt[i]);
+                out[i] = lane(mod.mul(vs[i], vt[i]));
         }
         break;
       }
@@ -270,51 +341,37 @@ FunctionalSimulator::execCompute(const Instruction &instr)
       case Opcode::VSSUBMOD:
       case Opcode::VSMULMOD: {
         const u128 s = in.sreg(instr.rt);
-        uint64_t na[VL];
-        if (instr.op == Opcode::VSMULMOD && nm && s < q &&
-            narrowLanes(vs, q, na)) {
-            // Per-instruction Shoup precompute: one 128/64 division
-            // amortised over all kVectorLength lanes.
-            const uint64_t w = uint64_t(s);
-            const uint64_t wShoup = simd::shoupPrecompute64(w, nm->q);
-            uint64_t no[VL];
-            simd::mulShoupSpan(na, no, VL, w, wShoup, nm->q);
-            widenLanes(no, out);
-        } else if (instr.op == Opcode::VSADDMOD) {
+        if (instr.op == Opcode::VSADDMOD) {
             for (unsigned i = 0; i < VL; ++i)
-                out[i] = mod.add(vs[i], s);
+                out[i] = lane(mod.add(vs[i], s));
         } else if (instr.op == Opcode::VSSUBMOD) {
             for (unsigned i = 0; i < VL; ++i)
-                out[i] = mod.sub(vs[i], s);
+                out[i] = lane(mod.sub(vs[i], s));
         } else {
             for (unsigned i = 0; i < VL; ++i)
-                out[i] = mod.mul(vs[i], s);
+                out[i] = lane(mod.mul(vs[i], s));
         }
         break;
       }
       default:
         rpu_panic("not a compute op");
     }
-
-    if (instr.op == Opcode::VMULMOD || instr.op == Opcode::VSMULMOD)
-        counts_.laneMuls += VL;
-    else
-        counts_.laneAdds += VL;
 }
 
+template <typename Word>
 void
-FunctionalSimulator::execShuffle(const Instruction &instr)
+BasicFunctionalSimulator<Word>::execShuffle(const Instruction &instr)
 {
     constexpr unsigned H = VL / 2;
-    const ArchState &in = state_;
-    const u128 *vs = in.vreg(instr.vs).data();
-    const u128 *vt = in.vreg(instr.vt).data();
+    const State &in = state_;
+    const Word *vs = in.vreg(instr.vs).data();
+    const Word *vt = in.vreg(instr.vt).data();
 
     // Lanes move across the register, so an aliased destination would
     // overwrite sources still to be read: build that result aside.
     const bool aliased = instr.vd == instr.vs || instr.vd == instr.vt;
-    ArchState::Vreg scratch;
-    u128 *out = aliased ? scratch.data() : state_.vreg(instr.vd).data();
+    typename State::Vreg scratch;
+    Word *out = aliased ? scratch.data() : state_.vreg(instr.vd).data();
 
     switch (instr.op) {
       case Opcode::UNPKLO:
@@ -353,5 +410,8 @@ FunctionalSimulator::execShuffle(const Instruction &instr)
         state_.vreg(instr.vd) = scratch;
     counts_.shuffleWords += VL;
 }
+
+template class BasicFunctionalSimulator<uint64_t>;
+template class BasicFunctionalSimulator<u128>;
 
 } // namespace rpu

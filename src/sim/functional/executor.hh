@@ -71,7 +71,15 @@ class ModulusContextCache
 };
 
 /**
- * Executes B512 programs against an ArchState.
+ * Executes B512 programs against a BasicArchState<Word>.
+ *
+ * Lane arithmetic: the u128 simulator runs every compute op through
+ * the exact per-lane Modulus loop, the reference semantics. The u64
+ * simulator, with narrow lanes active (RPU_HOST_SIMD) and a modulus in
+ * the narrow-kernel domain, runs the vectorised simd:: kernels in
+ * place on the register file when every source lane is canonical,
+ * and the same exact loop otherwise; a lane result of 2^64 or more
+ * is truncated and recorded (BasicArchState::truncated()).
  *
  * Lane-wise aliasing rule: a destination register may alias any of
  * its instruction's sources, and the result is what hardware with
@@ -79,19 +87,23 @@ class ModulusContextCache
  * sources as they stood before the instruction. Compute ops get this
  * without copying registers because lane i of every destination
  * depends only on lane i of the sources: each lane reads all its
- * sources before it writes (the narrow u64 path copies every source
- * into its own buffer first). When a butterfly's two destinations
- * coincide, the difference lands last. Shuffles move values across
- * lanes, so they build their result in a scratch register, but only
- * when the destination aliases a source.
+ * sources before it writes. The one exception is the u64 butterfly
+ * kernel, which forbids its outputs to alias its inputs, so an
+ * aliased butterfly builds its results in scratch registers. When a
+ * butterfly's two destinations coincide, the difference lands last.
+ * Shuffles move values across lanes, so they build their result in a
+ * scratch register, but only when the destination aliases a source.
  */
-class FunctionalSimulator
+template <typename Word>
+class BasicFunctionalSimulator
 {
   public:
-    explicit FunctionalSimulator(ArchState &state) : state_(state) {}
+    using State = BasicArchState<Word>;
+
+    explicit BasicFunctionalSimulator(State &state) : state_(state) {}
 
     /** Share a modulus-context cache owned by the caller. */
-    FunctionalSimulator(ArchState &state, ModulusContextCache &shared)
+    BasicFunctionalSimulator(State &state, ModulusContextCache &shared)
         : state_(state), shared_cache_(&shared)
     {
     }
@@ -128,7 +140,7 @@ class FunctionalSimulator
     void execCompute(const Instruction &instr);
     void execShuffle(const Instruction &instr);
 
-    ArchState &state_;
+    State &state_;
     FunctionalCounts counts_;
 
     /** Per-simulator fallback cache when no shared one is supplied. */
@@ -138,6 +150,12 @@ class FunctionalSimulator
     /** Lock-free memo of contexts this simulator already resolved. */
     std::map<u128, const Modulus *> resolved_;
 };
+
+extern template class BasicFunctionalSimulator<uint64_t>;
+extern template class BasicFunctionalSimulator<u128>;
+
+/** The simulator of the architectural 128-bit-lane state. */
+using FunctionalSimulator = BasicFunctionalSimulator<u128>;
 
 } // namespace rpu
 

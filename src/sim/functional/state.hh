@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/random.hh"
@@ -20,34 +21,69 @@
 namespace rpu {
 
 /**
- * All architecturally visible RPU state.
+ * All architecturally visible RPU state, with VDM and vector-register
+ * lanes held as @p Word.
+ *
+ * Lane word: the architecture's lanes are 128 bits wide, and the u128
+ * state (ArchState) holds every value exactly. A u64 state holds the
+ * lanes of kernels whose values fit in 64 bits (every modulus below
+ * 2^62) in half the bytes. Every value that enters a u64 lane (toLane)
+ * keeps its low 64 bits, and the state records whether any value lost
+ * bits (truncated()); until it does, the u64 state holds exactly
+ * what the u128 state would. SDM and the scalar, address and modulus
+ * registers are u128 in both. VDM capacity is architectural either
+ * way: kWordBytes bytes per word.
  *
  * Dirty-range contract: a state can be reused across launches. Every
  * mutable path into VDM (writeVdm, loadVdm, vdmSpanForWrite) widens
  * one recorded VDM word range, and every non-const vreg() marks its
  * register written. reset() zeroes exactly that range and those
  * registers, plus all of SDM and the scalar, address and modulus
- * register files (small enough to clear outright), which leaves the
- * state indistinguishable from a freshly constructed one. Writes
- * through a pointer or reference obtained from these accessors must
- * stay inside what the accessor recorded.
+ * register files (small enough to clear outright), and clears the
+ * truncation record, which leaves the state indistinguishable from a
+ * freshly constructed one. Writes through a pointer or reference
+ * obtained from these accessors must stay inside what the accessor
+ * recorded.
  */
-class ArchState
+template <typename Word>
+class BasicArchState
 {
+    static_assert(std::is_same_v<Word, uint64_t> ||
+                      std::is_same_v<Word, u128>,
+                  "lanes are u64 or u128");
+
   public:
     /** Allocate memories; @p vdm_bytes defaults to the 4 MiB design. */
-    explicit ArchState(size_t vdm_bytes = arch::kVdmDefaultBytes);
+    explicit BasicArchState(size_t vdm_bytes = arch::kVdmDefaultBytes);
 
     /** Return to the all-zero state of construction (see above). */
     void reset();
 
-    // -- Vector data memory (word addressed, 128b words) ---------------
+    /**
+     * @p v as a lane value: v itself when it fits in Word, else its
+     * low bits, recording the truncation.
+     */
+    Word
+    toLane(u128 v)
+    {
+        if constexpr (std::is_same_v<Word, u128>) {
+            return v;
+        } else {
+            truncated_ |= (v >> 64) != 0;
+            return Word(v);
+        }
+    }
+
+    /** True once a value lost bits entering a lane (never at u128). */
+    bool truncated() const { return truncated_; }
+
+    // -- Vector data memory (word addressed) ----------------------------
 
     size_t vdmWords() const { return vdm_.size(); }
     u128 readVdm(uint64_t word_addr) const;
     void writeVdm(uint64_t word_addr, u128 value);
 
-    /** Bulk host copy-in starting at @p word_addr. */
+    /** Bulk host copy-in starting at @p word_addr (lanes via toLane). */
     void loadVdm(uint64_t word_addr, const std::vector<u128> &data);
 
     /** Bulk host copy-out of @p count words. */
@@ -59,10 +95,10 @@ class ArchState
      * wrap, so callers may fall back to word-at-a-time access (and
      * its fault) on nullptr.
      */
-    const u128 *vdmSpan(uint64_t word_addr, uint64_t count) const;
+    const Word *vdmSpan(uint64_t word_addr, uint64_t count) const;
 
     /** Writable vdmSpan(); records the whole window as dirty. */
-    u128 *vdmSpanForWrite(uint64_t word_addr, uint64_t count);
+    Word *vdmSpanForWrite(uint64_t word_addr, uint64_t count);
 
     // -- Scalar data memory ---------------------------------------------
 
@@ -72,7 +108,7 @@ class ArchState
     // -- Register files --------------------------------------------------
 
     /** One full 512-lane vector register. */
-    using Vreg = std::array<u128, arch::kVectorLength>;
+    using Vreg = std::array<Word, arch::kVectorLength>;
 
     const Vreg &vreg(unsigned idx) const { return vrf_.at(idx); }
 
@@ -103,7 +139,7 @@ class ArchState
     /** Widen the dirty VDM range to cover [lo, hi). */
     void markVdmDirty(uint64_t lo, uint64_t hi);
 
-    std::vector<u128> vdm_;
+    std::vector<Word> vdm_;
     std::vector<u128> sdm_;
     std::vector<Vreg> vrf_;
     std::vector<u128> srf_;
@@ -115,7 +151,14 @@ class ArchState
     uint64_t dirty_hi_ = 0;
     /** Bit i set: vreg i may be nonzero. */
     uint64_t dirty_vregs_ = 0;
+    bool truncated_ = false;
 };
+
+extern template class BasicArchState<uint64_t>;
+extern template class BasicArchState<u128>;
+
+/** The architectural 128-bit-lane state. */
+using ArchState = BasicArchState<u128>;
 
 } // namespace rpu
 

@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "modmath/primegen.hh"
+#include "modmath/simd.hh"
 #include "rlwe/bfv.hh"
 #include "rlwe_test_util.hh"
 #include "rpu/device.hh"
@@ -883,6 +884,171 @@ TEST(StateReuse, LaterLaunchSeesOnlyZeros)
     ASSERT_EQ(results.size(), batch.size());
     for (size_t i = 0; i < results.size(); ++i)
         EXPECT_EQ(results[i], i % 2 ? b_out : a_out) << "launch " << i;
+}
+
+// ----------------------------------------------------------------------
+// Lane word: u64 lanes for narrow-modulus images, u128 otherwise
+// ----------------------------------------------------------------------
+
+/** Restores the host-SIMD mode on scope exit (tests must not leak). */
+class ModeGuard
+{
+  public:
+    explicit ModeGuard(simd::HostSimdMode mode)
+        : saved_(simd::hostSimdMode())
+    {
+        simd::setHostSimdMode(mode);
+    }
+    ~ModeGuard() { simd::setHostSimdMode(saved_); }
+
+  private:
+    simd::HostSimdMode saved_;
+};
+
+bool
+singleTower(KernelKind kind)
+{
+    return kind == KernelKind::ForwardNtt ||
+           kind == KernelKind::InverseNtt || kind == KernelKind::PolyMul ||
+           kind == KernelKind::PointwiseMul;
+}
+
+TEST(LaneWord, NarrowImagesRunOnU64Lanes)
+{
+    const ModeGuard native(simd::HostSimdMode::Native);
+    const uint64_t n = 1024;
+    RpuDevice dev;
+    const auto word = [&](unsigned bits) {
+        return FunctionalSimBackend::laneWordFor(
+            dev.kernel(KernelKind::PointwiseMulBatched, n,
+                       nttPrimes(bits, n, 2)));
+    };
+    EXPECT_EQ(word(45), LaneWord::U64);
+    EXPECT_EQ(word(62), LaneWord::U64);
+    EXPECT_EQ(word(124), LaneWord::U128);
+
+    KernelImage image = dev.kernel(KernelKind::PointwiseMul, n,
+                                   {nttPrime(45, n)});
+    ASSERT_EQ(FunctionalSimBackend::laneWordFor(image), LaneWord::U64);
+    image.moduli.push_back((u128(1) << 40) + 2); // even: no narrow kernels
+    EXPECT_EQ(FunctionalSimBackend::laneWordFor(image), LaneWord::U128);
+    image.moduli.pop_back();
+    image.sdmImage.push_back(u128(1) << 64); // a constant no u64 holds
+    EXPECT_EQ(FunctionalSimBackend::laneWordFor(image), LaneWord::U128);
+    image.sdmImage.pop_back();
+
+    // RPU_HOST_SIMD=scalar keeps every launch on the u128 reference.
+    const ModeGuard scalar(simd::HostSimdMode::Scalar);
+    EXPECT_EQ(FunctionalSimBackend::laneWordFor(image), LaneWord::U128);
+}
+
+struct LaneCase
+{
+    simd::HostSimdMode mode;
+    unsigned bits;
+    LaneWord word; ///< the lane word the launch must run on
+};
+
+class LaneWordEquivalence : public testing::TestWithParam<LaneCase>
+{
+};
+
+TEST_P(LaneWordEquivalence, EveryKindMatchesTheCpuReference)
+{
+    const LaneCase &c = GetParam();
+    const ModeGuard guard(c.mode);
+    const uint64_t n = 1024;
+    const auto primes = nttPrimes(c.bits, n, 2);
+    RpuDevice sim;
+    RpuDevice ref(std::make_unique<CpuReferenceBackend>());
+    Rng rng(c.bits);
+    for (int k = 0; k < int(KernelKind::kCount); ++k) {
+        const KernelKind kind = KernelKind(k);
+        const std::vector<u128> moduli =
+            singleTower(kind) ? std::vector<u128>{primes[0]} : primes;
+        const KernelImage &image = sim.kernel(kind, n, moduli);
+        EXPECT_EQ(FunctionalSimBackend::laneWordFor(image), c.word)
+            << "kind " << k;
+        // Below every tower's modulus, so canonical in each.
+        std::vector<std::vector<u128>> inputs;
+        for (const DataRegion *r : image.inputRegions()) {
+            std::vector<u128> x(r->words);
+            for (u128 &v : x)
+                v = rng.below128(primes[1]);
+            inputs.push_back(std::move(x));
+        }
+        EXPECT_EQ(sim.launch(image, inputs),
+                  ref.launch(ref.kernel(kind, n, moduli), inputs))
+            << "kind " << k;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, LaneWordEquivalence,
+    testing::Values(
+        LaneCase{simd::HostSimdMode::Native, 45, LaneWord::U64},
+        LaneCase{simd::HostSimdMode::Native, 62, LaneWord::U64},
+        LaneCase{simd::HostSimdMode::Scalar, 45, LaneWord::U128},
+        LaneCase{simd::HostSimdMode::Native, 124, LaneWord::U128}),
+    [](const auto &info) {
+        return std::string(info.param.mode == simd::HostSimdMode::Scalar
+                               ? "scalar"
+                               : "native") +
+               std::to_string(info.param.bits);
+    });
+
+TEST(LaneWord, LanesThatDoNotFitRerunOnU128)
+{
+    const uint64_t n = 1024;
+    const u128 q = nttPrime(45, n);
+    Rng rng(3);
+    std::vector<u128> a = randomPoly(Modulus(q), n, rng);
+    const std::vector<u128> b = randomPoly(Modulus(q), n, rng);
+    a[17] = (u128(1) << 64) + 5; // a staged word no u64 lane holds
+
+    // Lanes that fit in 64 bits but whose modular sums do not (an
+    // inverse NTT adds two such lanes in its first stage). Here the
+    // sums land in the output, where no u64 lane could hold them.
+    KernelImage sum;
+    sum.program = Program("wide_sum");
+    sum.moduli = {q};
+    sum.vdmBytesRequired = kReuseVdmBytes;
+    sum.regions = {{"x", 0, kLanes, true, false},
+                   {"y", 512, kLanes, true, false},
+                   {"out", 1024, kLanes, false, true}};
+    sum.sdmImage = {q};
+    sum.program.append(Instruction::mload(1, 0));
+    sum.program.append(Instruction::vload(1, 0, 0));
+    sum.program.append(Instruction::vload(2, 0, 512));
+    sum.program.append(Instruction::vv(Opcode::VADDMOD, 3, 1, 2, 1));
+    sum.program.append(Instruction::vstore(3, 0, 1024));
+    std::vector<u128> x(kLanes), y(kLanes);
+    for (unsigned i = 0; i < kLanes; ++i) {
+        x[i] = ~uint64_t(0) - i;
+        y[i] = ~uint64_t(0) - 2 * i;
+    }
+
+    const auto launches = [&](RpuDevice &dev) {
+        std::vector<std::vector<std::vector<u128>>> out;
+        out.push_back(dev.launch(
+            dev.kernel(KernelKind::PointwiseMul, n, {q}), {a, b}));
+        out.push_back(dev.launch(sum, {x, y}));
+        return out;
+    };
+    std::vector<std::vector<std::vector<u128>>> got;
+    {
+        const ModeGuard native(simd::HostSimdMode::Native);
+        ASSERT_EQ(FunctionalSimBackend::laneWordFor(sum), LaneWord::U64);
+        RpuDevice narrow;
+        got = launches(narrow);
+        EXPECT_EQ(narrow.stats().launches, 2u);
+    }
+    for (unsigned i = 0; i < kLanes; ++i)
+        ASSERT_EQ(got[1][0][i], x[i] + y[i] - q) << "lane " << i;
+
+    const ModeGuard scalar(simd::HostSimdMode::Scalar);
+    RpuDevice wide;
+    EXPECT_EQ(got, launches(wide));
 }
 
 } // namespace
