@@ -128,10 +128,23 @@ Instruction::toString() const
     return os.str();
 }
 
+namespace {
+
+/** The VALUE field is 6 bits wide; encode() rejects the same values. */
+void
+checkModeValue(unsigned value)
+{
+    if (value >= 64)
+        rpu_fatal("mode value %u exceeds 6 bits", value);
+}
+
+} // namespace
+
 Instruction
 Instruction::vload(uint8_t vd, uint8_t arf, uint32_t addr, AddrMode mode,
                    uint8_t value)
 {
+    checkModeValue(value);
     Instruction i;
     i.op = Opcode::VLOAD;
     i.vd = vd;
@@ -146,6 +159,7 @@ Instruction
 Instruction::vstore(uint8_t vs, uint8_t arf, uint32_t addr, AddrMode mode,
                     uint8_t value)
 {
+    checkModeValue(value);
     Instruction i;
     i.op = Opcode::VSTORE;
     i.vs = vs;

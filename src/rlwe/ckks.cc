@@ -209,17 +209,9 @@ CkksContext::decrypt(const CkksSecretKey &sk,
     const CrtContext::TowerPoly v = evaluator_.innerProduct(
         ct.c0, ct.c1, residuesOfSigned(s, L));
 
-    // Out of RNS exactly once: reconstruct mod the active Q, centre,
-    // and decode at the ciphertext's scale.
-    const std::vector<BigUInt> wide = crt(L).reconstructPoly(v);
-    const BigUInt &big_q = prefixBasis(L).q();
-    const BigUInt half_q = big_q >> 1;
-    std::vector<double> coeffs(params_.n);
-    for (size_t i = 0; i < params_.n; ++i) {
-        coeffs[i] = wide[i] > half_q ? -(big_q - wide[i]).toDouble()
-                                     : wide[i].toDouble();
-    }
-    return encoder_.decode(coeffs, ct.scale);
+    // Out of RNS exactly once: the centred lift mod the active Q,
+    // decoded at the ciphertext's scale.
+    return encoder_.decode(crt(L).liftCentred(v), ct.scale);
 }
 
 CkksCiphertext

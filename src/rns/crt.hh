@@ -2,6 +2,11 @@
  * @file
  * Chinese Remainder Theorem conversions between a big integer modulo
  * Q and its RNS residue vector, plus tower-wise ring arithmetic.
+ *
+ * Leaving RNS is the one step of an RLWE scheme that needs
+ * multi-precision arithmetic. It runs on fixed-width u64 limb arrays
+ * sized from Q's bit length, so a lift allocates nothing per
+ * coefficient; BigUInt results are built once from the limbs.
  */
 
 #ifndef RPU_RNS_CRT_HH
@@ -39,10 +44,32 @@ class CrtContext
     /** Reassemble big coefficients from towers. */
     std::vector<BigUInt> reconstructPoly(const TowerPoly &towers) const;
 
+    /**
+     * The centred lift of every coefficient as a double: x in [0, Q)
+     * becomes x, or -(Q - x) when x > floor(Q/2). The magnitude is
+     * converted by BigUInt::limbsToDouble, so each double equals the
+     * one reconstructPoly's BigUInt gives, centred and converted by
+     * toDouble().
+     */
+    std::vector<double> liftCentred(const TowerPoly &towers) const;
+
   private:
+    /**
+     * Write x in [0, Q), x == residues[i] (mod q_i), to the words_ + 1
+     * limbs at @p x (the top limb ends zero). It writes nothing but
+     * @p x, so concurrent lifts on one context are safe.
+     */
+    void lift(const u128 *residues, uint64_t *x) const;
+
+    /** Check @p towers has one tower per modulus, all of one length. */
+    size_t polyLength(const TowerPoly &towers) const;
+
     const RnsBasis &basis_;
-    std::vector<BigUInt> q_over_qi_;   ///< Q / q_i
-    std::vector<u128> q_over_qi_inv_;  ///< (Q/q_i)^-1 mod q_i
+    size_t words_;                   ///< u64 limbs of Q
+    std::vector<uint64_t> q_;        ///< Q, words_ + 1 limbs
+    std::vector<uint64_t> halfQ_;    ///< floor(Q/2), words_ limbs
+    std::vector<uint64_t> qOverQi_;  ///< Q/q_i, words_ limbs per tower
+    std::vector<u128> qOverQiInv_;   ///< (Q/q_i)^-1 mod q_i
 };
 
 } // namespace rpu

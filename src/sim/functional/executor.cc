@@ -133,6 +133,9 @@ uint64_t
 BasicFunctionalSimulator<Word>::laneOffset(AddrMode mode, unsigned value,
                                            unsigned lane)
 {
+    // Every shift below is by value; the 6-bit VALUE field keeps it
+    // under the word width.
+    rpu_assert(value < 64, "mode value %u exceeds 6 bits", value);
     switch (mode) {
       case AddrMode::CONTIGUOUS:
         return lane;

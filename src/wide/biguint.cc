@@ -26,6 +26,15 @@ BigUInt::fromU128(u128 v)
 }
 
 BigUInt
+BigUInt::fromLimbs(const uint64_t *limbs, size_t count)
+{
+    BigUInt r;
+    r.limbs_.assign(limbs, limbs + count);
+    r.trim();
+    return r;
+}
+
+BigUInt
 BigUInt::fromDecimal(const std::string &s)
 {
     if (s.empty())
@@ -67,9 +76,15 @@ BigUInt::low128() const
 double
 BigUInt::toDouble() const
 {
+    return limbsToDouble(limbs_.data(), limbs_.size());
+}
+
+double
+BigUInt::limbsToDouble(const uint64_t *limbs, size_t count)
+{
     double r = 0.0;
-    for (size_t i = limbs_.size(); i-- > 0;)
-        r = r * 18446744073709551616.0 + double(limbs_[i]);
+    for (size_t i = count; i-- > 0;)
+        r = r * 18446744073709551616.0 + double(limbs[i]);
     return r;
 }
 

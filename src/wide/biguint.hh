@@ -35,6 +35,9 @@ class BigUInt
     /** From a 128-bit value. */
     static BigUInt fromU128(u128 v);
 
+    /** From @p count little-endian limbs (leading zero limbs allowed). */
+    static BigUInt fromLimbs(const uint64_t *limbs, size_t count);
+
     /** Parse a decimal string; fatal on malformed input. */
     static BigUInt fromDecimal(const std::string &s);
 
@@ -50,10 +53,20 @@ class BigUInt
     u128 low128() const;
 
     /**
-     * Nearest double (infinity above ~2^1024). For scale and noise
-     * tracking in the RLWE layers, not for exact arithmetic.
+     * The value as a double, by limbsToDouble (infinity above
+     * ~2^1024). For scale and noise tracking in the RLWE layers, not
+     * for exact arithmetic.
      */
     double toDouble() const;
+
+    /**
+     * The conversion behind toDouble(): Horner's rule over @p count
+     * little-endian limbs, top limb first, rounding at each step (so
+     * not always the nearest double). Leading zero limbs leave the
+     * result unchanged, so a fixed-width limb array converts exactly
+     * as its BigUInt does.
+     */
+    static double limbsToDouble(const uint64_t *limbs, size_t count);
 
     BigUInt operator+(const BigUInt &o) const;
     BigUInt operator-(const BigUInt &o) const; // requires *this >= o

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <complex>
 #include <memory>
@@ -253,6 +254,66 @@ TEST(Ckks, RescaleMatchesWideIntegerReference)
                 EXPECT_EQ((quot % qt).low128(), (*outs[c])[t][i])
                     << "component " << c << " tower " << t
                     << " coefficient " << i;
+            }
+        }
+    }
+}
+
+TEST(Ckks, DecryptMatchesBigUIntLift)
+{
+    // decrypt leaves RNS through CrtContext::liftCentred. Its doubles
+    // must be the bits of the BigUInt formula it replaced: CRT-sum in
+    // BigUInt, centre, toDouble, decode.
+    for (size_t chain : {3u, 5u}) {
+        CkksParams p = smallParams();
+        p.towers = chain;
+        CkksContext ctx(p);
+        const CkksSecretKey sk = ctx.keygen();
+        const CkksCiphertext prod =
+            ctx.mulPlain(ctx.encrypt(sk, randomSlots(ctx.slots(), 31)),
+                         randomSlots(ctx.slots(), 37));
+        const CkksCiphertext dropped = ctx.rescale(prod);
+        ASSERT_EQ(dropped.towers(), chain - 1);
+
+        for (const CkksCiphertext *ct : {&prod, &dropped}) {
+            const size_t L = ct->towers();
+            const RnsBasis &basis = ctx.prefixBasis(L);
+            CrtContext::TowerPoly s_res(L, std::vector<u128>(p.n));
+            for (size_t t = 0; t < L; ++t) {
+                for (size_t i = 0; i < p.n; ++i)
+                    s_res[t][i] = sk.s[i] < 0 ? basis.prime(t) - 1
+                                              : u128(sk.s[i]);
+            }
+            const CrtContext::TowerPoly v =
+                ctx.evaluator().innerProduct(ct->c0, ct->c1, s_res);
+
+            const BigUInt &big_q = basis.q();
+            const BigUInt half_q = big_q >> 1;
+            std::vector<double> coeffs(p.n);
+            for (size_t i = 0; i < p.n; ++i) {
+                BigUInt x;
+                for (size_t t = 0; t < L; ++t) {
+                    const BigUInt qt = BigUInt::fromU128(basis.prime(t));
+                    const BigUInt q_over = big_q / qt;
+                    const BigUInt inv = BigUInt::fromU128(
+                        basis.modulus(t).inv((q_over % qt).low128()));
+                    x = x + q_over *
+                                ((BigUInt::fromU128(v[t][i]) * inv) % qt);
+                }
+                x = x % big_q;
+                coeffs[i] = x > half_q ? -(big_q - x).toDouble()
+                                       : x.toDouble();
+            }
+            const auto want = ctx.encoder().decode(coeffs, ct->scale);
+            const auto got = ctx.decrypt(sk, *ct);
+            ASSERT_EQ(got.size(), want.size());
+            for (size_t k = 0; k < want.size(); ++k) {
+                EXPECT_EQ(std::bit_cast<uint64_t>(got[k].real()),
+                          std::bit_cast<uint64_t>(want[k].real()))
+                    << L << " towers, slot " << k;
+                EXPECT_EQ(std::bit_cast<uint64_t>(got[k].imag()),
+                          std::bit_cast<uint64_t>(want[k].imag()))
+                    << L << " towers, slot " << k;
             }
         }
     }

@@ -335,6 +335,18 @@ TYPED_TEST(VdmFaults, PartiallyOutOfBoundsAccessFaults)
     EXPECT_EQ(state.readVdm(words - 1), state.vreg(2)[VL - 1]);
 }
 
+TYPED_TEST(VdmFaults, LargestModeValueStridedAccessFaults)
+{
+    // VALUE 63 puts lane 1 at 2^63 words: the word-at-a-time path
+    // faults there, with no shift past the word width.
+    auto &sim = this->sim;
+    EXPECT_EXIT(sim.step(Instruction::vload(2, 0, 0, AddrMode::STRIDED, 63)),
+                testing::ExitedWithCode(1), "out of bounds");
+    EXPECT_EXIT(
+        sim.step(Instruction::vstore(2, 0, 0, AddrMode::STRIDED, 63)),
+        testing::ExitedWithCode(1), "out of bounds");
+}
+
 TYPED_TEST(VdmFaults, BulkAccessNearTopOfAddressSpaceFaults)
 {
     auto &state = this->state;

@@ -157,6 +157,23 @@ TEST(Encoding, RejectsOversizedFields)
     EXPECT_EXIT(encode(j), testing::ExitedWithCode(1), "out of range");
 }
 
+TEST(Instruction, RejectsOversizedModeValue)
+{
+    // VALUE is a 6-bit field and the simulator shifts by it: both
+    // vector memory constructors refuse what encode() would refuse.
+    for (uint8_t value : {uint8_t(64), uint8_t(70)}) {
+        EXPECT_EXIT((void)Instruction::vload(1, 0, 0, AddrMode::STRIDED,
+                                             value),
+                    testing::ExitedWithCode(1), "exceeds 6 bits");
+        EXPECT_EXIT((void)Instruction::vstore(1, 0, 0, AddrMode::STRIDED,
+                                              value),
+                    testing::ExitedWithCode(1), "exceeds 6 bits");
+    }
+    const Instruction top =
+        Instruction::vload(1, 0, 0, AddrMode::STRIDED, 63);
+    EXPECT_EQ(decode(encode(top)), top);
+}
+
 TEST(Encoding, ProgramRoundTrip)
 {
     Rng rng(7);

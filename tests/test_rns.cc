@@ -1,10 +1,14 @@
 /**
  * @file
- * RNS/CRT tests: decompose/reconstruct round trips and ring
- * homomorphism across towers (paper section II-B).
+ * RNS/CRT tests: decompose/reconstruct round trips, ring homomorphism
+ * across towers (paper section II-B), and the fixed-limb lift against
+ * a BigUInt reference.
  */
 
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <memory>
 
 #include "rns/crt.hh"
 
@@ -127,6 +131,101 @@ TEST(Crt, TowerIndependence)
               basis.modulus(1).add(u128(12345 % basis.prime(1)), 1));
     EXPECT_EQ((x % BigUInt::fromU128(basis.prime(2))).low128(),
               u128(12345 % basis.prime(2)));
+}
+
+/**
+ * The reference for CrtContext's fixed-limb core: the CRT sum
+ * sum_i [r_i (Q/q_i)^-1]_{q_i} (Q/q_i) mod Q in BigUInt throughout.
+ */
+BigUInt
+bigUIntLift(const RnsBasis &basis, const std::vector<u128> &residues)
+{
+    const BigUInt &q = basis.q();
+    BigUInt acc;
+    for (size_t i = 0; i < basis.towers(); ++i) {
+        const BigUInt qi = BigUInt::fromU128(basis.prime(i));
+        const BigUInt q_over = q / qi;
+        const BigUInt inv = BigUInt::fromU128(
+            basis.modulus(i).inv((q_over % qi).low128()));
+        acc = acc + q_over * ((BigUInt::fromU128(residues[i]) * inv) % qi);
+    }
+    return acc % q;
+}
+
+/** The centred value as a double via BigUInt: -(Q - x) above floor(Q/2). */
+double
+bigUIntCentred(const BigUInt &q, const BigUInt &x)
+{
+    return x > (q >> 1) ? -(q - x).toDouble() : x.toDouble();
+}
+
+TEST(Crt, FixedLimbLiftMatchesBigUIntReference)
+{
+    std::vector<std::unique_ptr<RnsBasis>> bases;
+    bases.push_back(std::make_unique<RnsBasis>(
+        std::vector<u128>{u128(3), u128(5), u128(7)}));
+    for (unsigned bits : {30u, 45u, 62u, 124u}) {
+        for (size_t towers = 1; towers <= 6; ++towers) {
+            bases.push_back(std::make_unique<RnsBasis>(
+                RnsBasis::nttBasis(bits, 1024, towers)));
+        }
+    }
+
+    Rng rng(24);
+    for (const auto &basis : bases) {
+        const CrtContext crt(*basis);
+        const BigUInt &q = basis->q();
+        const size_t L = basis->towers();
+        SCOPED_TRACE(testing::Message() << L << " towers, Q of "
+                                        << basis->qBits() << " bits");
+
+        // The edges of [0, Q) and of the centring, then random
+        // residue vectors.
+        const BigUInt half = q >> 1;
+        const std::vector<BigUInt> edges = {BigUInt(0), BigUInt(1),
+                                            q - BigUInt(1), half,
+                                            half + BigUInt(1)};
+        CrtContext::TowerPoly towers(L);
+        for (const BigUInt &x : edges) {
+            const auto r = crt.decompose(x);
+            for (size_t t = 0; t < L; ++t)
+                towers[t].push_back(r[t]);
+        }
+        for (int k = 0; k < 64; ++k) {
+            for (size_t t = 0; t < L; ++t)
+                towers[t].push_back(rng.below128(basis->prime(t)));
+        }
+
+        const auto wide = crt.reconstructPoly(towers);
+        const auto centred = crt.liftCentred(towers);
+        ASSERT_EQ(wide.size(), towers[0].size());
+        ASSERT_EQ(centred.size(), towers[0].size());
+        for (size_t c = 0; c < wide.size(); ++c) {
+            std::vector<u128> r(L);
+            for (size_t t = 0; t < L; ++t)
+                r[t] = towers[t][c];
+            const BigUInt want = bigUIntLift(*basis, r);
+            if (c < edges.size()) {
+                EXPECT_EQ(want, edges[c]) << "coefficient " << c;
+            }
+            EXPECT_EQ(crt.reconstruct(r), want) << "coefficient " << c;
+            EXPECT_EQ(wide[c], want) << "coefficient " << c;
+            EXPECT_EQ(std::bit_cast<uint64_t>(centred[c]),
+                      std::bit_cast<uint64_t>(bigUIntCentred(q, want)))
+                << "coefficient " << c << ": " << centred[c];
+        }
+    }
+}
+
+TEST(Crt, LiftRejectsMismatchedTowers)
+{
+    const RnsBasis basis({u128(3), u128(5), u128(7)});
+    const CrtContext crt(basis);
+    const CrtContext::TowerPoly two(2, std::vector<u128>(4, 0));
+    EXPECT_DEATH((void)crt.liftCentred(two), "tower count mismatch");
+    CrtContext::TowerPoly ragged(3, std::vector<u128>(4, 0));
+    ragged[2].pop_back();
+    EXPECT_DEATH((void)crt.reconstructPoly(ragged), "ragged");
 }
 
 } // namespace
