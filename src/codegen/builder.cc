@@ -7,7 +7,35 @@
 namespace rpu {
 
 namespace {
+
 constexpr unsigned VL = arch::kVectorLength;
+
+/** All @p len lanes of the view (p, stride) equal its first. */
+bool
+constantView(const u128 *p, unsigned stride, unsigned len)
+{
+    for (unsigned i = 1; i < len; ++i) {
+        if (p[size_t(i) * stride] != p[0])
+            return false;
+    }
+    return true;
+}
+
+/** FNV-style hash over four interleaved lane streams. */
+uint64_t
+patternHash(const u128 *p)
+{
+    constexpr uint64_t kPrime = 0x100000001b3ull;
+    uint64_t h[4] = {0xcbf29ce484222325ull, 1, 2, 3};
+    for (unsigned i = 0; i < VL; i += 4) {
+        for (unsigned k = 0; k < 4; ++k) {
+            h[k] = (h[k] ^ uint64_t(p[i + k])) * kPrime;
+            h[k] = (h[k] ^ uint64_t(p[i + k] >> 64)) * kPrime;
+        }
+    }
+    return ((h[0] * kPrime ^ h[1]) * kPrime ^ h[2]) * kPrime ^ h[3];
+}
+
 } // namespace
 
 KernelBuilder::KernelBuilder(const TwiddleTable &tw, bool optimized,
@@ -18,8 +46,11 @@ KernelBuilder::KernelBuilder(const TwiddleTable &tw, bool optimized,
 {
     // v0 is reserved as an always-zero scratch convention; the pool
     // hands out v1..v63.
-    for (unsigned r = 1; r < arch::kNumVregs; ++r)
+    for (unsigned r = 1; r < arch::kNumVregs; ++r) {
         pool_.push_back(r);
+        pooled_[r] = true;
+    }
+    bcast_.reserve(kBroadcastCacheCap);
 }
 
 unsigned
@@ -36,6 +67,7 @@ KernelBuilder::allocReg()
         r = pool_.back();
         pool_.pop_back();
     }
+    pooled_[r] = false;
     return r;
 }
 
@@ -43,10 +75,10 @@ void
 KernelBuilder::freeReg(unsigned reg)
 {
     rpu_assert(reg >= 1 && reg < arch::kNumVregs, "bad register %u", reg);
-    rpu_assert(std::find(pool_.begin(), pool_.end(), reg) == pool_.end(),
-               "double free of v%u", reg);
+    rpu_assert(!pooled_[reg], "double free of v%u", reg);
     oracle_.clear(reg);
     pool_.push_back(reg);
+    pooled_[reg] = true;
 }
 
 uint64_t
@@ -65,16 +97,18 @@ KernelBuilder::sdmScalar(u128 value)
 }
 
 uint64_t
-KernelBuilder::twPlanVector(const std::vector<u128> &pattern)
+KernelBuilder::twPlanVector(const u128 *pattern)
 {
-    rpu_assert(pattern.size() == VL, "twiddle plan vectors are 512 words");
-    auto it = twplan_slots_.find(pattern);
-    if (it != twplan_slots_.end())
-        return it->second;
+    const uint64_t hash = patternHash(pattern);
+    const auto [first, last] = twplan_slots_.equal_range(hash);
+    for (auto it = first; it != last; ++it) {
+        if (std::equal(pattern, pattern + VL,
+                       twplan_image_.begin() + it->second))
+            return it->second;
+    }
     const uint64_t offset = twplan_image_.size();
-    twplan_image_.insert(twplan_image_.end(), pattern.begin(),
-                         pattern.end());
-    twplan_slots_.emplace(pattern, offset);
+    twplan_image_.insert(twplan_image_.end(), pattern, pattern + VL);
+    twplan_slots_.emplace(hash, offset);
     return offset;
 }
 
@@ -170,11 +204,12 @@ TwiddleRef
 KernelBuilder::emitBroadcast(u128 value)
 {
     if (optimized_) {
-        auto it = bcast_map_.find(value);
-        if (it != bcast_map_.end()) {
-            // LRU refresh; the cached register is reused directly.
-            bcast_lru_.splice(bcast_lru_.begin(), bcast_lru_, it->second);
-            return {it->second->second, false};
+        for (CachedBroadcast &c : bcast_) {
+            if (c.value == value) {
+                // LRU refresh; the cached register is reused directly.
+                c.lastUse = ++bcast_clock_;
+                return {c.reg, false};
+            }
         }
     }
     const uint64_t sdm_addr = sdmScalar(value);
@@ -186,59 +221,48 @@ KernelBuilder::emitBroadcast(u128 value)
     if (!optimized_)
         return {reg, true};
 
-    if (bcast_lru_.size() >= kBroadcastCacheCap) {
-        auto &victim = bcast_lru_.back();
-        bcast_map_.erase(victim.first);
-        freeReg(victim.second);
-        bcast_lru_.pop_back();
+    const CachedBroadcast entry{value, reg, ++bcast_clock_};
+    if (bcast_.size() < kBroadcastCacheCap) {
+        bcast_.push_back(entry);
+    } else {
+        auto victim = std::min_element(
+            bcast_.begin(), bcast_.end(),
+            [](const CachedBroadcast &a, const CachedBroadcast &b) {
+                return a.lastUse < b.lastUse;
+            });
+        freeReg(victim->reg);
+        *victim = entry;
     }
-    bcast_lru_.emplace_front(value, reg);
-    bcast_map_[value] = bcast_lru_.begin();
     return {reg, false};
 }
 
 bool
-KernelBuilder::canCompose(const u128 *pattern, unsigned prefix_len,
-                          unsigned &leaves) const
+KernelBuilder::canCompose(const u128 *pattern, unsigned stride,
+                          unsigned len, unsigned &leaves) const
 {
-    const bool constant =
-        std::all_of(pattern, pattern + prefix_len,
-                    [&](u128 v) { return v == pattern[0]; });
-    if (constant) {
+    if (constantView(pattern, stride, len)) {
         leaves += 1;
         return leaves <= kMaxComposeLeaves;
     }
-    if (prefix_len == 1)
-        return false; // unreachable: single element is constant
-    // Split into even and odd lanes and recurse.
-    std::vector<u128> evens(prefix_len / 2), odds(prefix_len / 2);
-    for (unsigned i = 0; i < prefix_len / 2; ++i) {
-        evens[i] = pattern[2 * i];
-        odds[i] = pattern[2 * i + 1];
-    }
-    return canCompose(evens.data(), prefix_len / 2, leaves) &&
-           canCompose(odds.data(), prefix_len / 2, leaves);
+    // A single lane is constant, so len >= 2 here. Split into even
+    // and odd lanes and recurse.
+    return canCompose(pattern, 2 * stride, len / 2, leaves) &&
+           canCompose(pattern + stride, 2 * stride, len / 2, leaves);
 }
 
 TwiddleRef
-KernelBuilder::materializePrefix(const u128 *pattern, unsigned prefix_len)
+KernelBuilder::materializeView(const u128 *pattern, unsigned stride,
+                               unsigned len)
 {
-    const bool constant =
-        std::all_of(pattern, pattern + prefix_len,
-                    [&](u128 v) { return v == pattern[0]; });
-    if (constant)
+    if (constantView(pattern, stride, len))
         return emitBroadcast(pattern[0]);
 
-    std::vector<u128> evens(prefix_len / 2), odds(prefix_len / 2);
-    for (unsigned i = 0; i < prefix_len / 2; ++i) {
-        evens[i] = pattern[2 * i];
-        odds[i] = pattern[2 * i + 1];
-    }
     // UNPKLO(A, B) builds lanes [A0,B0,A1,B1,...] from the first
     // halves of A and B, so A's prefix must hold the even sub-pattern
     // and B's the odd one.
-    const TwiddleRef a = materializePrefix(evens.data(), prefix_len / 2);
-    const TwiddleRef b = materializePrefix(odds.data(), prefix_len / 2);
+    const TwiddleRef a = materializeView(pattern, 2 * stride, len / 2);
+    const TwiddleRef b =
+        materializeView(pattern + stride, 2 * stride, len / 2);
     const unsigned out = allocReg();
     prog_.append(Instruction::shuffle(Opcode::UNPKLO, uint8_t(out),
                                       uint8_t(a.reg), uint8_t(b.reg)));
@@ -249,18 +273,13 @@ KernelBuilder::materializePrefix(const u128 *pattern, unsigned prefix_len)
 }
 
 TwiddleRef
-KernelBuilder::twiddleReg(const std::vector<u128> &pattern)
+KernelBuilder::twiddleReg(const u128 *pattern)
 {
-    rpu_assert(pattern.size() == VL, "twiddle pattern must have %u lanes",
-               VL);
-    const bool constant =
-        std::all_of(pattern.begin(), pattern.end(),
-                    [&](u128 v) { return v == pattern[0]; });
     unsigned leaves = 0;
-    if (constant)
+    if (constantView(pattern, 1, VL))
         return emitBroadcast(pattern[0]);
-    if (compose_ && canCompose(pattern.data(), VL, leaves))
-        return materializePrefix(pattern.data(), VL);
+    if (compose_ && canCompose(pattern, 1, VL, leaves))
+        return materializeView(pattern, 1, VL);
 
     // Fall back to a precomputed vector in the twiddle-plan region.
     const uint64_t offset = twPlanVector(pattern);
@@ -315,8 +334,7 @@ KernelBuilder::emitPointwiseMul(unsigned vd, unsigned vs, unsigned vt)
     prog_.append(Instruction::vv(Opcode::VMULMOD, uint8_t(vd),
                                  uint8_t(vs), uint8_t(vt),
                                  uint8_t(mod_reg_)));
-    LayoutOracle::Tags tags = oracle_.tags(vs);
-    oracle_.setTags(vd, std::move(tags));
+    oracle_.copyTags(vd, vs);
 }
 
 void

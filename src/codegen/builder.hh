@@ -23,10 +23,10 @@
 #ifndef RPU_CODEGEN_BUILDER_HH
 #define RPU_CODEGEN_BUILDER_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
-#include <list>
-#include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "codegen/layout_oracle.hh"
@@ -80,11 +80,19 @@ class KernelBuilder
     /** Deduplicated SDM scalar slot; returns the word address. */
     uint64_t sdmScalar(u128 value);
 
-    /** Deduplicated twiddle-plan vector; returns offset from plan base. */
-    uint64_t twPlanVector(const std::vector<u128> &pattern);
+    /**
+     * Deduplicated twiddle-plan vector (512 words at @p pattern);
+     * returns its offset from the plan base. Offsets are handed out in
+     * first-use order.
+     */
+    uint64_t twPlanVector(const u128 *pattern);
 
     const std::vector<u128> &sdmImage() const { return sdm_image_; }
     const std::vector<u128> &twPlanImage() const { return twplan_image_; }
+
+    /** Move the finished images out; the builder is spent afterwards. */
+    std::vector<u128> takeSdmImage() { return std::move(sdm_image_); }
+    std::vector<u128> takeTwPlanImage() { return std::move(twplan_image_); }
 
     /** Current data region base (words). */
     uint64_t dataBase() const { return data_base_; }
@@ -143,12 +151,18 @@ class KernelBuilder
     TwiddleRef emitBroadcast(u128 value);
 
     /**
+     * A 512-word buffer for building one twiddle pattern in place
+     * (see LayoutOracle::butterflyTwiddles) before twiddleReg.
+     */
+    u128 *patternBuffer() { return pattern_.data(); }
+
+    /**
      * Materialise an arbitrary 512-lane twiddle pattern: broadcast if
      * constant, a broadcast/unpack tree if it is recursively
      * interleave-constant with at most @p kMaxComposeLeaves leaves,
      * otherwise a contiguous load from the twiddle-plan region.
      */
-    TwiddleRef twiddleReg(const std::vector<u128> &pattern);
+    TwiddleRef twiddleReg(const u128 *pattern);
 
     void releaseTwiddle(const TwiddleRef &ref);
 
@@ -179,8 +193,15 @@ class KernelBuilder
     static constexpr unsigned kBroadcastCacheCap = 18;
 
   private:
-    TwiddleRef materializePrefix(const u128 *pattern, unsigned prefix_len);
-    bool canCompose(const u128 *pattern, unsigned prefix_len,
+    /*
+     * The compose tree works on strided views of the pattern: lanes
+     * pattern[0], pattern[stride], ... (len of them). The even lanes
+     * of a view are (pattern, 2 * stride), the odd (pattern + stride,
+     * 2 * stride).
+     */
+    TwiddleRef materializeView(const u128 *pattern, unsigned stride,
+                               unsigned len);
+    bool canCompose(const u128 *pattern, unsigned stride, unsigned len,
                     unsigned &leaves) const;
 
     const TwiddleTable &tw_;
@@ -195,16 +216,36 @@ class KernelBuilder
     LayoutOracle oracle_;
 
     std::deque<unsigned> pool_;
+    std::array<bool, arch::kNumVregs> pooled_{}; ///< reg is in pool_
 
-    std::map<u128, uint64_t> sdm_slots_;
+    struct U128Hash
+    {
+        size_t
+        operator()(u128 v) const
+        {
+            return size_t((uint64_t(v) ^ uint64_t(v >> 64)) *
+                          0x9e3779b97f4a7c15ull);
+        }
+    };
+    std::unordered_map<u128, uint64_t, U128Hash> sdm_slots_;
     std::vector<u128> sdm_image_;
-    std::map<std::vector<u128>, uint64_t> twplan_slots_;
+    /** Plan-vector content hash -> offsets in twplan_image_. */
+    std::unordered_multimap<uint64_t, uint64_t> twplan_slots_;
     std::vector<u128> twplan_image_;
+    std::array<u128, arch::kVectorLength> pattern_{};
 
-    /** Broadcast cache (optimized policy): value -> register, LRU. */
-    std::map<u128, std::list<std::pair<u128, unsigned>>::iterator>
-        bcast_map_;
-    std::list<std::pair<u128, unsigned>> bcast_lru_;
+    /**
+     * Broadcast cache (optimized policy): at most kBroadcastCacheCap
+     * values, the least recently used evicted first.
+     */
+    struct CachedBroadcast
+    {
+        u128 value;
+        unsigned reg;
+        uint64_t lastUse;
+    };
+    std::vector<CachedBroadcast> bcast_;
+    uint64_t bcast_clock_ = 0;
 };
 
 } // namespace rpu

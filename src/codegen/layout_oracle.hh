@@ -23,7 +23,9 @@
 #ifndef RPU_CODEGEN_LAYOUT_ORACLE_HH
 #define RPU_CODEGEN_LAYOUT_ORACLE_HH
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "isa/opcodes.hh"
@@ -32,25 +34,32 @@
 
 namespace rpu {
 
-/** Per-lane position tags for the 64 vector registers. */
+/**
+ * Per-lane position tags for the 64 vector registers, held in one
+ * fixed table allocated with the oracle: no operation allocates.
+ */
 class LayoutOracle
 {
   public:
-    /** Tag vector: position in [0, n) per lane. Empty = untracked. */
-    using Tags = std::vector<uint32_t>;
+    /** Tag row: the position in [0, n) each lane holds. */
+    using Tags = std::array<uint32_t, arch::kVectorLength>;
 
-    explicit LayoutOracle(uint64_t n) : n_(n) {}
+    /** @p n must be a power of two (the NTT ring dimension). */
+    explicit LayoutOracle(uint64_t n);
 
     /** Register now holds data positions [first, first + 512). */
     void setContiguous(unsigned reg, uint32_t first);
 
-    /** Register now holds explicit tags (512 entries). */
-    void setTags(unsigned reg, Tags tags);
+    /** Register now holds explicit tags. */
+    void setTags(unsigned reg, const Tags &tags);
+
+    /** Register @p dst now holds what @p src holds (no-op if equal). */
+    void copyTags(unsigned dst, unsigned src);
 
     /** Register holds non-data content (twiddles, scratch). */
     void clear(unsigned reg);
 
-    bool tracked(unsigned reg) const { return !tags_[reg].empty(); }
+    bool tracked(unsigned reg) const;
     const Tags &tags(unsigned reg) const;
 
     /** Apply an UNPK/PK shuffle's permutation to the tags. */
@@ -60,34 +69,29 @@ class LayoutOracle
      * Validate a Cooley-Tukey butterfly at stage @p stage (0-based,
      * m = 2^stage, gap = n / 2^(stage+1)) combining registers
      * @p va (sum inputs) and @p vb (difference inputs) lane-wise,
-     * and return the required per-lane forward twiddle values
-     * rootPower(m + block(lane)).
+     * and write the required per-lane forward twiddle values
+     * rootPower(m + block(lane)) to @p pattern (512 words).
      *
      * Panics if any lane pair is not (a, a + gap) with a correctly
      * block-aligned: that is a generator bug.
      */
-    std::vector<u128> butterflyTwiddles(const TwiddleTable &tw,
-                                        unsigned stage, unsigned va,
-                                        unsigned vb) const;
+    void butterflyTwiddles(const TwiddleTable &tw, unsigned stage,
+                           unsigned va, unsigned vb, u128 *pattern) const;
 
     /**
      * Same validation for the inverse (Gentleman-Sande) butterfly;
-     * returns invRootPower(m + block(lane)) per lane.
+     * writes invRootPower(m + block(lane)) per lane.
      */
-    std::vector<u128> inverseButterflyTwiddles(const TwiddleTable &tw,
-                                               unsigned stage, unsigned va,
-                                               unsigned vb) const;
+    void inverseButterflyTwiddles(const TwiddleTable &tw, unsigned stage,
+                                  unsigned va, unsigned vb,
+                                  u128 *pattern) const;
 
-    /** After a butterfly, both outputs keep the input positions. */
-    void
-    commitButterfly(unsigned va, unsigned vb, unsigned sum_reg,
-                    unsigned diff_reg)
-    {
-        Tags a = tags(va);
-        Tags b = tags(vb);
-        setTags(sum_reg, std::move(a));
-        setTags(diff_reg, std::move(b));
-    }
+    /**
+     * After a butterfly, both outputs keep the input positions; an
+     * in-place butterfly (outputs = inputs) changes nothing.
+     */
+    void commitButterfly(unsigned va, unsigned vb, unsigned sum_reg,
+                         unsigned diff_reg);
 
     /**
      * Verify that storing @p reg with the given addressing pattern
@@ -97,10 +101,20 @@ class LayoutOracle
                     AddrMode mode, unsigned mode_value) const;
 
   private:
-    void validatePair(unsigned stage, unsigned va, unsigned vb) const;
+    /** Checks the pairing; returns log2 of the block width 2 * gap. */
+    unsigned validatePair(unsigned stage, unsigned va, unsigned vb) const;
+
+    /** Per-lane table[m + block(lane)] after validating the pair. */
+    void blockTwiddles(const std::vector<u128> &table, unsigned stage,
+                       unsigned va, unsigned vb, u128 *pattern) const;
+
+    Tags &row(unsigned reg) { return rows_[reg]; }
 
     uint64_t n_;
-    Tags tags_[arch::kNumVregs];
+    unsigned log_n_;
+    /** One row per register, plus a scratch row for aliased updates. */
+    std::unique_ptr<Tags[]> rows_;
+    std::array<bool, arch::kNumVregs> tracked_{};
 };
 
 } // namespace rpu

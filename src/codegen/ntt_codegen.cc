@@ -83,21 +83,16 @@ class NttGenerator
     }
 
   private:
-    /** Twiddle pattern for one butterfly, validated by the oracle. */
-    std::vector<u128>
-    twiddlePattern(unsigned stage, unsigned va, unsigned vb) const
-    {
-        return inverse_
-                   ? b_.oracle().inverseButterflyTwiddles(tw_, stage, va, vb)
-                   : b_.oracle().butterflyTwiddles(tw_, stage, va, vb);
-    }
-
     /** Butterfly (direction-appropriate) with oracle-derived twiddles. */
     void
     emitStageButterfly(unsigned stage, unsigned sum_out, unsigned diff_out,
                        unsigned va, unsigned vb)
     {
-        const auto pattern = twiddlePattern(stage, va, vb);
+        u128 *pattern = b_.patternBuffer();
+        if (inverse_)
+            b_.oracle().inverseButterflyTwiddles(tw_, stage, va, vb, pattern);
+        else
+            b_.oracle().butterflyTwiddles(tw_, stage, va, vb, pattern);
         const TwiddleRef tw = b_.twiddleReg(pattern);
         if (inverse_)
             b_.emitInverseButterfly(sum_out, diff_out, va, vb, tw.reg);
@@ -301,8 +296,8 @@ finalizeImage(KernelImage &image, KernelBuilder &builder,
               const NttCodegenOptions &opts, const std::string &name)
 {
     image.twPlanBase = builder.twPlanBase();
-    image.twPlanImage = builder.twPlanImage();
-    image.sdmImage = builder.sdmImage();
+    image.twPlanImage = builder.takeTwPlanImage();
+    image.sdmImage = builder.takeSdmImage();
 
     const size_t words = image.twPlanBase + image.twPlanImage.size();
     image.vdmBytesRequired =

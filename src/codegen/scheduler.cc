@@ -30,13 +30,21 @@ struct MemRange
 MemRange
 rangeOf(const Instruction &instr)
 {
-    uint64_t max_off = 0;
-    for (unsigned lane = 0; lane < arch::kVectorLength; ++lane) {
-        max_off = std::max(max_off,
-                           FunctionalSimulator::laneOffset(
-                               instr.mode, instr.modeValue, lane));
-    }
-    return {instr.rm, instr.address, instr.address + max_off};
+    // Lane offsets are non-decreasing in the lane in every addressing
+    // mode, so the last lane reaches furthest.
+    constexpr unsigned kLast = arch::kVectorLength - 1;
+    const uint64_t max_off =
+        FunctionalSimulator::laneOffset(instr.mode, instr.modeValue, kLast);
+    const uint64_t hi = instr.address + max_off;
+    // Past VALUE 55 a stride wraps the 64-bit offset (an access no
+    // VDM can serve); order it against every access through its ARF
+    // register.
+    const bool wraps = (instr.mode == AddrMode::STRIDED &&
+                        (max_off >> instr.modeValue) != kLast) ||
+                       hi < instr.address;
+    if (wraps)
+        return {instr.rm, 0, ~uint64_t(0)};
+    return {instr.rm, instr.address, hi};
 }
 
 } // namespace
@@ -45,16 +53,19 @@ Program
 scheduleProgram(const Program &prog, const RpuConfig &cfg)
 {
     const size_t n = prog.size();
-    std::vector<std::vector<uint32_t>> succs(n);
-    std::vector<uint32_t> indegree(n, 0);
+
+    // The dependence graph in compressed rows. Every edge points into
+    // the instruction being scanned, so predecessors arrive grouped by
+    // target; the successor rows are derived from them afterwards.
+    std::vector<uint32_t> preds;
+    std::vector<uint32_t> pred_begin(n + 1, 0);
 
     const auto add_edge = [&](uint32_t from, uint32_t to) {
         // Self-dependences (e.g. a butterfly writing one register
         // twice) are intra-instruction and never constrain ordering.
         if (from == to)
             return;
-        succs[from].push_back(to);
-        ++indegree[to];
+        preds.push_back(from);
     };
 
     // Register dependences across all four register files.
@@ -67,6 +78,7 @@ scheduleProgram(const Program &prog, const RpuConfig &cfg)
     std::vector<std::pair<MemRange, uint32_t>> stores, loads;
 
     for (uint32_t i = 0; i < n; ++i) {
+        pred_begin[i] = uint32_t(preds.size());
         const Instruction &instr = prog[i];
         const RegUse use = regUses(instr);
 
@@ -110,6 +122,21 @@ scheduleProgram(const Program &prog, const RpuConfig &cfg)
             stores.emplace_back(r, i);
         }
     }
+    pred_begin[n] = uint32_t(preds.size());
+
+    std::vector<uint32_t> succ_begin(n + 1, 0);
+    for (uint32_t p : preds)
+        ++succ_begin[p + 1];
+    for (size_t i = 0; i < n; ++i)
+        succ_begin[i + 1] += succ_begin[i];
+    std::vector<uint32_t> succs(preds.size());
+    {
+        std::vector<uint32_t> next(succ_begin.begin(), succ_begin.end() - 1);
+        for (uint32_t i = 0; i < n; ++i) {
+            for (uint32_t e = pred_begin[i]; e < pred_begin[i + 1]; ++e)
+                succs[next[preds[e]]++] = i;
+        }
+    }
 
     // Critical-path priorities, weighted by each instruction's
     // occupancy + latency at the target design point. Program order is
@@ -117,12 +144,13 @@ scheduleProgram(const Program &prog, const RpuConfig &cfg)
     // suffices.
     std::vector<uint64_t> prio(n, 0);
     std::vector<uint64_t> beats(n), latency(n);
+    BeatTable beat_table(cfg);
     for (size_t i = n; i-- > 0;) {
-        beats[i] = instrBeats(prog[i], cfg);
+        beats[i] = beat_table.beats(prog[i]);
         latency[i] = instrLatency(prog[i], cfg);
         uint64_t best = 0;
-        for (uint32_t s : succs[i])
-            best = std::max(best, prio[s]);
+        for (uint32_t e = succ_begin[i]; e < succ_begin[i + 1]; ++e)
+            best = std::max(best, prio[succs[e]]);
         prio[i] = best + beats[i] + latency[i];
     }
 
@@ -135,7 +163,9 @@ scheduleProgram(const Program &prog, const RpuConfig &cfg)
     // longer critical path), and advance a small timing model of the
     // front-end and the three pipelines.
     std::vector<uint64_t> completion(n, 0);
-    std::vector<uint32_t> pred_count(indegree); // copy before mutation
+    std::vector<uint32_t> pred_count(n);
+    for (size_t i = 0; i < n; ++i)
+        pred_count[i] = pred_begin[i + 1] - pred_begin[i];
     std::vector<uint64_t> dep_ready(n, 0);
 
     // Ready pool keyed by (dep_ready, -prio, index): cheapest
@@ -168,6 +198,7 @@ scheduleProgram(const Program &prog, const RpuConfig &cfg)
     uint64_t pipe_free[3] = {0, 0, 0};
 
     Program out(prog.name());
+    out.instructions().reserve(n);
     size_t emitted = 0;
     while (!ready.empty()) {
         Key top = ready.top();
@@ -192,7 +223,8 @@ scheduleProgram(const Program &prog, const RpuConfig &cfg)
         pipe_free[pipe] = issue + beats[i];
         front_cycle = dispatch;
 
-        for (uint32_t s : succs[i]) {
+        for (uint32_t e = succ_begin[i]; e < succ_begin[i + 1]; ++e) {
+            const uint32_t s = succs[e];
             dep_ready[s] = std::max(dep_ready[s], completion[i]);
             if (--pred_count[s] == 0)
                 ready.push({dep_ready[s], prio[s], s});

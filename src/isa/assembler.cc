@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cstdlib>
 #include <sstream>
 #include <vector>
 
@@ -10,6 +12,8 @@
 namespace rpu {
 
 namespace {
+
+constexpr uint64_t kMaxAddress = (uint64_t(1) << 20) - 1;
 
 std::string
 stripComment(const std::string &line)
@@ -48,22 +52,55 @@ tokenize(const std::string &line)
     return tokens;
 }
 
+/**
+ * A non-negative integer that fills the whole token, in @p base (0:
+ * decimal, 0x hex or 0-prefixed octal). Fatal on a sign, trailing
+ * characters or a value beyond 64 bits.
+ */
+uint64_t
+parseNumber(const std::string &tok, int base, const char *what)
+{
+    if (tok.empty() || !std::isdigit(static_cast<unsigned char>(tok[0])))
+        rpu_fatal("expected %s, got '%s'", what, tok.c_str());
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(tok.c_str(), &end, base);
+    if (errno == ERANGE || *end != '\0')
+        rpu_fatal("malformed %s '%s'", what, tok.c_str());
+    return v;
+}
+
 uint8_t
 parseReg(const std::string &tok, char prefix)
 {
     if (tok.size() < 2 || tok[0] != prefix)
         rpu_fatal("expected %c-register, got '%s'", prefix, tok.c_str());
-    const unsigned long idx = std::stoul(tok.substr(1));
+    const uint64_t idx = parseNumber(tok.substr(1), 10, "register index");
     if (idx >= 64)
-        rpu_fatal("register index %lu out of range in '%s'", idx,
-                  tok.c_str());
+        rpu_fatal("register index %llu out of range in '%s'",
+                  (unsigned long long)idx, tok.c_str());
     return uint8_t(idx);
 }
 
+/** A VDM address or SDM offset: the 20-bit ADDRESS field. */
 uint32_t
-parseImm(const std::string &tok)
+parseAddress(const std::string &tok)
 {
-    return uint32_t(std::stoul(tok, nullptr, 0));
+    const uint64_t v = parseNumber(tok, 0, "address");
+    if (v > kMaxAddress)
+        rpu_fatal("address offset %llu exceeds 20 bits",
+                  (unsigned long long)v);
+    return uint32_t(v);
+}
+
+/** The 6-bit addressing-mode VALUE field. */
+uint8_t
+parseModeValue(const std::string &tok)
+{
+    const uint64_t v = parseNumber(tok, 0, "mode value");
+    if (v >= 64)
+        rpu_fatal("mode value %llu exceeds 6 bits", (unsigned long long)v);
+    return uint8_t(v);
 }
 
 AddrMode
@@ -103,9 +140,9 @@ assembleLine(const std::string &raw)
         expectOperands(t, 4, 5);
         const uint8_t vreg = parseReg(t[1], 'v');
         const uint8_t arf = parseReg(t[2], 'a');
-        const uint32_t addr = parseImm(t[3]);
+        const uint32_t addr = parseAddress(t[3]);
         const AddrMode mode = parseMode(t[4]);
-        const uint8_t value = t.size() > 5 ? uint8_t(parseImm(t[5])) : 0;
+        const uint8_t value = t.size() > 5 ? parseModeValue(t[5]) : 0;
         return m == "vload"
                    ? Instruction::vload(vreg, arf, addr, mode, value)
                    : Instruction::vstore(vreg, arf, addr, mode, value);
@@ -113,19 +150,19 @@ assembleLine(const std::string &raw)
     if (m == "vbcast") {
         expectOperands(t, 3, 3);
         return Instruction::vbcast(parseReg(t[1], 'v'), parseReg(t[2], 'a'),
-                                   parseImm(t[3]));
+                                   parseAddress(t[3]));
     }
     if (m == "sload") {
         expectOperands(t, 2, 2);
-        return Instruction::sload(parseReg(t[1], 's'), parseImm(t[2]));
+        return Instruction::sload(parseReg(t[1], 's'), parseAddress(t[2]));
     }
     if (m == "mload") {
         expectOperands(t, 2, 2);
-        return Instruction::mload(parseReg(t[1], 'm'), parseImm(t[2]));
+        return Instruction::mload(parseReg(t[1], 'm'), parseAddress(t[2]));
     }
     if (m == "aload") {
         expectOperands(t, 2, 2);
-        return Instruction::aload(parseReg(t[1], 'a'), parseImm(t[2]));
+        return Instruction::aload(parseReg(t[1], 'a'), parseAddress(t[2]));
     }
     if (m == "vaddmod" || m == "vsubmod" || m == "vmulmod") {
         expectOperands(t, 4, 4);

@@ -6,10 +6,11 @@ Frontend::Frontend(const Program &prog, const RpuConfig &cfg)
     : prog_(prog), cfg_(cfg)
 {
     infos_.reserve(prog.size());
+    BeatTable beats(cfg);
     for (const auto &instr : prog.instructions()) {
         DecodedInfo d;
         d.use = regUses(instr);
-        d.beats = instrBeats(instr, cfg);
+        d.beats = beats.beats(instr);
         d.latency = instrLatency(instr, cfg);
         d.cls = instr.pipeClass();
         infos_.push_back(d);

@@ -58,6 +58,21 @@ instrBeats(const Instruction &instr, const RpuConfig &cfg)
 }
 
 uint64_t
+BeatTable::beats(const Instruction &instr)
+{
+    const bool vector_mem =
+        instr.op == Opcode::VLOAD || instr.op == Opcode::VSTORE;
+    if (!vector_mem || unsigned(instr.mode) >= kModes ||
+        instr.modeValue >= kModeValues)
+        return instrBeats(instr, cfg_);
+    uint64_t &b =
+        bank_beats_[unsigned(instr.mode) * kModeValues + instr.modeValue];
+    if (b == 0)
+        b = bankBeats(instr.mode, instr.modeValue, cfg_.numBanks);
+    return b;
+}
+
+uint64_t
 instrLatency(const Instruction &instr, const RpuConfig &cfg)
 {
     switch (instr.pipeClass()) {

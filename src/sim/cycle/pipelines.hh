@@ -21,6 +21,7 @@
 #ifndef RPU_SIM_CYCLE_PIPELINES_HH
 #define RPU_SIM_CYCLE_PIPELINES_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 
@@ -41,6 +42,27 @@ uint64_t instrLatency(const Instruction &instr, const RpuConfig &cfg);
  * tests and the analytical model.
  */
 uint64_t bankBeats(AddrMode mode, unsigned value, unsigned banks);
+
+/**
+ * instrBeats for the instructions of one program, with each distinct
+ * load/store addressing pattern's bank count computed once. Holds
+ * only per-program state: make one per program and design point.
+ */
+class BeatTable
+{
+  public:
+    explicit BeatTable(const RpuConfig &cfg) : cfg_(cfg) {}
+
+    uint64_t beats(const Instruction &instr);
+
+  private:
+    static constexpr unsigned kModes = 4;
+    static constexpr unsigned kModeValues = 64;
+
+    const RpuConfig &cfg_;
+    /** bankBeats per (mode, value); 0 = not computed yet. */
+    std::array<uint64_t, kModes * kModeValues> bank_beats_{};
+};
 
 /** One decoupled pipeline: FIFO queue + pipelined execution. */
 class Pipeline
@@ -76,6 +98,9 @@ class Pipeline
     }
 
     bool busy(uint64_t now) const { return now < free_at_; }
+
+    /** First cycle the queue head may issue. */
+    uint64_t freeAt() const { return free_at_; }
 
   private:
     struct Entry

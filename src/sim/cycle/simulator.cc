@@ -119,11 +119,13 @@ simulateCycles(const Program &prog, const RpuConfig &cfg)
 
         // 1. Retire instructions completing by this cycle, releasing
         //    their busyboard claims.
+        bool moved = false;
         while (!inflight.empty() && inflight.top().first <= now) {
             const uint32_t idx = inflight.top().second;
             inflight.pop();
             busyboard.release(frontend.info(idx).use);
             ++retired;
+            moved = true;
         }
 
         // 2. Each pipeline starts its queue head if the previous
@@ -137,6 +139,7 @@ simulateCycles(const Program &prog, const RpuConfig &cfg)
                 ps.instrs += 1;
                 ps.busyBeats += beats;
                 countAccesses(prog[idx], stats);
+                moved = true;
             }
         };
         pump(ls_pipe, stats.ls);
@@ -146,18 +149,38 @@ simulateCycles(const Program &prog, const RpuConfig &cfg)
         // 3. Front-end fetch/decode/dispatch. Every cycle lands in
         //    exactly one attribution bucket: dispatch progress, a
         //    stall reason, or the post-frontend drain tail.
+        uint64_t *bucket = &stats.drainCycles;
         if (!frontend.done()) {
+            const uint64_t fetched = stats.imFetches;
             const StallReason reason = frontend.dispatchCycle(
                 busyboard, ls_pipe, compute_pipe, shuffle_pipe,
                 stats.imFetches);
-            if (reason == StallReason::Busyboard)
-                ++stats.busyboardStallCycles;
-            else if (reason == StallReason::QueueFull)
-                ++stats.queueFullStallCycles;
-            else
-                ++stats.dispatchCycles;
-        } else {
-            ++stats.drainCycles;
+            moved = moved || stats.imFetches != fetched;
+            bucket = reason == StallReason::Busyboard
+                         ? &stats.busyboardStallCycles
+                     : reason == StallReason::QueueFull
+                         ? &stats.queueFullStallCycles
+                         : &stats.dispatchCycles;
+        }
+        ++*bucket;
+
+        // 4. A cycle in which nothing retired, issued or dispatched
+        //    leaves the state as it found it, and only a completion or
+        //    a pipeline freeing up can change it. Every cycle before
+        //    the next such event repeats this one, so count them into
+        //    the same bucket at once.
+        if (!moved) {
+            uint64_t next = inflight.empty() ? ~uint64_t(0)
+                                             : inflight.top().first;
+            for (const Pipeline *pipe :
+                 {&ls_pipe, &compute_pipe, &shuffle_pipe}) {
+                if (!pipe->queueEmpty())
+                    next = std::min(next, pipe->freeAt());
+            }
+            if (next != ~uint64_t(0) && next > now + 1) {
+                *bucket += next - 1 - now;
+                now = next - 1;
+            }
         }
     }
 
@@ -169,8 +192,9 @@ uint64_t
 cycleLowerBound(const Program &prog, const RpuConfig &cfg)
 {
     uint64_t ls_beats = 0, compute_beats = 0, shuffle_beats = 0;
+    BeatTable beats(cfg);
     for (const auto &instr : prog.instructions()) {
-        const uint64_t b = instrBeats(instr, cfg);
+        const uint64_t b = beats.beats(instr);
         switch (instr.pipeClass()) {
           case InstrClass::LoadStore:
             ls_beats += b;

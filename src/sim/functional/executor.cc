@@ -129,30 +129,6 @@ narrowCompute(BasicArchState<uint64_t> &state, const Instruction &instr,
 } // namespace
 
 template <typename Word>
-uint64_t
-BasicFunctionalSimulator<Word>::laneOffset(AddrMode mode, unsigned value,
-                                           unsigned lane)
-{
-    // Every shift below is by value; the 6-bit VALUE field keeps it
-    // under the word width.
-    rpu_assert(value < 64, "mode value %u exceeds 6 bits", value);
-    switch (mode) {
-      case AddrMode::CONTIGUOUS:
-        return lane;
-      case AddrMode::STRIDED:
-        return uint64_t(lane) << value;
-      case AddrMode::STRIDED_SKIP: {
-        // Runs of 2^value consecutive words, skipping the next 2^value.
-        const uint64_t run = uint64_t(1) << value;
-        return (lane / run) * 2 * run + (lane % run);
-      }
-      case AddrMode::REPEATED:
-        return uint64_t(lane) >> value;
-    }
-    rpu_panic("unknown addressing mode");
-}
-
-template <typename Word>
 const Modulus &
 BasicFunctionalSimulator<Word>::modulusFor(u128 q)
 {

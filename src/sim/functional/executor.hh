@@ -15,6 +15,7 @@
 #include <map>
 #include <mutex>
 
+#include "common/logging.hh"
 #include "isa/program.hh"
 #include "modmath/modulus.hh"
 #include "sim/functional/state.hh"
@@ -122,8 +123,28 @@ class BasicFunctionalSimulator
      * to the effective base. Shared with the cycle simulator's bank
      * model so timing and semantics can never diverge.
      */
-    static uint64_t laneOffset(AddrMode mode, unsigned value,
-                               unsigned lane);
+    static uint64_t
+    laneOffset(AddrMode mode, unsigned value, unsigned lane)
+    {
+        // Every shift below is by value; the 6-bit VALUE field keeps
+        // it under the word width.
+        rpu_assert(value < 64, "mode value %u exceeds 6 bits", value);
+        switch (mode) {
+          case AddrMode::CONTIGUOUS:
+            return lane;
+          case AddrMode::STRIDED:
+            return uint64_t(lane) << value;
+          case AddrMode::STRIDED_SKIP: {
+            // Runs of 2^value consecutive words, skipping the next
+            // 2^value.
+            const uint64_t run = uint64_t(1) << value;
+            return (lane / run) * 2 * run + (lane % run);
+          }
+          case AddrMode::REPEATED:
+            return uint64_t(lane) >> value;
+        }
+        rpu_panic("unknown addressing mode");
+    }
 
   private:
     /**

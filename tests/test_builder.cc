@@ -77,10 +77,10 @@ TEST_F(BuilderFixture, TwPlanDeduplicates)
 {
     KernelBuilder b(tw, true);
     std::vector<u128> p1(VL, 7), p2(VL, 8);
-    const uint64_t o1 = b.twPlanVector(p1);
-    const uint64_t o2 = b.twPlanVector(p2);
+    const uint64_t o1 = b.twPlanVector(p1.data());
+    const uint64_t o2 = b.twPlanVector(p2.data());
     EXPECT_NE(o1, o2);
-    EXPECT_EQ(b.twPlanVector(p1), o1);
+    EXPECT_EQ(b.twPlanVector(p1.data()), o1);
     EXPECT_EQ(b.twPlanImage().size(), 2 * VL);
 }
 
@@ -124,7 +124,7 @@ TEST_F(BuilderFixture, BroadcastCacheEvictsLru)
 TEST_F(BuilderFixture, ConstantPatternBecomesBroadcast)
 {
     KernelBuilder b(tw, true);
-    const TwiddleRef r = b.twiddleReg(std::vector<u128>(VL, 5));
+    const TwiddleRef r = b.twiddleReg(std::vector<u128>(VL, 5).data());
     EXPECT_EQ(b.program()[b.program().size() - 1].op, Opcode::VBCAST);
     b.releaseTwiddle(r);
 }
@@ -137,7 +137,7 @@ TEST_F(BuilderFixture, CyclicPatternComposes)
     for (unsigned i = 0; i < VL; ++i)
         pattern[i] = (i % 2) ? 11 : 10;
     const size_t before = b.program().size();
-    const TwiddleRef r = b.twiddleReg(pattern);
+    const TwiddleRef r = b.twiddleReg(pattern.data());
     EXPECT_EQ(b.program().size() - before, 3u);
     EXPECT_EQ(b.program()[b.program().size() - 1].op, Opcode::UNPKLO);
     EXPECT_TRUE(b.twPlanImage().empty()); // no plan vector used
@@ -151,7 +151,7 @@ TEST_F(BuilderFixture, Cyclic4Composes)
     for (unsigned i = 0; i < VL; ++i)
         pattern[i] = 20 + i % 4;
     const size_t before = b.program().size();
-    const TwiddleRef r = b.twiddleReg(pattern);
+    const TwiddleRef r = b.twiddleReg(pattern.data());
     // 4 broadcasts + 3 unpacks.
     EXPECT_EQ(b.program().size() - before, 7u);
     b.releaseTwiddle(r);
@@ -166,7 +166,7 @@ TEST_F(BuilderFixture, WidePatternFallsBackToPlanLoad)
     for (unsigned i = 0; i < VL; ++i)
         pattern[i] = 100 + i;
     const size_t before = b.program().size();
-    const TwiddleRef r = b.twiddleReg(pattern);
+    const TwiddleRef r = b.twiddleReg(pattern.data());
     EXPECT_EQ(b.program().size() - before, 1u);
     EXPECT_EQ(b.program()[before].op, Opcode::VLOAD);
     EXPECT_EQ(b.program()[before].rm, KernelBuilder::kTwPlanAreg);
@@ -181,7 +181,7 @@ TEST_F(BuilderFixture, ComposeDisabledForcesPlanLoads)
     for (unsigned i = 0; i < VL; ++i)
         pattern[i] = (i % 2) ? 11 : 10;
     const size_t before = b.program().size();
-    const TwiddleRef r = b.twiddleReg(pattern);
+    const TwiddleRef r = b.twiddleReg(pattern.data());
     EXPECT_EQ(b.program().size() - before, 1u);
     EXPECT_EQ(b.program()[before].op, Opcode::VLOAD);
     b.releaseTwiddle(r);
@@ -196,7 +196,7 @@ TEST_F(BuilderFixture, RunPatternFallsBackToPlanLoad)
     for (unsigned i = 0; i < VL; ++i)
         pattern[i] = i < VL / 2 ? 1 : 2;
     const size_t before = b.program().size();
-    const TwiddleRef r = b.twiddleReg(pattern);
+    const TwiddleRef r = b.twiddleReg(pattern.data());
     EXPECT_EQ(b.program().size() - before, 1u);
     EXPECT_EQ(b.program()[before].op, Opcode::VLOAD);
     b.releaseTwiddle(r);

@@ -218,6 +218,39 @@ TEST(CycleSim, CycleAttributionReconciles)
                             s.queueFullStallCycles + s.drainCycles);
 }
 
+TEST(CycleSim, LongStallsKeepTheirAttribution)
+{
+    // At 4 HPLEs an add occupies the compute pipeline for 128 beats,
+    // so most cycles are spent waiting. Hand count, chain v2 -> v3
+    // (add latency 2): dispatch at 1, issue at 2 (done at 132), the
+    // dependent add stalls 2..131, dispatches at 132, issues at 133
+    // and completes at 263; the drain tail is 133..263.
+    RpuConfig cfg;
+    cfg.numHples = 4;
+    auto s = simulateCycles(fromAsm("vaddmod v2, v1, v1, m0\n"
+                                    "vaddmod v3, v2, v2, m0"),
+                            cfg);
+    EXPECT_EQ(s.cycles, 263u);
+    EXPECT_EQ(s.dispatchCycles, 2u);
+    EXPECT_EQ(s.busyboardStallCycles, 130u);
+    EXPECT_EQ(s.queueFullStallCycles, 0u);
+    EXPECT_EQ(s.drainCycles, 131u);
+
+    // Four independent adds behind a one-entry queue: each waits 127
+    // cycles for the previous one's beats (issues at 2, 130, 258,
+    // 386), the last completing at 386 + 128 + 2.
+    cfg.queueDepth = 1;
+    std::string text;
+    for (int i = 1; i <= 4; ++i)
+        text += "vaddmod v" + std::to_string(10 + i) + ", v1, v1, m0\n";
+    s = simulateCycles(fromAsm(text), cfg);
+    EXPECT_EQ(s.cycles, 516u);
+    EXPECT_EQ(s.dispatchCycles, 4u);
+    EXPECT_EQ(s.busyboardStallCycles, 0u);
+    EXPECT_EQ(s.queueFullStallCycles, 254u);
+    EXPECT_EQ(s.drainCycles, 258u);
+}
+
 TEST(CycleSim, Deterministic)
 {
     const RpuConfig cfg;

@@ -227,6 +227,33 @@ TEST(Assembler, Errors)
                 testing::ExitedWithCode(1), "out of range");
 }
 
+TEST(Assembler, RejectsTruncatedOrMalformedOperands)
+{
+    // Each of these used to assemble to a different instruction (or
+    // escape as an uncaught exception) instead of a clean exit 1.
+    EXPECT_EXIT(assembleLine("vload v1, a0, 0, strided, 300"),
+                testing::ExitedWithCode(1), "mode value 300 exceeds 6 bits");
+    EXPECT_EXIT(assembleLine("vload v1, a0, 4294967297, contig"),
+                testing::ExitedWithCode(1),
+                "address offset 4294967297 exceeds 20 bits");
+    EXPECT_EXIT(assembleLine("sload s1, 12abc"), testing::ExitedWithCode(1),
+                "malformed address '12abc'");
+    EXPECT_EXIT(assembleLine("vload v1x, a0, 0, contig"),
+                testing::ExitedWithCode(1), "malformed register index");
+    EXPECT_EXIT(assembleLine("sload s1, foo"), testing::ExitedWithCode(1),
+                "expected address, got 'foo'");
+    EXPECT_EXIT(assembleLine("aload a1, 1048576"), testing::ExitedWithCode(1),
+                "exceeds 20 bits");
+}
+
+TEST(Assembler, AcceptsLargestFieldValues)
+{
+    EXPECT_EQ(assembleLine("sload s1, 1048575"),
+              Instruction::sload(1, 1048575));
+    EXPECT_EQ(assembleLine("vload v1, a0, 0xfffff, strided, 63"),
+              Instruction::vload(1, 0, 1048575, AddrMode::STRIDED, 63));
+}
+
 TEST(Program, MixCounting)
 {
     Program p;

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <utility>
+
 #include "codegen/layout_oracle.hh"
 #include "modmath/primegen.hh"
 
@@ -14,6 +17,7 @@ namespace rpu {
 namespace {
 
 constexpr unsigned VL = arch::kVectorLength;
+using Pattern = std::array<u128, VL>;
 
 class OracleTest : public testing::Test
 {
@@ -46,8 +50,16 @@ TEST_F(OracleTest, UntrackedAccessPanics)
 
 TEST_F(OracleTest, OutOfRangeTagPanics)
 {
-    LayoutOracle::Tags t(VL, 1024); // == n, out of range
-    EXPECT_DEATH(oracle.setTags(1, std::move(t)), "out of range");
+    LayoutOracle::Tags t;
+    t.fill(1024); // == n, out of range
+    EXPECT_DEATH(oracle.setTags(1, t), "out of range");
+}
+
+TEST_F(OracleTest, ContiguousRunPastRingPanics)
+{
+    // 513..1024: the last lane would hold position n.
+    oracle.setContiguous(1, 512); // 512..1023 fits exactly
+    EXPECT_DEATH(oracle.setContiguous(2, 513), "out of range");
 }
 
 TEST_F(OracleTest, ShufflePermutations)
@@ -76,7 +88,8 @@ TEST_F(OracleTest, VerticalButterflyTwiddles)
     // rootPower(1) for every lane.
     oracle.setContiguous(1, 0);
     oracle.setContiguous(2, 512);
-    const auto pattern = oracle.butterflyTwiddles(tw, 0, 1, 2);
+    Pattern pattern;
+    oracle.butterflyTwiddles(tw, 0, 1, 2, pattern.data());
     for (u128 v : pattern)
         EXPECT_EQ(v, tw.rootPower(1));
 }
@@ -89,7 +102,8 @@ TEST_F(OracleTest, IntraButterflyTwiddlesAfterUnpack)
     oracle.setContiguous(2, 512);
     oracle.applyShuffle(Opcode::UNPKLO, 3, 1, 2);
     oracle.applyShuffle(Opcode::UNPKHI, 4, 1, 2);
-    const auto pattern = oracle.butterflyTwiddles(tw, 1, 3, 4);
+    Pattern pattern;
+    oracle.butterflyTwiddles(tw, 1, 3, 4, pattern.data());
     for (unsigned lane = 0; lane < VL; ++lane)
         EXPECT_EQ(pattern[lane], tw.rootPower(2 + lane % 2)) << lane;
 }
@@ -98,8 +112,9 @@ TEST_F(OracleTest, InverseTwiddlesAreInverses)
 {
     oracle.setContiguous(1, 0);
     oracle.setContiguous(2, 512);
-    const auto fwd = oracle.butterflyTwiddles(tw, 0, 1, 2);
-    const auto inv = oracle.inverseButterflyTwiddles(tw, 0, 1, 2);
+    Pattern fwd, inv;
+    oracle.butterflyTwiddles(tw, 0, 1, 2, fwd.data());
+    oracle.inverseButterflyTwiddles(tw, 0, 1, 2, inv.data());
     for (unsigned lane = 0; lane < VL; ++lane)
         EXPECT_EQ(mod.mul(fwd[lane], inv[lane]), u128(1));
 }
@@ -109,7 +124,8 @@ TEST_F(OracleTest, BadPairingPanics)
     // Pairing (0..511) with (0..511) is never a valid butterfly.
     oracle.setContiguous(1, 0);
     oracle.setContiguous(2, 0);
-    EXPECT_DEATH(oracle.butterflyTwiddles(tw, 0, 1, 2),
+    Pattern pattern;
+    EXPECT_DEATH(oracle.butterflyTwiddles(tw, 0, 1, 2, pattern.data()),
                  "pairing broken");
 }
 
@@ -123,9 +139,11 @@ TEST_F(OracleTest, WrongStagePanicsRightStagePasses)
     const TwiddleTable tw2(mod2, 2048);
     big.setContiguous(1, 512);
     big.setContiguous(2, 1536);
-    const auto ok = big.butterflyTwiddles(tw2, 0, 1, 2);
+    Pattern ok;
+    big.butterflyTwiddles(tw2, 0, 1, 2, ok.data());
     EXPECT_EQ(ok[0], tw2.rootPower(1));
-    EXPECT_DEATH(big.butterflyTwiddles(tw2, 1, 1, 2), "pairing broken");
+    EXPECT_DEATH(big.butterflyTwiddles(tw2, 1, 1, 2, ok.data()),
+                 "pairing broken");
 }
 
 TEST_F(OracleTest, MisalignedBlockPanics)
@@ -138,7 +156,9 @@ TEST_F(OracleTest, MisalignedBlockPanics)
     const TwiddleTable tw2(mod2, 2048);
     big.setContiguous(1, 512);
     big.setContiguous(2, 1024);
-    EXPECT_DEATH(big.butterflyTwiddles(tw2, 1, 1, 2), "pairing broken");
+    Pattern pattern;
+    EXPECT_DEATH(big.butterflyTwiddles(tw2, 1, 1, 2, pattern.data()),
+                 "pairing broken");
 }
 
 TEST_F(OracleTest, CommitButterflyPreservesPositions)
@@ -150,6 +170,32 @@ TEST_F(OracleTest, CommitButterflyPreservesPositions)
     EXPECT_EQ(oracle.tags(8)[0], 512u);
 }
 
+TEST_F(OracleTest, InPlaceCommitKeepsBothRegisters)
+{
+    oracle.setContiguous(1, 0);
+    oracle.setContiguous(2, 512);
+    const LayoutOracle::Tags a = oracle.tags(1);
+    const LayoutOracle::Tags b = oracle.tags(2);
+    oracle.commitButterfly(1, 2, 1, 2);
+    EXPECT_EQ(oracle.tags(1), a);
+    EXPECT_EQ(oracle.tags(2), b);
+    // Swapped outputs exchange the rows.
+    oracle.commitButterfly(1, 2, 2, 1);
+    EXPECT_EQ(oracle.tags(2), a);
+    EXPECT_EQ(oracle.tags(1), b);
+}
+
+TEST_F(OracleTest, CommitToOneRegisterKeepsTheDifference)
+{
+    // When both outputs name one register the difference lands last.
+    oracle.setContiguous(1, 0);
+    oracle.setContiguous(2, 512);
+    const LayoutOracle::Tags b = oracle.tags(2);
+    oracle.commitButterfly(1, 2, 2, 2);
+    EXPECT_EQ(oracle.tags(2), b);
+    EXPECT_EQ(oracle.tags(1)[0], 0u);
+}
+
 TEST_F(OracleTest, CheckStoreContiguous)
 {
     oracle.setContiguous(1, 512);
@@ -158,13 +204,24 @@ TEST_F(OracleTest, CheckStoreContiguous)
                  "misplacement");
 }
 
+TEST_F(OracleTest, CheckStoreContiguousMisplacedMidRegister)
+{
+    // Only lane 300 is out of place: the whole run must be checked.
+    oracle.setContiguous(1, 0);
+    LayoutOracle::Tags t = oracle.tags(1);
+    std::swap(t[300], t[301]);
+    oracle.setTags(4, t);
+    EXPECT_DEATH(oracle.checkStore(4, 0, AddrMode::CONTIGUOUS, 0),
+                 "lane 300 holds position 301");
+}
+
 TEST_F(OracleTest, CheckStoreStrided)
 {
     // Even positions in lane order: a stride-2 store places them.
-    LayoutOracle::Tags t(VL);
+    LayoutOracle::Tags t;
     for (unsigned i = 0; i < VL; ++i)
         t[i] = 2 * i;
-    oracle.setTags(1, std::move(t));
+    oracle.setTags(1, t);
     oracle.checkStore(1, 0, AddrMode::STRIDED, 1); // ok
     EXPECT_DEATH(oracle.checkStore(1, 0, AddrMode::CONTIGUOUS, 0),
                  "misplacement");
