@@ -19,15 +19,14 @@
  * reported, the two paths are asserted bit-identical (the Eval chain
  * converted to coefficients must equal the Coeff chain exactly), the
  * decrypt is cross-checked against the retained wide-modulus
- * reference decrypt, and every pooled run is asserted bit-identical
- * to serial; the binary exits 1 on any divergence, which CI treats
- * as a job failure.
+ * reference decrypt, and every timed run is asserted bit-identical to
+ * the golden one; the binary exits 1 on any divergence, which CI
+ * treats as a job failure.
  */
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.hh"
@@ -54,7 +53,7 @@ struct Workload
     Ciphertext ct_a_coeff; ///< ct_a, Coeff-resident
     Ciphertext ct_b_coeff; ///< ct_b, Coeff-resident
     BfvPlaintext pt;       ///< encoded once, reused every chain
-    Ciphertext expected;   ///< serial golden chain result (Coeff)
+    Ciphertext expected;   ///< golden chain result (Coeff)
 };
 
 /** add -> mulPlain -> add with Eval-resident ciphertexts. */
@@ -125,7 +124,7 @@ makeWorkload(const std::shared_ptr<RpuDevice> &device, uint64_t n,
     w.ctx->toCoeff(w.ct_a_coeff);
     w.ctx->toCoeff(w.ct_b_coeff);
 
-    // Golden result (serial), in coefficient form for comparisons —
+    // Golden result, in coefficient form for comparisons —
     // and the retained wide-modulus reference decrypt must agree
     // with the RNS decrypt on it bit for bit.
     w.expected = evalChain(w);
@@ -138,21 +137,20 @@ makeWorkload(const std::shared_ptr<RpuDevice> &device, uint64_t n,
 
 /**
  * Chains/second; every run is checked against the golden result.
- * With min_seconds > 0 the measurement repeats until that much wall
- * clock has elapsed, so ratios taken over it (the 1.5x speedup gate)
- * are not at the mercy of a single scheduler preemption on a shared
- * CI runner.
+ * The measurement repeats until @p min_seconds of wall clock have
+ * elapsed, so ratios taken over it (the 1.5x speedup gate) are not at
+ * the mercy of a single scheduler preemption on a shared CI runner.
  */
 double
 throughput(const Workload &w, int reps, bool eval_resident,
-           double min_seconds = 0.0)
+           double min_seconds)
 {
     // Warm-up run doubles as the bit-identity check.
     Ciphertext got = eval_resident ? evalChain(w) : coeffChain(w);
     if (eval_resident)
         w.ctx->toCoeff(got);
     if (!identical(got, w.expected))
-        fail("chain result diverges from the serial golden run");
+        fail("chain result diverges from the golden run");
 
     const auto t0 = Clock::now();
     int done = 0;
@@ -201,20 +199,17 @@ main()
     const uint64_t n = 1024;
     const int reps = 3;
     const std::vector<size_t> tower_counts = {2, 3, 4};
-    const std::vector<unsigned> worker_counts = {1, 2, 4, 8};
 
     bench::header("BFV add->mulPlain->add chain: RNS residency");
     std::printf("n = %llu, 45-bit towers, t = 65537, %d reps/cell, "
-                "host cores = %u, host SIMD = %s (%s)\n",
-                (unsigned long long)n, reps,
-                std::thread::hardware_concurrency(),
-                simd::hostSimdModeName(), simd::hostSimdIsa());
+                "host SIMD = %s (%s)\n",
+                (unsigned long long)n, reps, simd::hostSimdModeName(),
+                simd::hostSimdIsa());
 
     const auto device = std::make_shared<RpuDevice>();
 
     // -- Transform ledger: what each path launches per chain ----------
-    std::printf("\nper-chain device transform counts (serial "
-                "backend)\n");
+    std::printf("\nper-chain device transform counts\n");
     std::printf("%8s  %14s  %8s  %8s  %10s  %8s  %8s\n", "towers",
                 "path", "ntt-fwd", "ntt-inv", "pointwise", "elided",
                 "launches");
@@ -230,8 +225,8 @@ main()
                 "the chain is host tower\n adds plus pointwise "
                 "launches; 'elided' counts conversions skipped)\n");
 
-    // -- Residency speedup on the serial backend ----------------------
-    std::printf("\nchains/s on the serial backend\n");
+    // -- Residency speedup ---------------------------------------------
+    std::printf("\nchains/s on the device\n");
     std::printf("%8s  %16s  %16s  %10s\n", "towers", "coeff-resident",
                 "eval-resident", "speedup");
     bench::rule('-', 58);
@@ -249,33 +244,9 @@ main()
             fail("eval-resident chain speedup fell below 1.5x");
     }
 
-    // -- Pool scaling of the eval-resident chain ----------------------
-    std::printf("\neval-resident chains/s vs worker count "
-                "(speedup vs 1 worker)\n");
-    std::printf("%8s", "towers");
-    for (unsigned wkr : worker_counts)
-        std::printf("  %18u", wkr);
-    std::printf("\n");
-    bench::rule('-', 8 + 20 * int(worker_counts.size()));
-    for (const Workload &w : workloads) {
-        std::printf("%8zu", w.ct_a.towers());
-        double serial = 0.0;
-        for (unsigned wkr : worker_counts) {
-            device->setParallelism(wkr);
-            const double ops = throughput(w, reps, true);
-            if (wkr == 1)
-                serial = ops;
-            std::printf("  %10.2f (%4.2fx)", ops,
-                        serial > 0 ? ops / serial : 0.0);
-        }
-        device->setParallelism(1);
-        std::printf("\n");
-    }
-
-    std::printf("\nPASS: eval- and coeff-resident chains bit-identical "
-                "across every backend configuration, RNS decrypt "
-                "matches the wide-modulus reference, zero device NTTs "
-                "and >= 1.5x serial speedup for the eval-resident "
+    std::printf("\nPASS: eval- and coeff-resident chains bit-identical, "
+                "RNS decrypt matches the wide-modulus reference, zero "
+                "device NTTs and >= 1.5x speedup for the eval-resident "
                 "chain\n");
     return 0;
 }

@@ -18,15 +18,14 @@
  * simulation of a generated B512 program). Before any number is
  * reported, BFV's mulCt is decrypted and checked against the naive
  * negacyclic product of the plaintexts AND the independent
- * wide-integer reference decrypt, and the host, serial, and pooled
- * backends are asserted bit-identical; the binary exits 1 on any
- * divergence, which CI treats as a job failure.
+ * wide-integer reference decrypt, and the host and device paths are
+ * asserted bit-identical; the binary exits 1 on any divergence, which
+ * CI treats as a job failure.
  */
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.hh"
@@ -122,8 +121,8 @@ makeWorkload(size_t towers, unsigned digitBits)
 }
 
 /**
- * The phase-split transform ledger of one multiply on the serial
- * backend: tensor product, then the relinearisation measured as one
+ * The phase-split transform ledger of one multiply on the device:
+ * tensor product, then the relinearisation measured as one
  * call and attributed to its digit-decomposition (transforms) and
  * inner-product (pointwise) halves. Asserts every count against the
  * gadget arithmetic's prediction.
@@ -212,7 +211,7 @@ throughput(const Workload &w, int reps, double min_seconds)
 /**
  * BFV correctness gate: ct x ct must decrypt to the negacyclic
  * product of the plaintexts, the independent wide-integer reference
- * decrypt must agree bit for bit, and host/serial/pooled runs must
+ * decrypt must agree bit for bit, and the host and device runs must
  * be bit-identical.
  */
 void
@@ -246,16 +245,12 @@ bfvCorrectnessGate()
     if (ctx.decryptWideReference(sk, host) != expected)
         fail("wide-integer reference decrypt diverges on the product");
 
-    const auto device = std::make_shared<RpuDevice>();
-    for (unsigned workers : {1u, 4u}) {
-        device->setParallelism(workers);
-        ctx.attachDevice(device);
-        const Ciphertext ct = ctx.mulCt(ct_a, ct_b, rk);
-        if (!(ct.c0 == host.c0 && ct.c1 == host.c1))
-            fail("device multiply is not bit-identical to the host");
-    }
+    ctx.attachDevice(std::make_shared<RpuDevice>());
+    const Ciphertext ct = ctx.mulCt(ct_a, ct_b, rk);
+    if (!(ct.c0 == host.c0 && ct.c1 == host.c1))
+        fail("device multiply is not bit-identical to the host");
     std::printf("BFV gate: decrypt == naive negacyclic product == "
-                "wide-integer reference;\n  host/serial/pooled "
+                "wide-integer reference;\n  host/device "
                 "bit-identical (n=%llu, L=%zu, 50-bit towers)\n",
                 (unsigned long long)params.n, params.towers);
 }
@@ -273,9 +268,7 @@ main()
 
     bench::header("ct x ct multiply: gadget-decomposed relinearisation");
     std::printf("CKKS, n = 1024, 45-bit towers, scale = 2^40, digit "
-                "base 2^16 unless swept;\nhost cores = %u, host SIMD "
-                "= %s (%s)\n",
-                std::thread::hardware_concurrency(),
+                "base 2^16 unless swept;\nhost SIMD = %s (%s)\n",
                 simd::hostSimdModeName(), simd::hostSimdIsa());
 
     bfvCorrectnessGate();
@@ -283,24 +276,23 @@ main()
     const auto device = std::make_shared<RpuDevice>();
 
     // -- Phase-split transform ledger ---------------------------------
-    std::printf("\nper-multiply device work by phase (serial backend, "
-                "digit base 2^16)\n");
+    std::printf("\nper-multiply device work by phase (digit base "
+                "2^16)\n");
     std::printf("%8s  %8s  %14s  %8s  %8s  %10s  %10s  %8s\n", "towers",
                 "digits", "phase", "ntt-fwd", "ntt-inv", "pointwise",
                 "key-switch", "elided");
     bench::rule('-', 88);
-    std::vector<Workload> workloads;
     for (size_t towers : tower_counts) {
-        workloads.push_back(makeWorkload(towers, 16));
-        workloads.back().ctx->attachDevice(device);
-        phaseTable(device, workloads.back());
+        Workload w = makeWorkload(towers, 16);
+        w.ctx->attachDevice(device);
+        phaseTable(device, w);
     }
     std::printf("(decomposition must cost exactly 1 inverse pass + "
                 "digits x towers forward\n re-entry NTTs, all "
                 "annotated key-switch: workload transforms stay 0)\n");
 
     // -- Digit-base sweep: ledger cost vs chains/s --------------------
-    std::printf("\ndigit-base sweep at L = 3 (serial backend)\n");
+    std::printf("\ndigit-base sweep at L = 3\n");
     std::printf("%10s  %8s  %12s  %12s  %12s\n", "digit base", "digits",
                 "ks-transforms", "pointwise", "mults/s");
     bench::rule('-', 62);
@@ -320,34 +312,11 @@ main()
                     (unsigned long long)s.pointwiseMuls, mults);
     }
 
-    // -- Pool scaling of the full multiply ----------------------------
-    std::printf("\nmultiplies/s vs worker count (digit base 2^16, "
-                "speedup vs 1 worker)\n");
-    std::printf("%8s", "towers");
-    for (unsigned wkr : {1u, 2u, 4u, 8u})
-        std::printf("  %18u", wkr);
-    std::printf("\n");
-    bench::rule('-', 8 + 20 * 4);
-    for (Workload &w : workloads) {
-        std::printf("%8zu", w.ct_a.towers());
-        double serial = 0.0;
-        for (unsigned wkr : {1u, 2u, 4u, 8u}) {
-            device->setParallelism(wkr);
-            const double ops = throughput(w, reps, 0.0);
-            if (wkr == 1)
-                serial = ops;
-            std::printf("  %10.2f (%4.2fx)", ops,
-                        serial > 0 ? ops / serial : 0.0);
-        }
-        device->setParallelism(1);
-        std::printf("\n");
-    }
-
     std::printf("\nPASS: decomposition transform count matches the "
                 "predicted 1 inverse + digits x towers\nforward NTTs "
                 "per relinearisation, key-switch fully annotated "
                 "(workload transforms 0),\nBFV product pinned against "
                 "the naive negacyclic and wide-integer references, "
-                "and\nhost/serial/pooled runs bit-identical\n");
+                "and\nhost/device runs bit-identical\n");
     return 0;
 }

@@ -5,7 +5,7 @@
  *
  * The serving question behind an RpuTopology is "how many RPUs does
  * this traffic need?" — this harness answers it on the cycle model,
- * with the wall clock along for context. Four phases, each PASS-gated:
+ * with the wall clock along for context. Three phases, each PASS-gated:
  *
  *  1. Bit-identity on a device set. A fixed mixed mulPlain/mulCt
  *     request set across four tenants runs through a 2-device-topology
@@ -16,14 +16,7 @@
  *     anywhere" is asserted on the same run: after prewarm, device 1
  *     records zero kernel-cache misses.
  *
- *  2. Contention observability. The per-device HBM-contention ledger
- *     must be a real refinement of the PR 5 per-worker cycle ledger:
- *     on a serial device the busy makespan equals the plain compute
- *     makespan exactly (staging fully overlapped at one lane), and on
- *     a pooled device running concurrent lanes it strictly exceeds it
- *     (each extra occupant re-exposes staging traffic).
- *
- *  3. Policy-ablation capacity replay. The same fixed mulPlain
+ *  2. Policy-ablation capacity replay. The same fixed mulPlain
  *     request set replays against 1/2/4/8-device topologies through a
  *     paused server (deterministic chunk composition, serial devices,
  *     one dispatcher), once per scheduler policy tier — greedy,
@@ -39,13 +32,13 @@
  *     baseline's chunk granularity caps it at 6.00x; chunk splitting
  *     is what lifts the ceiling).
  *
- *  4. Open-loop sweep vs device count. The Poisson open-loop
+ *  3. Open-loop sweep vs device count. The Poisson open-loop
  *     generator (shared with serve_throughput via bench_util.hh)
  *     offers a fixed arrival rate calibrated off the serial path to
  *     every device count and reports sustained ops/s and p50/p99/p999
  *     total latency, with responses spot-checked against the serial
  *     reference. Wall-clock rows are informational (machine- and
- *     sanitizer-dependent); the scaling gate lives in phase 3 where
+ *     sanitizer-dependent); the scaling gate lives in phase 2 where
  *     the cycle model makes it deterministic.
  *
  * RPU_SHARD_REQUESTS scales the replay/open-loop request counts down
@@ -98,7 +91,7 @@ using Pending = bench::PendingServe;
 constexpr size_t kTenants = 4;
 const std::vector<size_t> kDeviceCounts = {1, 2, 4, 8};
 
-/** The cumulative ablation tiers phase 3 sweeps. */
+/** The cumulative ablation tiers phase 2 sweeps. */
 struct PolicyTier
 {
     const char *name;
@@ -250,70 +243,7 @@ phaseBitIdentity(const SchedulerPolicy &policy)
 }
 
 // ----------------------------------------------------------------------
-// Phase 2: the contention term is observable and only when contended
-// ----------------------------------------------------------------------
-
-void
-phaseContention()
-{
-    bench::header("phase 2: HBM contention ledger vs PR 5 cycle ledger");
-    const uint64_t n = 1024;
-    const size_t items = 8;
-
-    // One tiled forward dispatch over 8 items x 3 towers: 24 towers
-    // cut into 2 tile groups. On a serial device that's 2 launches
-    // with a single occupant each; a pooled device runs them as one
-    // launchAll whose structural occupancy is min(workers, 2) lanes.
-    const auto run = [&](unsigned workers) {
-        auto device = std::make_shared<RpuDevice>();
-        if (workers > 1)
-            device->setParallelism(workers);
-        const CkksContext ctx(serveTenantParams(), 7);
-        const std::vector<u128> moduli = ctx.basis().primes();
-        std::vector<std::vector<std::vector<u128>>> xs(items);
-        for (size_t i = 0; i < items; ++i) {
-            for (size_t t = 0; t < moduli.size(); ++t) {
-                std::vector<u128> region(n);
-                Rng rng(1000 * i + t);
-                for (auto &x : region)
-                    x = rng.below64(uint64_t(moduli[t]));
-                xs[i].push_back(std::move(region));
-            }
-        }
-        (void)device->dispatch(
-            RingOp::Forward, n,
-            std::vector<std::vector<u128>>(items, moduli), std::move(xs));
-        return device->stats();
-    };
-
-    const DeviceStats serial = run(1);
-    if (serial.busyMakespanCycles() != serial.makespanCycles())
-        fail("uncontended busy makespan diverges from the cycle ledger");
-    if (serial.contendedLaunches != 0)
-        fail("serial device recorded contended launches");
-
-    const DeviceStats pooled = run(4);
-    if (pooled.contendedLaunches == 0)
-        fail("pooled batched launches never contended");
-    if (pooled.busyMakespanCycles() <= pooled.makespanCycles())
-        fail("contended busy makespan does not exceed the uncontended "
-             "cycle-ledger makespan");
-
-    std::printf("  serial: makespan %llu == busy makespan %llu "
-                "(staging %llu cyc fully overlapped)\n",
-                (unsigned long long)serial.makespanCycles(),
-                (unsigned long long)serial.busyMakespanCycles(),
-                (unsigned long long)serial.stagingCycleTotal());
-    std::printf("  pooled: makespan %llu <  busy makespan %llu "
-                "(%llu contended launches, peak %llu lanes)\n",
-                (unsigned long long)pooled.makespanCycles(),
-                (unsigned long long)pooled.busyMakespanCycles(),
-                (unsigned long long)pooled.contendedLaunches,
-                (unsigned long long)pooled.maxOccupiedLanes);
-}
-
-// ----------------------------------------------------------------------
-// Phase 3: policy-ablation modelled capacity replay vs device count
+// Phase 2: policy-ablation modelled capacity replay vs device count
 // ----------------------------------------------------------------------
 
 struct ReplayRow
@@ -376,7 +306,7 @@ phaseModelledCapacity(const std::vector<PolicyTier> &tiers,
                       size_t requests)
 {
     bench::header(
-        "phase 3: policy-ablation capacity replay (cycle model)");
+        "phase 2: policy-ablation capacity replay (cycle model)");
     std::printf("  %zu mulPlain requests, %zu tenants, serial devices, "
                 "one dispatcher\n\n",
                 requests, kTenants);
@@ -432,13 +362,13 @@ phaseModelledCapacity(const std::vector<PolicyTier> &tiers,
 }
 
 // ----------------------------------------------------------------------
-// Phase 4: open-loop Poisson sweep vs device count (wall clock)
+// Phase 3: open-loop Poisson sweep vs device count (wall clock)
 // ----------------------------------------------------------------------
 
 void
 phaseOpenLoop(const SchedulerPolicy &policy, size_t requests)
 {
-    bench::header("phase 4: open-loop Poisson sweep vs device count");
+    bench::header("phase 3: open-loop Poisson sweep vs device count");
     const double capacity =
         bench::calibrateServeCapacity(std::make_shared<RpuDevice>());
     const double rate = 1.5 * capacity;
@@ -465,7 +395,7 @@ phaseOpenLoop(const SchedulerPolicy &policy, size_t requests)
             fail("open-loop run accepted no requests");
     }
     std::printf("  (wall-clock rows are informational; the scaling "
-                "gate is phase 3's cycle model)\n");
+                "gate is phase 2's cycle model)\n");
 }
 
 } // namespace
@@ -481,7 +411,7 @@ main()
 
     const size_t requests = rpu::requestBudget(96);
     const std::vector<rpu::PolicyTier> tiers = rpu::selectedTiers();
-    // Phases 1 and 4 exercise one policy end to end: the selected
+    // Phases 1 and 3 exercise one policy end to end: the selected
     // tier's when RPU_SHARD_POLICY narrows the run, the full stack
     // otherwise.
     const rpu::SchedulerPolicy primary =
@@ -493,7 +423,6 @@ main()
     std::printf("\n");
 
     rpu::phaseBitIdentity(primary);
-    rpu::phaseContention();
     rpu::phaseModelledCapacity(tiers, requests);
     rpu::phaseOpenLoop(primary, requests);
 

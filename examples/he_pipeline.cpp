@@ -35,7 +35,6 @@
 #include <complex>
 #include <cstdio>
 #include <memory>
-#include <thread>
 
 #include "rlwe/bfv.hh"
 #include "rlwe/ckks.hh"
@@ -169,17 +168,12 @@ main()
 
     // One RPU serves the whole pipeline: the scheme's homomorphic
     // products and the workbench share its kernel and context caches.
-    // With more than one host core, independent tower launches
-    // overlap across the device's worker pool (results are
-    // bit-identical to serial execution either way).
     const auto device = std::make_shared<RpuDevice>();
-    const unsigned cores = std::thread::hardware_concurrency();
-    device->setParallelism(cores > 1 ? cores : 1);
     ctx.attachDevice(device);
-    std::printf("RPU device attached (%s backend, parallelism %u): "
-                "ciphertexts are RNS-resident ResiduePoly towers, "
-                "born in the evaluation domain\n",
-                device->backend().name(), device->parallelism());
+    std::printf("RPU device attached (%s backend): ciphertexts are "
+                "RNS-resident ResiduePoly towers, born in the "
+                "evaluation domain\n",
+                device->backend().name());
 
     // --- Fig. 1: image -> vector -> two ciphertext polynomials --------
     const unsigned side = 64; // 64x64 = 4096 pixels
@@ -320,22 +314,10 @@ main()
                 (unsigned long long)m_pw.cycle.cycles, m_pw.runtimeUs,
                 100.0 * m_pw.runtimeUs / m_ntt.runtimeUs);
 
-    // The per-worker cycle ledger folds exactly these costs into
-    // DeviceStats at launch time: per-lane totals plus the busiest
-    // lane's makespan — the modelled wall-clock of a multi-RPU (or
-    // multi-lane-group) system running this batch.
-    std::printf("pipeline cycle ledger: total=%llu cycles, makespan="
-                "%llu cycles (%.2fx concurrency) — per lane [",
-                (unsigned long long)bfv_stats.cycleTotal(),
-                (unsigned long long)bfv_stats.makespanCycles(),
-                bfv_stats.makespanCycles() == 0
-                    ? 0.0
-                    : double(bfv_stats.cycleTotal()) /
-                          double(bfv_stats.makespanCycles()));
-    for (size_t i = 0; i < bfv_stats.perWorkerCycles.size(); ++i)
-        std::printf("%s%llu", i == 0 ? "" : " ",
-                    (unsigned long long)bfv_stats.perWorkerCycles[i]);
-    std::printf("]\n");
+    // The device's cycle ledger folds exactly these costs into
+    // DeviceStats at launch time.
+    std::printf("pipeline cycle ledger: total=%llu cycles\n",
+                (unsigned long long)bfv_stats.cycleTotal());
 
     // --- CKKS: approximate arithmetic on the same device ---------------
     // The second scheme the RPU serves: complex slots instead of

@@ -1,17 +1,17 @@
 /**
  * @file
- * HBM-contention model for multi-lane / multi-launch device activity.
+ * HBM-contention model for concurrent launches on one device.
  *
  * The paper sizes a single RPU against a 512 GB/s HBM2 roofline
  * (section VI-G; see hbm.hh for the Fig. 9 transfer model). One
  * launch at a time, the VDM double-buffers staging and drain behind
  * compute, so the modelled cost of a launch is its cycle-simulated
- * program length alone — that is exactly what the per-worker cycle
- * ledger (PR 5) records. The moment several lanes of the same device
- * are occupied concurrently, they share the one HBM interface: each
- * lane's staged+drained words no longer hide fully behind its own
- * compute, and every *other* active lane's traffic eats into the
- * overlap window.
+ * program length alone — that is exactly what the device's cycle
+ * ledger records. The moment several launches on the same device
+ * are in flight at once (concurrent dispatchers sharing it), their
+ * lanes share the one HBM interface: each lane's staged+drained
+ * words no longer hide fully behind its own compute, and every
+ * *other* active lane's traffic eats into the overlap window.
  *
  * This model keeps the uncontended ledger exact and adds the
  * contention term on top:
@@ -23,7 +23,7 @@
  *
  * i.e. with k concurrently occupied lanes a launch's staging/drain
  * traffic is re-exposed once per competing lane. lanes == 1
- * reproduces the PR 5 per-worker cycle ledger bit for bit (full
+ * reproduces the uncontended cycle ledger bit for bit (full
  * staging/drain overlap at full bandwidth), and the contended cost is
  * strictly larger as soon as a second lane is occupied and the launch
  * moves any words — the observability property the sharding bench

@@ -269,13 +269,12 @@ BfvContext::extendComponents(
 
     // The auxiliary residues of each component's centred integer
     // coefficients: out of RNS once per component, then reduced mod
-    // every auxiliary prime. Independent per component, so the
-    // BigUInt work fans across the device's worker pool.
+    // every auxiliary prime.
     std::vector<BigUInt> aux_primes_big(E - L);
     for (size_t k = L; k < E; ++k)
         aux_primes_big[k - L] = BigUInt::fromU128(basisExt_->prime(k));
     std::vector<RlweEvaluator::TowerPoly> aux(comps.size());
-    evaluator_.forEachUnit(comps.size(), [&](size_t i) {
+    for (size_t i = 0; i < comps.size(); ++i) {
         const std::vector<BigUInt> wide =
             crt_->reconstructPoly(coeff[i].towers);
         aux[i].assign(E - L, std::vector<u128>(params_.n));
@@ -291,7 +290,7 @@ BfvContext::extendComponents(
                 }
             }
         }
-    });
+    }
 
     // Assemble the extended polynomials. Eval-resident components
     // reuse their resident towers for the prefix — the L forward
@@ -355,10 +354,9 @@ BfvContext::scaleRoundHook(std::array<ResiduePoly, 3> d) const
     // Per component: reconstruct the exact centred tensor integer V
     // mod the full tensor modulus, scale-and-round R = round(t*V/q)
     // (half-away-from-zero on the centred magnitude), reduce mod q,
-    // and take the ciphertext chain's residues. Independent per
-    // component — the BigUInt work fans across the worker pool.
+    // and take the ciphertext chain's residues.
     std::array<ResiduePoly, 3> out;
-    evaluator_.forEachUnit(3, [&](size_t c) {
+    for (size_t c = 0; c < 3; ++c) {
         const std::vector<BigUInt> wide =
             crtExt_->reconstructPoly(d[c].towers);
         out[c].domain = ResidueDomain::Coeff;
@@ -373,7 +371,7 @@ BfvContext::scaleRoundHook(std::array<ResiduePoly, 3> d) const
             for (size_t t = 0; t < L; ++t)
                 out[c].towers[t][i] = (r % primes_big[t]).low128();
         }
-    });
+    }
 
     // c0 and c1 re-enter the evaluation domain (one batched forward
     // dispatch); c2 stays in Coeff — the relinearisation's digit

@@ -375,8 +375,7 @@ CkksContext::rescale(const std::vector<const CkksCiphertext *> &cts,
     // and decrypt use — so its towers themselves never see a forward
     // transform and the device's forward-NTT counter stays at zero
     // across a whole rescale chain; a Coeff ciphertext needs no
-    // transform at all. The 2*(L-1) independent (component, tower)
-    // units fan across the device's worker pool when it has one.
+    // transform at all.
     std::vector<CkksCiphertext> out(cts.size());
     size_t next = 0;
     for (size_t k = 0; k < cts.size(); ++k) {
@@ -391,18 +390,19 @@ CkksContext::rescale(const std::vector<const CkksCiphertext *> &cts,
             out_comps[c]->towers.resize(l);
         }
         out[k].scale = ct.scale / u128ToDouble(mod_l.value());
-        evaluator_.forEachUnit(2 * l, [&](size_t u) {
-            const size_t c = u / l;
-            const size_t t = u % l;
-            const Modulus &mod_t = basis().modulus(t);
-            std::vector<u128> d(params_.n);
-            for (size_t i = 0; i < params_.n; ++i)
-                d[i] = liftCentred((*dropped[c])[i], mod_l, mod_t);
-            if (eval)
-                hostNtt(t).forward(d);
-            out_comps[c]->towers[t] = polyScale(
-                mod_t, inv_ql[t], polySub(mod_t, comps[c]->towers[t], d));
-        });
+        for (size_t c = 0; c < 2; ++c) {
+            for (size_t t = 0; t < l; ++t) {
+                const Modulus &mod_t = basis().modulus(t);
+                std::vector<u128> d(params_.n);
+                for (size_t i = 0; i < params_.n; ++i)
+                    d[i] = liftCentred((*dropped[c])[i], mod_l, mod_t);
+                if (eval)
+                    hostNtt(t).forward(d);
+                out_comps[c]->towers[t] =
+                    polyScale(mod_t, inv_ql[t],
+                              polySub(mod_t, comps[c]->towers[t], d));
+            }
+        }
     }
     return out;
 }

@@ -1,14 +1,11 @@
 #include "rlwe/evaluator.hh"
 
 #include <deque>
-#include <exception>
-#include <future>
 #include <utility>
 
 #include "common/logging.hh"
 #include "poly/polynomial.hh"
 #include "rpu/device.hh"
-#include "rpu/thread_pool.hh"
 
 namespace rpu {
 
@@ -428,7 +425,7 @@ RlweEvaluator::innerProduct(const ResiduePoly &c0, const ResiduePoly &c1,
     rpu_assert(s_res.size() >= L, "secret residues span too few towers");
 
     TowerPoly v(L);
-    forEachUnit(L, [&](size_t t) {
+    for (size_t t = 0; t < L; ++t) {
         const Modulus &mod = modulus(t);
         if (c0.inEval()) {
             std::vector<u128> s_eval = s_res[t];
@@ -443,7 +440,7 @@ RlweEvaluator::innerProduct(const ResiduePoly &c0, const ResiduePoly &c1,
                 hostNtt(t), c1.towers[t], s_res[t]);
             v[t] = polyAdd(mod, c0.towers[t], c1s);
         }
-    });
+    }
     return v;
 }
 
@@ -504,36 +501,6 @@ RlweEvaluator::forwardTowersAt(std::vector<TowerPoly> xs,
             hostNtt(first + t).forward(x[t]);
     }
     return xs;
-}
-
-void
-RlweEvaluator::forEachUnit(size_t count,
-                           const std::function<void(size_t)> &fn) const
-{
-    ThreadPool *pool = device_ ? device_->workerPool() : nullptr;
-    if (pool == nullptr || count <= 1) {
-        for (size_t i = 0; i < count; ++i)
-            fn(i);
-        return;
-    }
-    // Independent units ride the device's worker pool. Every unit is
-    // joined before the first failure is rethrown, so no unit is left
-    // running with references into an unwinding caller.
-    std::vector<std::future<void>> futures;
-    futures.reserve(count);
-    for (size_t i = 0; i < count; ++i)
-        futures.push_back(pool->submit([&fn, i] { fn(i); }));
-    std::exception_ptr first_error;
-    for (auto &f : futures) {
-        try {
-            f.get();
-        } catch (...) {
-            if (!first_error)
-                first_error = std::current_exception();
-        }
-    }
-    if (first_error)
-        std::rethrow_exception(first_error);
 }
 
 } // namespace rpu

@@ -24,19 +24,12 @@
  * same code. A batch may pass a DispatchRoute, which sends every
  * stage to its planned topology devices instead of the attached
  * device.
- *
- * The evaluator also owns the host-side parallel fan-out for
- * independent per-(component, tower) units of host work (e.g. the
- * CKKS rescale's lift re-entry transforms): when the attached
- * device runs a worker pool, those units ride the same pool;
- * results are bit-identical to the serial loop either way.
  */
 
 #ifndef RPU_RLWE_EVALUATOR_HH
 #define RPU_RLWE_EVALUATOR_HH
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -260,8 +253,6 @@ class RlweEvaluator
      * forced return to coefficients. Eval-resident components pay
      * one host inverse transform per tower (never a forward one);
      * Coeff-resident components use the host negacyclic product.
-     * Independent towers fan across the device's worker pool when
-     * one is running (bit-identical to the serial loop).
      */
     TowerPoly innerProduct(const ResiduePoly &c0, const ResiduePoly &c1,
                            const TowerPoly &s_res) const;
@@ -290,16 +281,6 @@ class RlweEvaluator
      */
     std::vector<TowerPoly> forwardTowersAt(std::vector<TowerPoly> xs,
                                            size_t first) const;
-
-    /**
-     * Run @p fn(0..count-1), fanning the units across the attached
-     * device's worker pool when it has one (serial loop otherwise).
-     * Units must be independent — each writes its own outputs — so
-     * the result is bit-identical to the serial loop; every unit is
-     * joined before the first failure (if any) is rethrown.
-     */
-    void forEachUnit(size_t count,
-                     const std::function<void(size_t)> &fn) const;
 
   private:
     uint64_t n_ = 0;

@@ -1,7 +1,6 @@
 #include "rpu/device.hh"
 
 #include <algorithm>
-#include <exception>
 
 #include "common/logging.hh"
 #include "modmath/simd.hh"
@@ -250,25 +249,6 @@ RpuDevice::RpuDevice(std::unique_ptr<ExecutionBackend> backend,
 }
 
 void
-RpuDevice::setParallelism(unsigned workers)
-{
-    // The per-worker launch ledger has one slot per worker plus the
-    // inline slot; a wider pool would alias workers into the last
-    // slot and corrupt the utilisation signal, so the pool is capped
-    // at the tracked width (launch granularity is far too coarse for
-    // >64 workers to pay anyway — callers routinely pass
-    // hardware_concurrency() from big hosts).
-    workers = std::min(workers,
-                       unsigned(DeviceCounters::kWorkerSlots - 1));
-    if (workers <= 1) {
-        pool_.reset();
-        return;
-    }
-    if (!pool_ || pool_->workers() != workers)
-        pool_ = std::make_unique<ThreadPool>(workers);
-}
-
-void
 RpuDevice::resetCounters()
 {
     counters_.launches = 0;
@@ -280,17 +260,12 @@ RpuDevice::resetCounters()
     counters_.pointwiseMuls = 0;
     counters_.transformsElided = 0;
     counters_.keySwitchTransforms = 0;
+    counters_.cycles = 0;
+    counters_.stagingCycles = 0;
+    counters_.busyCycles = 0;
     counters_.stagedWords = 0;
     counters_.contendedLaunches = 0;
     counters_.maxOccupiedLanes = 0;
-    for (auto &w : counters_.perWorkerLaunches)
-        w = 0;
-    for (auto &w : counters_.perWorkerCycles)
-        w = 0;
-    for (auto &w : counters_.perWorkerStagingCycles)
-        w = 0;
-    for (auto &w : counters_.perWorkerBusyCycles)
-        w = 0;
 }
 
 void
@@ -318,88 +293,32 @@ RpuDevice::stats() const
     s.pointwiseMuls = counters_.pointwiseMuls;
     s.transformsElided = counters_.transformsElided;
     s.keySwitchTransforms = counters_.keySwitchTransforms;
+    s.cycles = counters_.cycles;
+    s.stagingCycles = counters_.stagingCycles;
+    s.busyCycles = counters_.busyCycles;
     s.stagedWords = counters_.stagedWords;
     s.contendedLaunches = counters_.contendedLaunches;
     s.maxOccupiedLanes = counters_.maxOccupiedLanes;
-
-    // Slot 0 (inline) plus one slot per current pool worker — but
-    // never drop a slot that recorded launches under an earlier,
-    // wider pool configuration.
-    size_t slots = 1 + (pool_ ? pool_->workers() : 0);
-    for (size_t i = slots; i < DeviceCounters::kWorkerSlots; ++i) {
-        if (counters_.perWorkerLaunches[i] != 0)
-            slots = i + 1;
-    }
-    for (size_t i = slots; i < DeviceCounters::kWorkerSlots; ++i) {
-        if (counters_.perWorkerCycles[i] != 0)
-            slots = i + 1;
-    }
-    slots = std::min(slots, DeviceCounters::kWorkerSlots);
-    s.perWorkerLaunches.resize(slots);
-    s.perWorkerCycles.resize(slots);
-    s.perWorkerStagingCycles.resize(slots);
-    s.perWorkerBusyCycles.resize(slots);
-    for (size_t i = 0; i < slots; ++i) {
-        s.perWorkerLaunches[i] = counters_.perWorkerLaunches[i];
-        s.perWorkerCycles[i] = counters_.perWorkerCycles[i];
-        s.perWorkerStagingCycles[i] =
-            counters_.perWorkerStagingCycles[i];
-        s.perWorkerBusyCycles[i] = counters_.perWorkerBusyCycles[i];
-    }
     return s;
 }
 
 std::string
 DeviceStats::summary() const
 {
-    std::string s = "launches=" + std::to_string(launches) +
-                    " (towers=" + std::to_string(towerLaunches) +
-                    "), ntt fwd=" + std::to_string(forwardTransforms) +
-                    " inv=" + std::to_string(inverseTransforms) +
-                    ", pointwise=" + std::to_string(pointwiseMuls) +
-                    ", transforms elided=" +
-                    std::to_string(transformsElided) +
-                    " key-switch=" +
-                    std::to_string(keySwitchTransforms) + ", workers=[";
-    for (size_t i = 0; i < perWorkerLaunches.size(); ++i) {
-        if (i > 0)
-            s += " ";
-        s += std::to_string(perWorkerLaunches[i]);
-    }
-    s += "], cycles total=" + std::to_string(cycleTotal()) +
-         " makespan=" + std::to_string(makespanCycles()) +
-         ", busy makespan=" + std::to_string(busyMakespanCycles()) +
-         " (staging " + std::to_string(stagingCycleTotal()) +
-         " cyc overlapped, contended=" +
-         std::to_string(contendedLaunches) +
-         " peak lanes=" + std::to_string(maxOccupiedLanes) + ")";
-    return s;
+    return "launches=" + std::to_string(launches) +
+           " (towers=" + std::to_string(towerLaunches) +
+           "), ntt fwd=" + std::to_string(forwardTransforms) +
+           " inv=" + std::to_string(inverseTransforms) +
+           ", pointwise=" + std::to_string(pointwiseMuls) +
+           ", transforms elided=" + std::to_string(transformsElided) +
+           " key-switch=" + std::to_string(keySwitchTransforms) +
+           ", cycles total=" + std::to_string(cycleTotal()) +
+           " busy=" + std::to_string(busyCycleTotal()) + " (staging " +
+           std::to_string(stagingCycleTotal()) +
+           " cyc overlapped, contended=" +
+           std::to_string(contendedLaunches) +
+           " peak lanes=" + std::to_string(maxOccupiedLanes) + ")";
 }
-
-namespace {
-
-/** a[i] - b[i] over max(|a|, |b|) slots, missing slots reading 0. */
-std::vector<uint64_t>
-slotsSub(const std::vector<uint64_t> &a, const std::vector<uint64_t> &b)
-{
-    std::vector<uint64_t> out(std::max(a.size(), b.size()), 0);
-    for (size_t i = 0; i < out.size(); ++i) {
-        out[i] = (i < a.size() ? a[i] : 0) - (i < b.size() ? b[i] : 0);
-    }
-    return out;
-}
-
-/** a[i] += b[i], widening a to |b| first. */
-void
-slotsAdd(std::vector<uint64_t> &a, const std::vector<uint64_t> &b)
-{
-    if (a.size() < b.size())
-        a.resize(b.size(), 0);
-    for (size_t i = 0; i < b.size(); ++i)
-        a[i] += b[i];
-}
-
-} // namespace
 
 DeviceStats
 DeviceStats::operator-(const DeviceStats &since) const
@@ -415,22 +334,14 @@ DeviceStats::operator-(const DeviceStats &since) const
     d.transformsElided = transformsElided - since.transformsElided;
     d.keySwitchTransforms =
         keySwitchTransforms - since.keySwitchTransforms;
+    d.cycles = cycles - since.cycles;
+    d.stagingCycles = stagingCycles - since.stagingCycles;
+    d.busyCycles = busyCycles - since.busyCycles;
     d.stagedWords = stagedWords - since.stagedWords;
     d.contendedLaunches = contendedLaunches - since.contendedLaunches;
     // A high-water mark has no meaningful windowed delta; keep the
     // later snapshot's value.
     d.maxOccupiedLanes = maxOccupiedLanes;
-
-    // The later snapshot may span more worker slots (the pool was
-    // widened in the window); the earlier one contributes zero there.
-    d.perWorkerLaunches = slotsSub(perWorkerLaunches,
-                                   since.perWorkerLaunches);
-    d.perWorkerCycles = slotsSub(perWorkerCycles,
-                                 since.perWorkerCycles);
-    d.perWorkerStagingCycles = slotsSub(perWorkerStagingCycles,
-                                        since.perWorkerStagingCycles);
-    d.perWorkerBusyCycles = slotsSub(perWorkerBusyCycles,
-                                     since.perWorkerBusyCycles);
     return d;
 }
 
@@ -446,14 +357,13 @@ DeviceStats::operator+=(const DeviceStats &other)
     pointwiseMuls += other.pointwiseMuls;
     transformsElided += other.transformsElided;
     keySwitchTransforms += other.keySwitchTransforms;
+    cycles += other.cycles;
+    stagingCycles += other.stagingCycles;
+    busyCycles += other.busyCycles;
     stagedWords += other.stagedWords;
     contendedLaunches += other.contendedLaunches;
     maxOccupiedLanes = std::max(maxOccupiedLanes,
                                 other.maxOccupiedLanes);
-    slotsAdd(perWorkerLaunches, other.perWorkerLaunches);
-    slotsAdd(perWorkerCycles, other.perWorkerCycles);
-    slotsAdd(perWorkerStagingCycles, other.perWorkerStagingCycles);
-    slotsAdd(perWorkerBusyCycles, other.perWorkerBusyCycles);
     return *this;
 }
 
@@ -556,10 +466,10 @@ RpuDevice::kernel(KernelKind kind, uint64_t n,
     // Single-flight generation per key: the first requester marks the
     // key in the bundle's generating set and builds the kernel
     // *outside* the cache lock, so distinct kernels generate
-    // concurrently (e.g. several towers' kernels racing in from
-    // worker threads); same-key requesters wait on the condvar for
-    // the one generation instead of duplicating it, and count a cache
-    // hit once it lands. The bundle may be shared across a topology:
+    // concurrently (e.g. several dispatchers or devices racing in
+    // from their own threads); same-key requesters wait on the
+    // condvar for the one generation instead of duplicating it, and
+    // count a cache hit once it lands. The bundle may be shared across a topology:
     // hit/miss counters stay per-device, so a kernel generated on one
     // device is observably a hit (not a regeneration) on every other.
     std::unique_lock<std::mutex> lock(caches_->kernelMutex);
@@ -620,7 +530,7 @@ RpuDevice::kernel(KernelKind kind, uint64_t n,
 
     // Cycle-simulate the program once, at the design point it was
     // generated for, and stamp the cost on the image itself: every
-    // launch then folds its modelled cost into the per-worker cycle
+    // launch then folds its modelled cost into the device's cycle
     // ledger with a plain field read, no lock (this runs outside the
     // cache lock, like generation itself).
     RpuConfig cycle_cfg = gen_opts.scheduleConfig;
@@ -662,8 +572,7 @@ RpuDevice::validateLaunch(const KernelImage &image,
 
 std::vector<std::vector<u128>>
 RpuDevice::executeValidated(const KernelImage &image,
-                            const std::vector<std::vector<u128>> &inputs,
-                            unsigned structuralLanes)
+                            const std::vector<std::vector<u128>> &inputs)
 {
     ++counters_.launches;
     counters_.towerLaunches += image.moduli.size();
@@ -704,43 +613,25 @@ RpuDevice::executeValidated(const KernelImage &image,
         break;
     }
 
-    // Attribute the launch to the lane that ran it: slot 0 for the
-    // calling thread, 1 + w for worker w of *this device's* pool.
-    // A launch issued from some other pool's worker thread is an
-    // inline launch as far as this device is concerned, so it counts
-    // in slot 0 rather than crediting a phantom worker.
-    const bool own_worker =
-        pool_ && ThreadPool::currentPool() == pool_.get();
-    const size_t slot =
-        own_worker ? size_t(ThreadPool::currentWorkerIndex() + 1) : 0;
-    ++counters_.perWorkerLaunches[slot];
-    counters_.perWorkerCycles[slot] += image.modelCycles;
+    counters_.cycles += image.modelCycles;
 
     // Contention ledger: words staged in + drained out, costed
     // through the HBM model at the lane occupancy this launch ran
-    // under. Occupancy is the max of the dispatch-structure hint
-    // (deterministic: a batch of m launches over a w-worker pool
-    // fills min(w, m) lanes at steady state) and the launches
-    // actually observed in flight right now (catches unstructured
-    // concurrency, e.g. several dispatcher threads sharing a serial
-    // device). At single-lane occupancy the staging/drain traffic
-    // hides fully behind compute — busy == modelCycles, the PR 5
-    // ledger bit for bit.
+    // under — the launches observed in flight right now (several
+    // dispatcher threads sharing the device). At single-lane
+    // occupancy the staging/drain traffic hides fully behind
+    // compute: busy == modelCycles.
     uint64_t words = 0;
     for (const std::vector<u128> &in : inputs)
         words += in.size();
     for (const DataRegion *r : image.outputRegions())
         words += r->words;
 
-    const uint32_t in_flight = active_launches_.fetch_add(1) + 1;
-    const unsigned lanes =
-        std::max(structuralLanes, unsigned(in_flight));
-    const uint64_t staging = contention_.stagingCycles(words);
-    const uint64_t busy =
-        contention_.busyCycles(image.modelCycles, words, lanes);
+    const unsigned lanes = active_launches_.fetch_add(1) + 1;
     counters_.stagedWords += words;
-    counters_.perWorkerStagingCycles[slot] += staging;
-    counters_.perWorkerBusyCycles[slot] += busy;
+    counters_.stagingCycles += contention_.stagingCycles(words);
+    counters_.busyCycles +=
+        contention_.busyCycles(image.modelCycles, words, lanes);
     if (lanes > 1)
         ++counters_.contendedLaunches;
     uint64_t peak = counters_.maxOccupiedLanes.load();
@@ -792,50 +683,17 @@ RpuDevice::launch(const KernelImage &image,
 std::vector<std::vector<std::vector<u128>>>
 RpuDevice::launchAll(const std::vector<LaunchRequest> &batch)
 {
-    // Validate the whole batch on the calling thread so user errors
-    // fire deterministically before any worker starts.
+    // Validate the whole batch first so user errors fire before any
+    // launch touches the ledger.
     for (const LaunchRequest &req : batch) {
         rpu_assert(req.image != nullptr, "launch without a kernel");
         validateLaunch(*req.image, req.inputs);
     }
 
-    std::vector<std::vector<std::vector<u128>>> results(batch.size());
-    if (pool_ && batch.size() > 1) {
-        // The batch structurally occupies min(workers, batch) lanes;
-        // the contention ledger models that occupancy even when the
-        // host OS happens to serialise the worker threads.
-        const unsigned lanes = unsigned(
-            std::min<size_t>(pool_->workers(), batch.size()));
-        std::vector<std::future<std::vector<std::vector<u128>>>> futures;
-        futures.reserve(batch.size());
-        for (const LaunchRequest &req : batch) {
-            futures.push_back(pool_->submit([this, &req, lanes] {
-                return executeValidated(*req.image, req.inputs, lanes);
-            }));
-        }
-        // Collect in request order: results are deterministic no
-        // matter which worker finishes first, and each launch is a
-        // pure function of (image, inputs), so the batch is
-        // bit-identical to the serial path. Every job is joined
-        // before the first failure is rethrown — still-queued jobs
-        // hold references into the caller's batch, so unwinding early
-        // would free memory under them.
-        std::exception_ptr first_error;
-        for (size_t i = 0; i < futures.size(); ++i) {
-            try {
-                results[i] = futures[i].get();
-            } catch (...) {
-                if (!first_error)
-                    first_error = std::current_exception();
-            }
-        }
-        if (first_error)
-            std::rethrow_exception(first_error);
-    } else {
-        for (size_t i = 0; i < batch.size(); ++i)
-            results[i] = executeValidated(*batch[i].image,
-                                          batch[i].inputs);
-    }
+    std::vector<std::vector<std::vector<u128>>> results;
+    results.reserve(batch.size());
+    for (const LaunchRequest &req : batch)
+        results.push_back(executeValidated(*req.image, req.inputs));
     return results;
 }
 

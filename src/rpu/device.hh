@@ -18,15 +18,19 @@
  *    bit-exact functional simulator and the CPU reference baseline.
  *    Both consume the same KernelImage, so any kernel can be checked
  *    bit-for-bit across backends;
- *  - batched launches (launchAll) that push many independent
- *    launches through one backend — and, with setParallelism(w > 1),
- *    actually execute them concurrently on a worker pool, with
- *    request-ordered results bit-identical to the serial path;
+ *  - batched launches (launchAll) that validate a whole batch up
+ *    front and run it through one backend in request order;
  *  - one tiled ring dispatch (dispatch) that runs a forward, inverse
  *    or pointwise operation over many items' RNS towers as batched
  *    kernels of at most kMaxBatchedTowers towers each, the software
  *    counterpart of the paper's "process different towers
  *    simultaneously".
+ *
+ * A device is one lane: it runs the launches its callers issue on
+ * the callers' threads. Parallelism lives a level up — in the
+ * batched kinds' towers, in several dispatchers sharing a device
+ * (which the HBM-contention ledger charges for), and in the devices
+ * of an RpuTopology.
  */
 
 #ifndef RPU_RPU_DEVICE_HH
@@ -46,7 +50,6 @@
 #include "codegen/ntt_codegen.hh"
 #include "model/contention.hh"
 #include "poly/polynomial.hh"
-#include "rpu/thread_pool.hh"
 #include "sim/functional/executor.hh"
 
 namespace rpu {
@@ -132,9 +135,9 @@ enum class LaneWord
  * A launch takes one (or builds one when none is free), and hands it
  * back after reset(), which zeroes only what the launch wrote (the
  * state's dirty-range contract) and leaves it indistinguishable from
- * a fresh state. Concurrent launches on a pooled device each hold
- * their own state, so each list grows to the peak number of launches
- * in flight per key.
+ * a fresh state. Concurrent launches (several dispatchers sharing the
+ * device) each hold their own state, so each list grows to the peak
+ * number of launches in flight per key.
  */
 class FunctionalSimBackend : public ExecutionBackend
 {
@@ -206,7 +209,7 @@ class CpuReferenceBackend : public ExecutionBackend
 
 /**
  * Launch and cache activity since construction / resetCounters().
- * Fields are individually atomic (workers bump them concurrently);
+ * Fields are individually atomic (concurrent callers bump them);
  * cross-counter consistency is only guaranteed while no launches are
  * in flight.
  *
@@ -222,11 +225,6 @@ class CpuReferenceBackend : public ExecutionBackend
  */
 struct DeviceCounters
 {
-    /** Worker slots tracked for per-worker launch attribution:
-     *  slot 0 is the calling thread (serial / inline launches),
-     *  slot 1 + w is pool worker w. */
-    static constexpr size_t kWorkerSlots = 65;
-
     std::atomic<uint64_t> launches{0}; ///< launches issued to the backend
     std::atomic<uint64_t> towerLaunches{0}; ///< tower transforms inside those
     std::atomic<uint64_t> kernelHits{0};    ///< kernel-cache hits
@@ -246,41 +244,37 @@ struct DeviceCounters
      *  multiplies enter the mix. */
     std::atomic<uint64_t> keySwitchTransforms{0};
 
-    std::atomic<uint64_t> perWorkerLaunches[kWorkerSlots] = {};
+    /** Modelled RPU cycles of every launch (the per-kernel
+     *  KernelMetrics cycle counts, stamped on each image). */
+    std::atomic<uint64_t> cycles{0};
 
-    /** Modelled RPU cycles of the launches each lane executed (the
-     *  per-kernel KernelMetrics cycle counts, folded into the same
-     *  per-worker ledger as the launch counts). */
-    std::atomic<uint64_t> perWorkerCycles[kWorkerSlots] = {};
-
-    /** HBM staging/drain cycles of each lane's launches at full
-     *  bandwidth (input + output region words through the contention
-     *  model). Fully overlapped behind compute while a launch has the
+    /** HBM staging/drain cycles of every launch at full bandwidth
+     *  (input + output region words through the contention model).
+     *  Fully overlapped behind compute while a launch has the
      *  interface to itself — recorded so the overlap is observable,
      *  not folded into the cycle ledger. */
-    std::atomic<uint64_t> perWorkerStagingCycles[kWorkerSlots] = {};
+    std::atomic<uint64_t> stagingCycles{0};
 
-    /** Contended busy cycles per lane: each launch's modelled cost
-     *  plus the HBM-contention term for the lanes concurrently
-     *  occupied with it (HbmContentionModel::busyCycles). Equal to
-     *  perWorkerCycles while the device never ran >1 lane at once. */
-    std::atomic<uint64_t> perWorkerBusyCycles[kWorkerSlots] = {};
+    /** Contended busy cycles: each launch's modelled cost plus the
+     *  HBM-contention term for the launches in flight with it
+     *  (HbmContentionModel::busyCycles). Equal to cycles while the
+     *  device never ran two launches at once. */
+    std::atomic<uint64_t> busyCycles{0};
 
     /** Words staged + drained across all launches. */
     std::atomic<uint64_t> stagedWords{0};
     /** Launches whose modelled cost carried a contention term. */
     std::atomic<uint64_t> contendedLaunches{0};
-    /** High-water mark of concurrently occupied lanes. */
+    /** High-water mark of launches in flight at once. */
     std::atomic<uint64_t> maxOccupiedLanes{0};
 };
 
 /**
  * A coherent snapshot of the device's aggregate activity — the
  * device-level roll-up of what per-kernel KernelMetrics measure one
- * program at a time, and the first step toward a multi-RPU
- * utilisation model: per-worker launch counts show how evenly a
- * batch spread across the pool, and issued-vs-elided transform
- * totals show what evaluation-domain residency saved.
+ * program at a time: modelled cycles convert the launches into
+ * device-time, and issued-vs-elided transform totals show what
+ * evaluation-domain residency saved.
  */
 struct DeviceStats
 {
@@ -295,27 +289,23 @@ struct DeviceStats
     uint64_t transformsElided = 0;
     uint64_t keySwitchTransforms = 0; ///< subset of issued (see counters)
 
-    /** [0] = inline launches on callers' threads; [1 + w] = worker w. */
-    std::vector<uint64_t> perWorkerLaunches;
-
     /**
-     * Modelled RPU cycles executed per lane (same slot layout):
-     * every launch contributes its image's modelCycles — stamped at
-     * generation time by the device's kernel cache — so the ledger
-     * converts directly into device-time. Ad-hoc KernelImages that
-     * were never cycle-simulated contribute zero; every scheme /
-     * ResidueOps path launches cached kernels, so the HE pipelines
-     * are fully covered.
+     * Modelled RPU cycles executed: every launch contributes its
+     * image's modelCycles — stamped at generation time by the
+     * device's kernel cache — so the ledger converts directly into
+     * device-time. Ad-hoc KernelImages that were never
+     * cycle-simulated contribute zero; every scheme / ResidueOps path
+     * launches cached kernels, so the HE pipelines are fully covered.
      */
-    std::vector<uint64_t> perWorkerCycles;
+    uint64_t cycles = 0;
 
-    /** Staging/drain cycles per lane (same slot layout); overlapped
-     *  behind compute at single-lane occupancy. */
-    std::vector<uint64_t> perWorkerStagingCycles;
+    /** Staging/drain cycles; overlapped behind compute while one
+     *  launch is in flight. */
+    uint64_t stagingCycles = 0;
 
-    /** Contended busy cycles per lane (same slot layout): modelled
-     *  cost plus the HBM-contention term. See DeviceCounters. */
-    std::vector<uint64_t> perWorkerBusyCycles;
+    /** Contended busy cycles: modelled cost plus the HBM-contention
+     *  term. See DeviceCounters. */
+    uint64_t busyCycles = 0;
 
     uint64_t stagedWords = 0;
     uint64_t contendedLaunches = 0;
@@ -335,62 +325,20 @@ struct DeviceStats
         return transformsIssued() - keySwitchTransforms;
     }
 
-    /** Total modelled cycles across every lane. */
-    uint64_t cycleTotal() const
-    {
-        uint64_t sum = 0;
-        for (uint64_t c : perWorkerCycles)
-            sum += c;
-        return sum;
-    }
+    /** Total modelled cycles. */
+    uint64_t cycleTotal() const { return cycles; }
+
+    /** Total staging/drain cycles. */
+    uint64_t stagingCycleTotal() const { return stagingCycles; }
 
     /**
-     * Device-level makespan estimate: the busiest lane's cycle
-     * total. For a batch fanned across w workers this is the
-     * modelled wall-clock of a w-RPU (or w-lane-group) system;
-     * cycleTotal() / makespanCycles() is its utilisation-weighted
-     * speedup over one RPU.
+     * Total contended busy cycles: the device's modelled wall-clock
+     * and the multi-RPU capacity model's per-device term. Equals
+     * cycleTotal() exactly while the device never ran two launches
+     * at once (full staging/drain overlap); strictly exceeds it as
+     * soon as concurrent launches shared the HBM interface.
      */
-    uint64_t makespanCycles() const
-    {
-        uint64_t worst = 0;
-        for (uint64_t c : perWorkerCycles)
-            worst = std::max(worst, c);
-        return worst;
-    }
-
-    /** Total staging/drain cycles across every lane. */
-    uint64_t stagingCycleTotal() const
-    {
-        uint64_t sum = 0;
-        for (uint64_t c : perWorkerStagingCycles)
-            sum += c;
-        return sum;
-    }
-
-    /** Total contended busy cycles across every lane. */
-    uint64_t busyCycleTotal() const
-    {
-        uint64_t sum = 0;
-        for (uint64_t c : perWorkerBusyCycles)
-            sum += c;
-        return sum;
-    }
-
-    /**
-     * Contention-aware makespan: the busiest lane's contended busy
-     * cycles. Equals makespanCycles() exactly while the device never
-     * ran more than one lane at once (full staging/drain overlap);
-     * strictly exceeds it as soon as concurrent lanes shared the HBM
-     * interface — the multi-RPU capacity model's per-device term.
-     */
-    uint64_t busyMakespanCycles() const
-    {
-        uint64_t worst = 0;
-        for (uint64_t c : perWorkerBusyCycles)
-            worst = std::max(worst, c);
-        return worst;
-    }
+    uint64_t busyCycleTotal() const { return busyCycles; }
 
     /** One-line summary for benches and examples. */
     std::string summary() const;
@@ -398,24 +346,19 @@ struct DeviceStats
     /**
      * Windowed delta between two snapshots of the *same* device with
      * no resetCounters() in between: every counter of @p since is
-     * subtracted field-wise (per-worker vectors are padded with
-     * zeros when the pool widened between the snapshots). This is
-     * how the serving layer and benches attribute launches and
-     * transforms to one request window instead of diffing cumulative
-     * counters by hand; see also RpuDevice::statsSince.
+     * subtracted field-wise. This is how the serving layer and
+     * benches attribute launches and transforms to one request window
+     * instead of diffing cumulative counters by hand; see also
+     * RpuDevice::statsSince.
      */
     DeviceStats operator-(const DeviceStats &since) const;
 
     /**
      * Field-wise sum — how a topology rolls N per-device windows into
-     * one ledger. Per-worker vectors are padded with zeros to the
-     * wider operand (devices may run different pool widths), so slot
-     * i accumulates every device's slot-i activity and no slot is
-     * ever dropped or misaligned; maxOccupiedLanes takes the max.
-     * Note the summed per-worker vectors merge *different devices'*
-     * lanes, so makespan readings on a summed ledger are meaningless
-     * — use RpuTopology::makespanCycles (max over per-device
-     * makespans) for the topology-wide figure.
+     * one ledger; maxOccupiedLanes takes the max. The summed busy
+     * total is the devices' combined work, not a wall-clock — use
+     * RpuTopology::makespanCycles (max over devices) for the
+     * topology-wide figure.
      */
     DeviceStats &operator+=(const DeviceStats &other);
     DeviceStats operator+(const DeviceStats &other) const;
@@ -503,8 +446,7 @@ class RpuDevice
 
     /**
      * Aggregate activity snapshot (see DeviceStats). Consistent only
-     * while no launches are in flight; perWorkerLaunches spans slot 0
-     * (inline launches) plus one slot per current pool worker.
+     * while no launches are in flight.
      */
     DeviceStats stats() const;
 
@@ -533,31 +475,6 @@ class RpuDevice
      * themselves; always <= the tower transforms issued.
      */
     void noteKeySwitchTransforms(uint64_t towers);
-
-    // -- Concurrency -----------------------------------------------------
-
-    /**
-     * Number of worker threads independent launches fan out across.
-     * 1 (the default) executes every batch serially on the caller's
-     * thread; w > 1 starts a worker pool and launchAll() (and the
-     * dispatch() tile groups built on it) overlap independent
-     * launches. Results are request-ordered and bit-identical to the
-     * serial path regardless of the setting. Capped at 64 workers
-     * (the per-worker launch ledger's width) so passing
-     * hardware_concurrency() from a large host is always safe. Not
-     * thread-safe against in-flight launches: reconfigure only
-     * between batches.
-     */
-    void setParallelism(unsigned workers);
-    unsigned parallelism() const { return pool_ ? pool_->workers() : 1; }
-
-    /**
-     * The worker pool, or null when parallelism() == 1. Host-side
-     * helpers (e.g. RlweEvaluator's per-tower fan-outs) may submit
-     * independent host work to ride the same lanes between launches;
-     * jobs submitted here do not touch the launch ledger.
-     */
-    ThreadPool *workerPool() const { return pool_.get(); }
 
     // -- Shared numeric context caches ---------------------------------
 
@@ -602,9 +519,9 @@ class RpuDevice
 
     /**
      * Run many independent launches through the backend in one batch
-     * (e.g. all towers of an RNS multiply). Results are returned in
-     * request order and are bit-identical whether the batch executes
-     * serially or across the worker pool (see setParallelism).
+     * (e.g. all tile groups of a dispatch). The whole batch is
+     * validated before the first launch; results are returned in
+     * request order.
      */
     std::vector<std::vector<std::vector<u128>>>
     launchAll(const std::vector<LaunchRequest> &batch);
@@ -646,8 +563,7 @@ class RpuDevice
      * per item, in item order: result[i][t] = op over moduli[i][t] of
      * a[i][t] (Forward / Inverse) or of a[i][t], b[i][t] (Pointwise;
      * b is empty for the transforms). Operands are consumed — pass
-     * rvalues to avoid the copy. The tile groups go through launchAll,
-     * so a pooled device overlaps them on min(workers, groups) lanes;
+     * rvalues to avoid the copy. The tile groups go through launchAll;
      * RpuTopology::dispatch runs the same tiling across devices.
      */
     TowerItems dispatch(RingOp op, uint64_t n,
@@ -666,12 +582,11 @@ class RpuDevice
         const;
 
     /** Validated launch body: count (with the contention term for
-     *  max(@p structuralLanes, observed in-flight launches) occupied
-     *  lanes), then execute on the backend. */
+     *  the launches observed in flight), then execute on the
+     *  backend. */
     std::vector<std::vector<u128>>
     executeValidated(const KernelImage &image,
-                     const std::vector<std::vector<u128>> &inputs,
-                     unsigned structuralLanes = 1);
+                     const std::vector<std::vector<u128>> &inputs);
 
     /** twiddleTable() body; caller holds caches_->contextMutex. */
     const TwiddleTable &twiddleTableLocked(uint64_t n, u128 q);
@@ -680,8 +595,8 @@ class RpuDevice
 
     DeviceCounters counters_;
 
-    /** Launches currently inside executeValidated — the observed half
-     *  of the contention ledger's lane-occupancy count. */
+    /** Launches currently inside executeValidated — the contention
+     *  ledger's lane-occupancy count. */
     std::atomic<uint32_t> active_launches_{0};
 
     HbmContentionModel contention_;
@@ -689,11 +604,6 @@ class RpuDevice
     /** Shared (or private) cache bundle; see DeviceCaches for the
      *  locking story that used to live on these members directly. */
     std::shared_ptr<DeviceCaches> caches_;
-
-    // Last member on purpose: destroyed first, so the pool drains and
-    // joins any still-queued async launches while the caches, mutexes,
-    // and backend they use are all still alive.
-    std::unique_ptr<ThreadPool> pool_;
 };
 
 /**

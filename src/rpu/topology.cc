@@ -8,17 +8,14 @@
 
 namespace rpu {
 
-RpuTopology::RpuTopology(size_t devices, unsigned parallelism)
+RpuTopology::RpuTopology(size_t devices)
 {
     rpu_assert(devices >= 1, "topology needs at least one device");
     auto caches = std::make_shared<DeviceCaches>();
     devices_.reserve(devices);
     for (size_t i = 0; i < devices; ++i) {
-        auto dev = std::make_shared<RpuDevice>(
-            std::make_unique<FunctionalSimBackend>(), caches);
-        if (parallelism > 1)
-            dev->setParallelism(parallelism);
-        devices_.push_back(std::move(dev));
+        devices_.push_back(std::make_shared<RpuDevice>(
+            std::make_unique<FunctionalSimBackend>(), caches));
     }
 }
 
@@ -70,7 +67,7 @@ RpuTopology::makespanCycles(const Snapshot &snap)
 {
     uint64_t worst = 0;
     for (const DeviceStats &s : snap)
-        worst = std::max(worst, s.busyMakespanCycles());
+        worst = std::max(worst, s.busyCycleTotal());
     return worst;
 }
 

@@ -14,11 +14,11 @@
  * The topology also rolls the per-device ledgers up:
  *
  *  - snapshot()/since() give per-device DeviceStats windows;
- *  - stats()/aggregate() sum a window field-wise (per-worker vectors
- *    zero-padded to the widest device — see DeviceStats::operator+=);
+ *  - stats()/aggregate() sum a window field-wise (see
+ *    DeviceStats::operator+=);
  *  - makespanCycles() is the topology-wide modelled wall-clock: the
  *    max over devices of each device's contention-aware busy
- *    makespan. Work spread evenly across N devices shows ~1/N the
+ *    cycles. Work spread evenly across N devices shows ~1/N the
  *    makespan of the same work on one device — the capacity-planning
  *    signal the sharding bench sweeps.
  *
@@ -50,10 +50,9 @@ class RpuTopology
   public:
     /**
      * Build @p devices functional-simulator RPUs over one fresh
-     * shared cache bundle, each with @p parallelism worker lanes
-     * (1 = serial devices, the deterministic-ledger configuration).
+     * shared cache bundle.
      */
-    explicit RpuTopology(size_t devices, unsigned parallelism = 1);
+    explicit RpuTopology(size_t devices);
 
     /**
      * Wrap existing devices (at least one) without rebuilding them —
@@ -97,7 +96,7 @@ class RpuTopology
 
     /**
      * Topology-wide modelled makespan of a window: the max over
-     * devices of the contention-aware per-device busy makespan. The
+     * devices of the contention-aware per-device busy cycles. The
      * denominator of "modelled sustained throughput" in the capacity
      * sweep.
      */

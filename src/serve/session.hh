@@ -11,8 +11,8 @@
  * and responses, regardless of how requests interleave. Per-request
  * randomness is likewise derived from (session seed, request seq),
  * which is what makes the serving bench's bit-identity check against
- * per-tenant *serial* execution meaningful even when the device runs
- * a worker pool: no draw depends on service order.
+ * per-tenant *serial* execution meaningful even when several
+ * dispatchers serve concurrently: no draw depends on service order.
  *
  * runBatch() is the one request pipeline: encrypt every request on
  * the host under its own session's key and request stream, run the

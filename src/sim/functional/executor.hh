@@ -37,9 +37,9 @@ struct FunctionalCounts
 /**
  * Modulus contexts are worth building once; launches that share a
  * modulus should share a cache (RpuDevice owns one per device so the
- * cost is paid once, not per launch). Thread-safe: a multi-worker
- * device executes launches concurrently, and every one of them goes
- * through the shared cache.
+ * cost is paid once, not per launch). Thread-safe: concurrent
+ * dispatchers and the devices of a topology execute launches at the
+ * same time, and every one of them goes through the shared cache.
  */
 class ModulusContextCache
 {
@@ -150,8 +150,8 @@ class BasicFunctionalSimulator
     /**
      * The context for @p q. Resolved pointers are memoized per
      * simulator so the shared cache's lock is taken O(distinct
-     * moduli) per launch, not once per compute instruction — workers
-     * running concurrent launches would otherwise serialize on it.
+     * moduli) per launch, not once per compute instruction —
+     * concurrent launches would otherwise serialize on it.
      */
     const Modulus &modulusFor(u128 q);
 

@@ -481,48 +481,6 @@ TEST(CkksOnDevice, ChainedMulPlainRescaleIssuesMinimalTransforms)
     expectWithinRelative(ctx.decrypt(sk, p2), want);
 }
 
-TEST(CkksOnDevice, ParallelDeviceBitIdenticalToSerial)
-{
-    // The full pipeline — encrypt, device mulPlain, device rescale,
-    // decrypt — across worker pools must match the serial device and
-    // the host path bit for bit.
-    CkksContext ctx(smallParams());
-    const CkksSecretKey sk = ctx.keygen();
-    const auto z = randomSlots(ctx.slots(), 47);
-    const auto w = randomSlots(ctx.slots(), 53);
-    const CkksCiphertext ct = ctx.encrypt(sk, z);
-
-    const CkksCiphertext host_prod = ctx.mulPlain(ct, w);
-    const CkksCiphertext host_scaled = ctx.rescale(host_prod);
-
-    const auto device = std::make_shared<RpuDevice>();
-    device->setParallelism(4);
-    ctx.attachDevice(device);
-    const CkksCiphertext pool_prod = ctx.mulPlain(ct, w);
-    const CkksCiphertext pool_scaled = ctx.rescale(pool_prod);
-
-    for (size_t t = 0; t < host_prod.towers(); ++t) {
-        EXPECT_EQ(pool_prod.c0.towers[t], host_prod.c0.towers[t])
-            << "tower " << t;
-        EXPECT_EQ(pool_prod.c1.towers[t], host_prod.c1.towers[t])
-            << "tower " << t;
-    }
-    for (size_t t = 0; t < host_scaled.towers(); ++t) {
-        EXPECT_EQ(pool_scaled.c0.towers[t], host_scaled.c0.towers[t])
-            << "tower " << t;
-        EXPECT_EQ(pool_scaled.c1.towers[t], host_scaled.c1.towers[t])
-            << "tower " << t;
-    }
-
-    // Parallel mulPlain fans one launch per (component, tower).
-    device->setParallelism(1);
-    const CkksCiphertext serial_prod = ctx.mulPlain(ct, w);
-    for (size_t t = 0; t < serial_prod.towers(); ++t) {
-        EXPECT_EQ(serial_prod.c0.towers[t], host_prod.c0.towers[t]);
-        EXPECT_EQ(serial_prod.c1.towers[t], host_prod.c1.towers[t]);
-    }
-}
-
 TEST(CkksOnDevice, CpuReferenceBackendMatchesFunctionalSim)
 {
     CkksContext ctx(smallParams());
@@ -588,7 +546,7 @@ TEST(CkksBatch, BatchOfKEqualsKSingleCalls)
     // distinct secret and relinearisation keys. A batch of k of their
     // operands through one context's batch forms must equal each
     // tenant's own single calls bit for bit — mulPlain->rescale and
-    // mulCt->rescale, on serial, pooled and CPU-reference devices and
+    // mulCt->rescale, on functional-sim and CPU-reference devices and
     // routed across a 2-device topology — and must cost exactly the
     // launches its declared shapes tile into, whatever k is.
     const size_t tenants = 5;
@@ -608,13 +566,11 @@ TEST(CkksBatch, BatchOfKEqualsKSingleCalls)
     const size_t L = smallParams().towers;
     const CkksContext &batch = *ctxs[0];
 
-    enum class Kind { Serial, Pooled, CpuReference, Routed };
+    enum class Kind { Serial, CpuReference, Routed };
     for (const Kind kind :
-         {Kind::Serial, Kind::Pooled, Kind::CpuReference, Kind::Routed}) {
+         {Kind::Serial, Kind::CpuReference, Kind::Routed}) {
         auto topo = std::make_shared<RpuTopology>(2);
         std::shared_ptr<RpuDevice> device = topo->device(0);
-        if (kind == Kind::Pooled)
-            device->setParallelism(4);
         if (kind == Kind::CpuReference)
             device = std::make_shared<RpuDevice>(
                 std::make_unique<CpuReferenceBackend>());

@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <functional>
+#include <mutex>
 #include <thread>
 
 #include "modmath/primegen.hh"
@@ -242,97 +245,20 @@ TEST(LaunchAll, MatchesIndividualLaunches)
 }
 
 // ----------------------------------------------------------------------
-// Parallel launches
+// Concurrent callers on one device
 // ----------------------------------------------------------------------
-
-/** A batch of per-tower fused products over distinct moduli. */
-std::vector<LaunchRequest>
-towerBatch(RpuDevice &dev, uint64_t n, const std::vector<u128> &primes,
-           uint64_t seed)
-{
-    Rng rng(seed);
-    std::vector<LaunchRequest> batch;
-    for (u128 q : primes) {
-        const KernelImage &k = dev.kernel(KernelKind::PolyMul, n, {q});
-        const Modulus mod(q);
-        batch.push_back(
-            {&k, {randomPoly(mod, n, rng), randomPoly(mod, n, rng)}});
-    }
-    return batch;
-}
-
-TEST(ParallelLaunch, BitIdenticalToSerial)
-{
-    const uint64_t n = 1024;
-    const auto primes = nttPrimes(60, n, 6);
-    RpuDevice dev;
-    const auto batch = towerBatch(dev, n, primes, 17);
-
-    EXPECT_EQ(dev.parallelism(), 1u);
-    const auto serial = dev.launchAll(batch);
-
-    dev.setParallelism(4);
-    EXPECT_EQ(dev.parallelism(), 4u);
-    const auto parallel = dev.launchAll(batch);
-
-    // Same batch, worker pool on: request-ordered and bit-identical.
-    EXPECT_EQ(parallel, serial);
-
-    // Determinism across repeated parallel runs.
-    EXPECT_EQ(dev.launchAll(batch), serial);
-
-    dev.setParallelism(1);
-    EXPECT_EQ(dev.parallelism(), 1u);
-    EXPECT_EQ(dev.launchAll(batch), serial);
-}
-
-TEST(ParallelLaunch, DispatchGroupsOverlapOnThePool)
-{
-    // 8 items x 3 towers tile into two groups: a serial device runs
-    // them back to back, a pooled device runs them as one launchAll
-    // across two workers — same launches, same results.
-    const uint64_t n = 1024;
-    const auto primes = nttPrimes(58, n, 3);
-    const std::vector<std::vector<u128>> moduli(8, primes);
-
-    Rng rng(23);
-    TowerItems xs(moduli.size());
-    for (auto &item : xs)
-        for (u128 q : primes)
-            item.push_back(randomPoly(Modulus(q), n, rng));
-
-    RpuDevice serial_dev;
-    const auto serial =
-        serial_dev.dispatch(RingOp::Forward, n, moduli, xs);
-
-    RpuDevice parallel_dev;
-    parallel_dev.setParallelism(4);
-    const auto parallel =
-        parallel_dev.dispatch(RingOp::Forward, n, moduli, xs);
-    EXPECT_EQ(parallel, serial);
-
-    // ceil(24 / 16) launches either way; the pooled ones ran on
-    // workers, never inline, two lanes at once.
-    EXPECT_EQ(serial_dev.counters().launches, 2u);
-    const DeviceStats s = parallel_dev.stats();
-    EXPECT_EQ(s.launches, 2u);
-    EXPECT_EQ(s.towerLaunches, 24u);
-    EXPECT_EQ(s.perWorkerLaunches[0], 0u);
-    EXPECT_EQ(s.maxOccupiedLanes, 2u);
-}
 
 TEST(ParallelLaunch, ConcurrentCallersStress)
 {
-    // >= 4 host threads hammer one 4-worker device concurrently —
-    // kernel cache, context caches, counters, and the worker pool all
-    // see contention; every result must still be exact.
+    // >= 4 host threads hammer one device concurrently — kernel
+    // cache, context caches, counters, and the backend's state free
+    // list all see contention; every result must still be exact.
     const uint64_t n = 1024;
     const size_t callers = 4;
     const size_t rounds = 3;
     const auto primes = nttPrimes(59, n, callers);
 
     RpuDevice dev;
-    dev.setParallelism(4);
 
     std::vector<std::thread> threads;
     std::vector<int> failures(callers, 0);
@@ -364,6 +290,92 @@ TEST(ParallelLaunch, ConcurrentCallersStress)
     // Every launch was counted exactly once despite the contention.
     EXPECT_EQ(dev.counters().launches, callers * rounds);
     EXPECT_EQ(dev.counters().kernelMisses, callers);
+}
+
+/**
+ * A functional-simulator backend whose execute() blocks until
+ * @p expected launches have entered it. A device counts a launch
+ * (contention term included) before handing it to the backend, so
+ * with two callers the second launch is provably counted while the
+ * first is still in flight — the overlap the contention ledger
+ * charges, made deterministic.
+ */
+class RendezvousBackend : public ExecutionBackend
+{
+  public:
+    explicit RendezvousBackend(size_t expected) : expected_(expected) {}
+
+    const char *name() const override { return "rendezvous"; }
+
+    std::vector<std::vector<u128>>
+    execute(RpuDevice &dev, const KernelImage &image,
+            const std::vector<std::vector<u128>> &inputs) override
+    {
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            ++entered_;
+            cv_.notify_all();
+            // Bounded, so a device that serialised its callers fails
+            // the assertions below instead of hanging the suite.
+            cv_.wait_for(lock, std::chrono::seconds(30),
+                         [&] { return entered_ >= expected_; });
+        }
+        return inner_.execute(dev, image, inputs);
+    }
+
+  private:
+    const size_t expected_;
+    size_t entered_ = 0;
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    FunctionalSimBackend inner_;
+};
+
+TEST(ParallelLaunch, ContentionLedgerChargesOverlappingCallers)
+{
+    // Two host threads each launch one kernel on one device, and the
+    // rendezvous holds both in flight together: exactly one launch
+    // (whichever is counted second) runs at two-lane occupancy and
+    // pays one staging term on top of its compute; the other is
+    // uncontended.
+    const uint64_t n = 1024;
+    const u128 q = nttPrime(59, n);
+    RpuDevice dev(std::make_unique<RendezvousBackend>(2));
+    const KernelImage &k = dev.kernel(KernelKind::PolyMul, n, {q});
+    ASSERT_GT(k.modelCycles, 0u);
+
+    const Modulus mod(q);
+    const NttContext ntt(dev.twiddleTable(n, q));
+    std::vector<std::vector<u128>> a(2), b(2), got(2);
+    Rng rng(61);
+    for (size_t c = 0; c < 2; ++c) {
+        a[c] = randomPoly(mod, n, rng);
+        b[c] = randomPoly(mod, n, rng);
+    }
+    std::vector<std::thread> threads;
+    for (size_t c = 0; c < 2; ++c)
+        threads.emplace_back(
+            [&, c] { got[c] = dev.launch(k, {a[c], b[c]})[0]; });
+    for (std::thread &t : threads)
+        t.join();
+    for (size_t c = 0; c < 2; ++c)
+        EXPECT_EQ(got[c], negacyclicMulNtt(ntt, a[c], b[c]));
+
+    uint64_t words = 0;
+    for (const DataRegion *r : k.inputRegions())
+        words += r->words;
+    for (const DataRegion *r : k.outputRegions())
+        words += r->words;
+    const DeviceStats s = dev.stats();
+    EXPECT_EQ(s.launches, 2u);
+    EXPECT_EQ(s.contendedLaunches, 1u);
+    EXPECT_EQ(s.maxOccupiedLanes, 2u);
+    EXPECT_EQ(s.cycleTotal(), 2 * k.modelCycles);
+    EXPECT_EQ(s.stagingCycleTotal(),
+              2 * dev.contentionModel().stagingCycles(words));
+    EXPECT_GT(dev.contentionModel().stagingCycles(words), 0u);
+    EXPECT_EQ(s.busyCycleTotal() - s.cycleTotal(),
+              dev.contentionModel().stagingCycles(words));
 }
 
 TEST(KernelCache, SameKeyRaceGeneratesOnce)
@@ -508,40 +520,6 @@ TEST(BfvOnDevice, PlaintextMultiplyExecutesOnTheRpu)
                   msg, plain, ctx.params().plaintextModulus));
 }
 
-TEST(BfvOnDevice, ParallelDeviceBitIdenticalToSerial)
-{
-    // The whole Eval-resident pipeline on a pooled device must be
-    // bit-identical to both the serial device and the host path.
-    BfvContext ctx(smallParams());
-    const SecretKey sk = ctx.keygen();
-
-    Rng rng(51);
-    std::vector<uint64_t> msg(ctx.params().n), plain(ctx.params().n);
-    for (auto &v : msg)
-        v = rng.below64(ctx.params().plaintextModulus);
-    for (auto &v : plain)
-        v = rng.below64(ctx.params().plaintextModulus);
-    const Ciphertext ct = ctx.encrypt(sk, msg);
-    const Ciphertext via_host = ctx.mulPlain(ct, plain); // no device
-
-    const auto device = std::make_shared<RpuDevice>();
-    device->setParallelism(4);
-    ctx.attachDevice(device);
-    const Ciphertext via_pool = ctx.mulPlain(ct, plain);
-    EXPECT_EQ(via_pool.c0, via_host.c0);
-    EXPECT_EQ(via_pool.c1, via_host.c1);
-
-    // 6 -> 2: a pooled device runs the same tile groups as a serial
-    // one (the per-tower fan-out is gone) — the encode's forward
-    // launch plus one pointwise launch for both components.
-    EXPECT_EQ(device->counters().launches, 2u);
-
-    device->setParallelism(1);
-    const Ciphertext via_serial = ctx.mulPlain(ct, plain);
-    EXPECT_EQ(via_serial.c0, via_pool.c0);
-    EXPECT_EQ(via_serial.c1, via_pool.c1);
-}
-
 TEST(BfvOnDevice, EvalResidentPathMatchesAcrossBackends)
 {
     // Backend-equivalence for the full encode + pointwise-multiply
@@ -644,10 +622,9 @@ TEST(PointwiseKernel, BatchedMatchesPerTowerAcrossBackends)
 
 TEST(TransformTowers, BatchedInverseUndoesBatchedForward)
 {
-    // Eval <-> Coeff round trip, bit-identical on every tower, across
-    // the serial device, a pooled device, and the CPU reference
-    // backend — the transition ResidueOps issues at domain
-    // boundaries.
+    // Eval <-> Coeff round trip, bit-identical on every tower, on the
+    // functional simulator and the CPU reference backend — the
+    // transition ResidueOps issues at domain boundaries.
     const uint64_t n = 1024;
     const auto primes = nttPrimes(59, n, 3);
 
@@ -664,18 +641,14 @@ TEST(TransformTowers, BatchedInverseUndoesBatchedForward)
                             std::move(ys))[0];
     };
 
-    RpuDevice serial;
-    EXPECT_EQ(round_trip(serial), original);
-
-    RpuDevice pooled;
-    pooled.setParallelism(4);
-    EXPECT_EQ(round_trip(pooled), original);
+    RpuDevice sim;
+    EXPECT_EQ(round_trip(sim), original);
 
     RpuDevice ref(std::make_unique<CpuReferenceBackend>());
     EXPECT_EQ(round_trip(ref), original);
 }
 
-TEST(DeviceStats, AggregatesLaunchesTransformsAndWorkers)
+TEST(DeviceStats, AggregatesLaunchesTransformsAndCycles)
 {
     const uint64_t n = 1024;
     const auto primes = nttPrimes(60, n, 2);
@@ -689,8 +662,8 @@ TEST(DeviceStats, AggregatesLaunchesTransformsAndWorkers)
         b.push_back(randomPoly(mod, n, rng));
     }
 
-    // Serial: one batched polymul launch (2 fwd + 1 inv + 1 pointwise
-    // per tower) plus one explicitly elided conversion.
+    // One batched polymul launch (2 fwd + 1 inv + 1 pointwise per
+    // tower) plus one explicitly elided conversion.
     batchedPolyMul(dev, n, primes, a, b);
     dev.noteElidedTransforms(primes.size());
     {
@@ -702,51 +675,19 @@ TEST(DeviceStats, AggregatesLaunchesTransformsAndWorkers)
         EXPECT_EQ(s.pointwiseMuls, primes.size());
         EXPECT_EQ(s.transformsElided, primes.size());
         EXPECT_EQ(s.transformsIssued(), 3 * primes.size());
-        // Serial launches attribute to slot 0 (the calling thread).
-        ASSERT_EQ(s.perWorkerLaunches.size(), 1u);
-        EXPECT_EQ(s.perWorkerLaunches[0], 1u);
-        // The cycle ledger folds the kernel's modelled cost into the
-        // same slot: one lane did everything, so the makespan IS the
-        // total.
-        ASSERT_EQ(s.perWorkerCycles.size(), 1u);
-        EXPECT_GT(s.perWorkerCycles[0], 0u);
-        EXPECT_EQ(s.cycleTotal(), s.perWorkerCycles[0]);
-        EXPECT_EQ(s.makespanCycles(), s.cycleTotal());
+        // The cycle ledger folds in the kernel's modelled cost, stamped
+        // on the cached image at generation; one launch at a time
+        // stages behind compute, so busy cycles equal the total.
+        const KernelImage &k = dev.kernel(KernelKind::BatchedPolyMul, n,
+                                          primes);
+        EXPECT_GT(k.modelCycles, 0u);
+        EXPECT_EQ(s.cycleTotal(), k.modelCycles);
+        EXPECT_GT(s.stagingCycleTotal(), 0u);
+        EXPECT_EQ(s.busyCycleTotal(), s.cycleTotal());
+        EXPECT_EQ(s.contendedLaunches, 0u);
+        EXPECT_EQ(s.maxOccupiedLanes, 1u);
         EXPECT_FALSE(s.summary().empty());
     }
-
-    // Pooled: a batch of per-tower launches spread across workers;
-    // the per-worker ledger must account for every launch exactly
-    // once.
-    const auto batch = towerBatch(dev, n, primes, 101);
-    dev.resetCounters();
-    dev.setParallelism(2);
-    dev.launchAll(batch);
-    {
-        const DeviceStats s = dev.stats();
-        EXPECT_EQ(s.launches, primes.size());
-        ASSERT_EQ(s.perWorkerLaunches.size(), 3u); // inline + 2 workers
-        uint64_t attributed = 0;
-        for (uint64_t w : s.perWorkerLaunches)
-            attributed += w;
-        EXPECT_EQ(attributed, s.launches);
-        // Worker launches never attribute to the inline slot.
-        EXPECT_EQ(s.perWorkerLaunches[0], 0u);
-        // Per-worker cycles follow the launches: nothing on the
-        // inline slot, every launch's modelled cost on some worker,
-        // and the makespan (busiest lane) bounded by the total.
-        ASSERT_EQ(s.perWorkerCycles.size(), 3u);
-        EXPECT_EQ(s.perWorkerCycles[0], 0u);
-        EXPECT_GT(s.cycleTotal(), 0u);
-        EXPECT_GT(s.makespanCycles(), 0u);
-        EXPECT_LE(s.makespanCycles(), s.cycleTotal());
-    }
-
-    // The per-kernel cost the ledger folds in is stamped on the
-    // cached image at generation and stable across launches.
-    const KernelImage &k = dev.kernel(KernelKind::PolyMul, n,
-                                      {primes[0]});
-    EXPECT_GT(k.modelCycles, 0u);
 
     // resetCounters clears the whole snapshot.
     dev.resetCounters();
@@ -755,8 +696,8 @@ TEST(DeviceStats, AggregatesLaunchesTransformsAndWorkers)
     EXPECT_EQ(cleared.transformsIssued(), 0u);
     EXPECT_EQ(cleared.transformsElided, 0u);
     EXPECT_EQ(cleared.cycleTotal(), 0u);
-    for (uint64_t w : cleared.perWorkerLaunches)
-        EXPECT_EQ(w, 0u);
+    EXPECT_EQ(cleared.stagingCycleTotal(), 0u);
+    EXPECT_EQ(cleared.busyCycleTotal(), 0u);
 }
 
 TEST(BfvOnDevice, SharedDeviceAccumulatesAcrossContexts)
@@ -870,17 +811,14 @@ TEST(StateReuse, LaterLaunchSeesOnlyZeros)
     EXPECT_EQ(a_out[0][0], u128(12345)); // A really ran
     EXPECT_EQ(a_out[0][1], u128(99));
 
-    // Pooled: an interleaved batch on four workers reuses states in
-    // whatever order the workers pick them up; the results must match
-    // the serial ones bit for bit.
-    RpuDevice pooled;
-    pooled.setParallelism(4);
+    // An interleaved batch reuses the same state launch after launch;
+    // every result must match the first pair bit for bit.
     std::vector<LaunchRequest> batch;
     for (int i = 0; i < 12; ++i) {
         batch.push_back({&dirty, {a_in}});
         batch.push_back({&reader, {b_in}});
     }
-    const auto results = pooled.launchAll(batch);
+    const auto results = serial.launchAll(batch);
     ASSERT_EQ(results.size(), batch.size());
     for (size_t i = 0; i < results.size(); ++i)
         EXPECT_EQ(results[i], i % 2 ? b_out : a_out) << "launch " << i;

@@ -264,9 +264,7 @@ TEST(BfvMulCt, BitIdenticalAcrossBackendsAndSimdModes)
                            mode_name);
 
         const auto run_device = [&](std::shared_ptr<RpuDevice> device,
-                                    unsigned workers,
                                     const char *label) {
-            device->setParallelism(workers);
             ctx.attachDevice(device);
             const Ciphertext ct = ctx.mulCt(ct_a, ct_b, rk);
             expectBitIdentical(ct, host_ct, label);
@@ -274,11 +272,10 @@ TEST(BfvMulCt, BitIdenticalAcrossBackendsAndSimdModes)
             EXPECT_EQ(ctx.decryptWideReference(sk, ct), expected)
                 << label;
         };
-        run_device(std::make_shared<RpuDevice>(), 1, "serial");
-        run_device(std::make_shared<RpuDevice>(), 4, "pooled");
+        run_device(std::make_shared<RpuDevice>(), "functional-sim");
         run_device(std::make_shared<RpuDevice>(
                        std::make_unique<CpuReferenceBackend>()),
-                   1, "cpu-reference");
+                   "cpu-reference");
     }
 }
 

@@ -368,7 +368,7 @@ TEST(Pipelines, BfvChainBitIdenticalAcrossModesAndBackends)
             runBfvChain(simd::HostSimdMode::Native, towers, nullptr);
         expectBfvRunsIdentical(host_s, host_v);
 
-        // Functional-sim backend, serial and pooled.
+        // Functional-sim backend.
         const auto serial = std::make_shared<RpuDevice>();
         const BfvRun ser_s =
             runBfvChain(simd::HostSimdMode::Scalar, towers, serial);
@@ -377,12 +377,6 @@ TEST(Pipelines, BfvChainBitIdenticalAcrossModesAndBackends)
         expectBfvRunsIdentical(ser_s, ser_v);
         expectStatsEqual(ser_s.stats, ser_v.stats);
         expectBfvRunsIdentical(host_s, ser_v);
-
-        const auto pooled = std::make_shared<RpuDevice>();
-        pooled->setParallelism(4);
-        const BfvRun pool_v =
-            runBfvChain(simd::HostSimdMode::Native, towers, pooled);
-        expectBfvRunsIdentical(ser_s, pool_v);
 
         // CPU-reference backend (the non-simulator executor).
         const auto cpuref = std::make_shared<RpuDevice>(

@@ -1,9 +1,8 @@
 /**
  * @file
  * Domain-tagged residue polynomials: Eval <-> Coeff round trips pin
- * bit-identity on every tower across the host transforms, the serial
- * functional simulator, a pooled device, and the CPU reference
- * backend; the elision ledger records exactly the conversions a
+ * bit-identity on every tower across the host transforms, the
+ * functional simulator and the CPU reference backend; the elision ledger records exactly the conversions a
  * domain-aware caller skips; and the evaluation-domain pointwise
  * product matches the fused negacyclic product end to end.
  */
@@ -68,13 +67,11 @@ TEST(ResiduePoly, RoundTripBitIdenticalOnEveryBackend)
     fx.ops.toCoeff(host_poly);
     EXPECT_EQ(host_poly, original);
 
-    // Serial device, pooled device, CPU reference backend: the same
+    // Functional simulator and CPU reference backend: the same
     // transitions, bit-identical towers in both domains.
     const auto run_device = [&](std::shared_ptr<RpuDevice> device,
                                 const char *label) {
         Fixture dfx(towers);
-        device->setParallelism(
-            std::string(label) == "pooled" ? 4 : 1);
         dfx.ops.setDevice(device);
         ResiduePoly p = original;
         dfx.ops.toEval(p);
@@ -88,8 +85,7 @@ TEST(ResiduePoly, RoundTripBitIdenticalOnEveryBackend)
                 << label << " tower " << t;
         }
     };
-    run_device(std::make_shared<RpuDevice>(), "serial");
-    run_device(std::make_shared<RpuDevice>(), "pooled");
+    run_device(std::make_shared<RpuDevice>(), "functional-sim");
     run_device(std::make_shared<RpuDevice>(
                    std::make_unique<CpuReferenceBackend>()),
                "cpu-reference");

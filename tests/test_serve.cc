@@ -192,25 +192,6 @@ TEST(DeviceStatsDelta, StatsSinceIsolatesOneWindow)
     EXPECT_EQ(zero.cycleTotal(), 0u);
 }
 
-TEST(DeviceStatsDelta, PerWorkerVectorsPadWhenPoolWidens)
-{
-    RpuDevice dev;
-    const uint64_t n = 1024;
-    const u128 q = 0x3001;
-    const auto x = std::vector<u128>(n, 3);
-
-    const DeviceStats before = dev.stats(); // narrow snapshot
-    dev.setParallelism(4);                  // pool widens the vectors
-    (void)dev.ntt(n, q, x);
-
-    const DeviceStats delta = dev.statsSince(before);
-    EXPECT_EQ(delta.launches, 1u);
-    uint64_t launches_across_lanes = 0;
-    for (uint64_t l : delta.perWorkerLaunches)
-        launches_across_lanes += l;
-    EXPECT_EQ(launches_across_lanes, 1u);
-}
-
 // ----------------------------------------------------------------------
 // Tiled device dispatch
 // ----------------------------------------------------------------------
@@ -299,8 +280,8 @@ TEST(CoalescedLaunches, TileBoundaryMidItemOnEveryDeviceKind)
     // Items of 3, 5, 9 and 1 towers: 18 towers tile into two groups,
     // and the kMaxBatchedTowers boundary falls inside the 9-tower
     // item. Every op must match per-item single-ring launches bit for
-    // bit on a serial device, a 4-worker pooled device and the CPU
-    // reference backend, under both host-SIMD modes.
+    // bit on the functional simulator and the CPU reference backend,
+    // under both host-SIMD modes.
     const uint64_t n = 1024;
     const std::vector<size_t> counts = {3, 5, 9, 1};
     const auto primes = nttPrimes(50, n, 9);
@@ -336,15 +317,11 @@ TEST(CoalescedLaunches, TileBoundaryMidItemOnEveryDeviceKind)
     for (const auto mode :
          {simd::HostSimdMode::Scalar, simd::HostSimdMode::Native}) {
         const ModeGuard guard(mode);
-        RpuDevice serial;
-        RpuDevice pooled;
-        pooled.setParallelism(4);
+        RpuDevice sim;
         RpuDevice cpu_ref(std::make_unique<CpuReferenceBackend>());
-        for (RpuDevice *dev : {&serial, &pooled, &cpu_ref}) {
-            const std::string where =
-                std::string(dev->backend().name()) + " x" +
-                std::to_string(dev->parallelism()) + " " +
-                simd::hostSimdModeName();
+        for (RpuDevice *dev : {&sim, &cpu_ref}) {
+            const std::string where = std::string(dev->backend().name()) +
+                                      " " + simd::hostSimdModeName();
             const DeviceStats before = dev->stats();
             EXPECT_EQ(dev->dispatch(RingOp::Forward, n, moduli, xs),
                       want_fwd)
@@ -524,30 +501,6 @@ TEST(HeServer, CrossTenantCoalescingIsBitIdenticalToSerial)
                 EXPECT_EQ(server->stats().failed, 0u) << where;
             }
         }
-    }
-}
-
-TEST(HeServer, CoalescingDoesNotDependOnDeviceParallelism)
-{
-    // Same request set against a pooled device: per-request RNG
-    // derivation means service order and worker fan-out change
-    // nothing observable.
-    ServeConfig cfg;
-    cfg.startPaused = true;
-    auto device = std::make_shared<RpuDevice>();
-    device->setParallelism(4);
-    HeServer server(cfg, device);
-    for (uint64_t id = 1; id <= 4; ++id)
-        server.addTenant({id, serveParams(), 30});
-
-    auto expected = submitMixedSet(server, 4, 2);
-    server.shutdown(); // drains the paused server
-
-    for (auto &e : expected) {
-        ServeResponse resp = e.response.get();
-        const Session *sess = server.tenant(e.tenant);
-        ASSERT_NE(sess, nullptr);
-        EXPECT_EQ(resp.values, sess->runSerial(e.op, e.a, e.b, e.seq));
     }
 }
 
