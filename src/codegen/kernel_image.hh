@@ -1,6 +1,7 @@
 /**
  * @file
- * The common launch state shared by every generated B512 kernel.
+ * The launch state of a generated B512 kernel: every generator
+ * returns a KernelImage, with no per-flavour subclass.
  *
  * A KernelImage is everything the host needs to launch a program on
  * an execution backend: the program itself, the SDM constant image,
@@ -10,9 +11,11 @@
  * scratchpad-based data structures), and the VDM capacity floor.
  *
  * The image also carries a semantic descriptor (kind + per-tower
- * moduli) so backends that do not execute B512 programs — e.g. the
- * CPU reference baseline — can compute the same function and be
- * checked bit-for-bit against the functional simulator.
+ * moduli; every kind is batched over RNS towers, and a single ring
+ * is the batch of one) so backends that do not execute B512
+ * programs — e.g. the CPU reference baseline — can compute the same
+ * function and be checked bit-for-bit against the functional
+ * simulator.
  */
 
 #ifndef RPU_CODEGEN_KERNEL_IMAGE_HH
@@ -27,24 +30,23 @@
 
 namespace rpu {
 
-/** What a generated kernel computes (per staged region). */
+/**
+ * What a generated kernel computes, for every tower t of the batch
+ * (a single ring is the batch of one).
+ */
 enum class KernelKind
 {
-    ForwardNtt,         ///< data <- NTT(data)
-    InverseNtt,         ///< data <- INTT(data)
-    PolyMul,            ///< a <- INTT(NTT(a) .* NTT(b))
-    BatchedForwardNtt,  ///< t.data <- NTT_t(t.data) for every tower
-    BatchedPolyMul,     ///< t.a <- INTT_t(NTT_t(t.a) .* NTT_t(t.b))
-    BatchedInverseNtt,  ///< t.data <- INTT_t(t.data) for every tower
-    PointwiseMul,       ///< a <- a .* b (evaluation-domain operands)
-    PointwiseMulBatched, ///< t.a <- t.a .* t.b for every tower
+    BatchedForwardNtt,   ///< t.data <- NTT_t(t.data)
+    BatchedInverseNtt,   ///< t.data <- INTT_t(t.data)
+    PointwiseMulBatched, ///< t.a <- t.a .* t.b (evaluation-domain operands)
+    BatchedPolyMul,      ///< t.a <- INTT_t(NTT_t(t.a) .* NTT_t(t.b))
     kCount, ///< sentinel: number of kinds (keep last)
 };
 
 /** A named VDM window the launch code stages host data through. */
 struct DataRegion
 {
-    std::string name;    ///< e.g. "data", "a", "b", "t2.a"
+    std::string name;    ///< e.g. "t0", "t2.a", "t2.b"
     uint64_t base = 0;   ///< VDM word address
     uint64_t words = 0;  ///< region length in words
     bool input = false;  ///< staged from the host before the launch
@@ -55,7 +57,7 @@ struct DataRegion
 struct KernelImage
 {
     Program program;
-    KernelKind kind = KernelKind::ForwardNtt;
+    KernelKind kind = KernelKind::BatchedForwardNtt;
     uint64_t n = 0;            ///< ring dimension (shared by all towers)
     std::vector<u128> moduli;  ///< one working modulus per tower
 

@@ -274,17 +274,76 @@ class NttGenerator
     unsigned log_v_;
 };
 
-} // namespace
-
-namespace {
-
-/** Shared size validation. */
-void
-checkRingSize(uint64_t n)
+/**
+ * Shared tower validation: one to kMaxBatchedTowers towers over one
+ * power-of-two ring dimension n >= 1024. Returns n.
+ */
+uint64_t
+checkTowers(const std::vector<const TwiddleTable *> &towers,
+            const char *what)
 {
+    rpu_assert(!towers.empty(), "no towers");
+    const uint64_t n = towers[0]->n();
     if (n < 2 * VL || !isPow2(n))
         rpu_fatal("NTT codegen requires a power-of-two n >= %u, got %llu",
                   2 * VL, (unsigned long long)n);
+    for (const auto *t : towers) {
+        if (t->n() != n)
+            rpu_fatal("all towers must share the ring dimension");
+    }
+    if (towers.size() > kMaxBatchedTowers)
+        rpu_fatal("%s kernel supports at most %zu towers, got %zu", what,
+                  kMaxBatchedTowers, towers.size());
+    return n;
+}
+
+/**
+ * The two-operand kernels' (polymul, pointwise) layout: tower t's
+ * operand a at [2tn, 2tn + n) through ARF a0 (tower 0) or a(3 + 2t),
+ * operand b right behind it through a(4 + 2t). The result overwrites
+ * a, so "t<t>.a" is both input and output.
+ */
+unsigned
+aAreg(size_t t)
+{
+    return t == 0 ? unsigned(KernelBuilder::kDataAreg) : unsigned(3 + 2 * t);
+}
+
+unsigned
+bAreg(size_t t)
+{
+    return unsigned(4 + 2 * t);
+}
+
+void
+addOperandRegions(KernelImage &kernel, size_t t, uint64_t n)
+{
+    const std::string name = "t" + std::to_string(t);
+    kernel.regions.push_back({name + ".a", 2 * t * n, n, true, true});
+    kernel.regions.push_back({name + ".b", 2 * t * n + n, n, true, false});
+}
+
+/**
+ * The dyadic product a <- a .* b of one tower: one load/load/VMULMOD/
+ * store quartet per vector register of the ring, reading regions
+ * through @p a_areg / @p b_areg. The builder's current tower modulus
+ * register supplies the Montgomery reduction; no twiddles or n^-1
+ * scalars are involved.
+ */
+void
+emitPointwiseRegion(KernelBuilder &builder, uint64_t n, unsigned a_areg,
+                    unsigned b_areg)
+{
+    for (uint32_t j = 0; j < n / VL; ++j) {
+        const unsigned xa = builder.allocReg();
+        builder.emitRegionLoad(xa, a_areg, j);
+        const unsigned xb = builder.allocReg();
+        builder.emitRegionLoad(xb, b_areg, j);
+        builder.emitPointwiseMul(xa, xa, xb);
+        builder.freeReg(xb);
+        builder.emitRegionStore(xa, a_areg);
+        builder.freeReg(xa);
+    }
 }
 
 /**
@@ -318,122 +377,15 @@ finalizeImage(KernelImage &image, KernelBuilder &builder,
 
 } // namespace
 
-NttKernel
-generateNttKernel(const TwiddleTable &tw, const NttCodegenOptions &opts)
-{
-    const uint64_t n = tw.n();
-    checkRingSize(n);
-
-    KernelBuilder builder(tw, opts.optimized, 0, opts.twiddleCompose);
-    builder.emitPrologue(opts.inverse);
-
-    const KernelPlan plan = planPasses(n / VL);
-    NttGenerator gen(tw, builder, opts.inverse);
-    if (opts.inverse)
-        gen.emitInverse(plan);
-    else
-        gen.emitForward(plan);
-
-    NttKernel kernel;
-    kernel.kind =
-        opts.inverse ? KernelKind::InverseNtt : KernelKind::ForwardNtt;
-    kernel.n = n;
-    kernel.modulus = tw.modulus().value();
-    kernel.moduli = {kernel.modulus};
-    kernel.inverse = opts.inverse;
-    kernel.optimized = opts.optimized;
-    kernel.dataBase = builder.dataBase();
-    kernel.regions = {{"data", kernel.dataBase, n, true, true}};
-
-    const std::string name = (opts.inverse ? "intt" : "ntt") +
-                             std::to_string(n) +
-                             (opts.optimized ? "_opt" : "_naive");
-    finalizeImage(kernel, builder, opts, name);
-    return kernel;
-}
-
-PolyMulKernel
-generatePolyMulKernel(const TwiddleTable &tw,
-                      const NttCodegenOptions &opts)
-{
-    const uint64_t n = tw.n();
-    checkRingSize(n);
-    if (opts.inverse)
-        rpu_fatal("a polymul kernel has no inverse variant");
-
-    // Regions: a at [0, n), b at [n, 2n), twiddle plan after both.
-    constexpr unsigned kBAreg = 4;
-    PolyMulKernel kernel;
-    kernel.kind = KernelKind::PolyMul;
-    kernel.n = n;
-    kernel.modulus = tw.modulus().value();
-    kernel.moduli = {kernel.modulus};
-    kernel.optimized = opts.optimized;
-    kernel.aBase = 0;
-    kernel.bBase = n;
-    kernel.regions = {{"a", kernel.aBase, n, true, true},
-                      {"b", kernel.bBase, n, true, false}};
-
-    KernelBuilder builder(tw, opts.optimized, 2 * n,
-                          opts.twiddleCompose);
-    builder.emitPrologue(true); // the inverse phase scales by n^-1
-    const KernelPlan plan = planPasses(n / VL);
-
-    // Forward transform of region a (through a0).
-    {
-        NttGenerator gen(tw, builder, false);
-        gen.emitForward(plan);
-    }
-    // Forward transform of region b (through its own ARF base so the
-    // scheduler can interleave both transforms).
-    builder.beginDataRegion(kBAreg, n);
-    {
-        NttGenerator gen(tw, builder, false);
-        gen.emitForward(plan);
-    }
-
-    // Dyadic product into region a.
-    for (uint32_t j = 0; j < n / VL; ++j) {
-        const unsigned xa = builder.allocReg();
-        builder.emitRegionLoad(xa, KernelBuilder::kDataAreg, j);
-        const unsigned xb = builder.allocReg();
-        builder.emitRegionLoad(xb, kBAreg, j);
-        builder.emitPointwiseMul(xa, xa, xb);
-        builder.freeReg(xb);
-        builder.emitRegionStore(xa, KernelBuilder::kDataAreg);
-        builder.freeReg(xa);
-    }
-
-    // Inverse transform of the product (back through a0's region).
-    builder.beginDataRegion(KernelBuilder::kDataAreg, 0);
-    {
-        NttGenerator gen(tw, builder, true);
-        gen.emitInverse(plan);
-    }
-
-    finalizeImage(kernel, builder, opts,
-                  "polymul" + std::to_string(n) +
-                      (opts.optimized ? "_opt" : "_naive"));
-    return kernel;
-}
-
-BatchedNttKernel
+KernelImage
 generateBatchedNtt(const std::vector<const TwiddleTable *> &towers,
                    const NttCodegenOptions &opts)
 {
-    rpu_assert(!towers.empty(), "no towers");
-    const uint64_t n = towers[0]->n();
-    checkRingSize(n);
-    for (const auto *t : towers) {
-        if (t->n() != n)
-            rpu_fatal("all towers must share the ring dimension");
-    }
     // Register budget: modulus registers m1.., n^-1 scalars s2..
     // (inverse only), and data ARFs a0,a4,a5..
-    if (towers.size() > 16)
-        rpu_fatal("batched kernel supports at most 16 towers");
+    const uint64_t n = checkTowers(towers, "batched NTT");
 
-    BatchedNttKernel kernel;
+    KernelImage kernel;
     kernel.kind = opts.inverse ? KernelKind::BatchedInverseNtt
                                : KernelKind::BatchedForwardNtt;
     kernel.n = n;
@@ -445,7 +397,6 @@ generateBatchedNtt(const std::vector<const TwiddleTable *> &towers,
 
     for (size_t t = 0; t < towers.size(); ++t) {
         kernel.moduli.push_back(towers[t]->modulus().value());
-        kernel.dataBases.push_back(t * n);
         kernel.regions.push_back(
             {"t" + std::to_string(t), t * n, n, true, true});
         if (t > 0) {
@@ -473,30 +424,13 @@ generateBatchedNtt(const std::vector<const TwiddleTable *> &towers,
     return kernel;
 }
 
-BatchedNttKernel
-generateBatchedForwardNtt(const std::vector<const TwiddleTable *> &towers,
-                          const NttCodegenOptions &opts)
-{
-    if (opts.inverse)
-        rpu_fatal("use generateBatchedNtt for the inverse direction");
-    return generateBatchedNtt(towers, opts);
-}
-
 KernelImage
 generateBatchedPolyMul(const std::vector<const TwiddleTable *> &towers,
                        const NttCodegenOptions &opts)
 {
-    rpu_assert(!towers.empty(), "no towers");
-    const uint64_t n = towers[0]->n();
-    checkRingSize(n);
-    for (const auto *t : towers) {
-        if (t->n() != n)
-            rpu_fatal("all towers must share the ring dimension");
-    }
     // Register budget: modulus registers m1.., n^-1 scalars s2.., and
     // two data ARFs per tower starting at a0/a4.
-    if (towers.size() > 16)
-        rpu_fatal("batched polymul supports at most 16 towers");
+    const uint64_t n = checkTowers(towers, "batched polymul");
     if (opts.inverse)
         rpu_fatal("a polymul kernel has no inverse variant");
 
@@ -504,29 +438,14 @@ generateBatchedPolyMul(const std::vector<const TwiddleTable *> &towers,
     kernel.kind = KernelKind::BatchedPolyMul;
     kernel.n = n;
 
-    // Tower t's operands: a at [2tn, 2tn + n), b right behind it.
-    // ARF conventions mirror the single-ring polymul (a0/a4 for tower
-    // 0) and extend pairwise for the rest.
-    const auto a_areg = [](size_t t) {
-        return t == 0 ? unsigned(KernelBuilder::kDataAreg)
-                      : unsigned(3 + 2 * t);
-    };
-    const auto b_areg = [](size_t t) { return unsigned(4 + 2 * t); };
-
     KernelBuilder builder(*towers[0], opts.optimized,
                           2 * towers.size() * n, opts.twiddleCompose);
     builder.emitPrologue(true); // tower 0's inverse phase scales by n^-1
     const KernelPlan plan = planPasses(n / VL);
 
     for (size_t t = 0; t < towers.size(); ++t) {
-        const uint64_t a_base = 2 * t * n;
-        const uint64_t b_base = a_base + n;
         kernel.moduli.push_back(towers[t]->modulus().value());
-        kernel.regions.push_back(
-            {"t" + std::to_string(t) + ".a", a_base, n, true, true});
-        kernel.regions.push_back(
-            {"t" + std::to_string(t) + ".b", b_base, n, true, false});
-
+        addOperandRegions(kernel, t, n);
         if (t > 0) {
             builder.beginTower(towers[t]->modulus().value(),
                                unsigned(1 + t));
@@ -535,35 +454,16 @@ generateBatchedPolyMul(const std::vector<const TwiddleTable *> &towers,
 
         // Forward transform of both operands, each through its own
         // ARF base so the scheduler can interleave them.
-        builder.beginDataRegion(a_areg(t), a_base);
-        {
-            NttGenerator gen(*towers[t], builder, false);
-            gen.emitForward(plan);
-        }
-        builder.beginDataRegion(b_areg(t), b_base);
-        {
-            NttGenerator gen(*towers[t], builder, false);
-            gen.emitForward(plan);
-        }
+        builder.beginDataRegion(aAreg(t), 2 * t * n);
+        NttGenerator(*towers[t], builder, false).emitForward(plan);
+        builder.beginDataRegion(bAreg(t), 2 * t * n + n);
+        NttGenerator(*towers[t], builder, false).emitForward(plan);
 
-        // Dyadic product into region a.
-        for (uint32_t j = 0; j < n / VL; ++j) {
-            const unsigned xa = builder.allocReg();
-            builder.emitRegionLoad(xa, a_areg(t), j);
-            const unsigned xb = builder.allocReg();
-            builder.emitRegionLoad(xb, b_areg(t), j);
-            builder.emitPointwiseMul(xa, xa, xb);
-            builder.freeReg(xb);
-            builder.emitRegionStore(xa, a_areg(t));
-            builder.freeReg(xa);
-        }
+        emitPointwiseRegion(builder, n, aAreg(t), bAreg(t));
 
         // Inverse transform of the product, back in region a.
-        builder.beginDataRegion(a_areg(t), a_base);
-        {
-            NttGenerator gen(*towers[t], builder, true);
-            gen.emitInverse(plan);
-        }
+        builder.beginDataRegion(aAreg(t), 2 * t * n);
+        NttGenerator(*towers[t], builder, true).emitInverse(plan);
     }
 
     finalizeImage(kernel, builder, opts,
@@ -572,80 +472,11 @@ generateBatchedPolyMul(const std::vector<const TwiddleTable *> &towers,
     return kernel;
 }
 
-namespace {
-
-/**
- * Shared emission for the pointwise kernels: one load/load/VMULMOD/
- * store quartet per vector register of the ring, reading regions
- * through @p a_areg / @p b_areg. The builder's current tower modulus
- * register supplies the Montgomery reduction; there are no butterfly
- * stages, twiddles, or n^-1 scalars anywhere in the program.
- */
-void
-emitPointwiseRegion(KernelBuilder &builder, uint64_t n, unsigned a_areg,
-                    unsigned b_areg)
-{
-    for (uint32_t j = 0; j < n / VL; ++j) {
-        const unsigned xa = builder.allocReg();
-        builder.emitRegionLoad(xa, a_areg, j);
-        const unsigned xb = builder.allocReg();
-        builder.emitRegionLoad(xb, b_areg, j);
-        builder.emitPointwiseMul(xa, xa, xb);
-        builder.freeReg(xb);
-        builder.emitRegionStore(xa, a_areg);
-        builder.freeReg(xa);
-    }
-}
-
-} // namespace
-
-PointwiseMulKernel
-generatePointwiseMulKernel(const TwiddleTable &tw,
-                           const NttCodegenOptions &opts)
-{
-    const uint64_t n = tw.n();
-    checkRingSize(n);
-    if (opts.inverse)
-        rpu_fatal("a pointwise kernel has no inverse variant");
-
-    // Regions mirror the fused polymul: a at [0, n), b at [n, 2n).
-    constexpr unsigned kBAreg = 4;
-    PointwiseMulKernel kernel;
-    kernel.kind = KernelKind::PointwiseMul;
-    kernel.n = n;
-    kernel.modulus = tw.modulus().value();
-    kernel.moduli = {kernel.modulus};
-    kernel.optimized = opts.optimized;
-    kernel.aBase = 0;
-    kernel.bBase = n;
-    kernel.regions = {{"a", kernel.aBase, n, true, true},
-                      {"b", kernel.bBase, n, true, false}};
-
-    KernelBuilder builder(tw, opts.optimized, 2 * n,
-                          opts.twiddleCompose);
-    builder.emitPrologue(false);
-    builder.beginDataRegion(kBAreg, kernel.bBase);
-    emitPointwiseRegion(builder, n, KernelBuilder::kDataAreg, kBAreg);
-
-    finalizeImage(kernel, builder, opts,
-                  "pointwise" + std::to_string(n) +
-                      (opts.optimized ? "_opt" : "_naive"));
-    return kernel;
-}
-
 KernelImage
 generateBatchedPointwiseMul(const std::vector<const TwiddleTable *> &towers,
                             const NttCodegenOptions &opts)
 {
-    rpu_assert(!towers.empty(), "no towers");
-    const uint64_t n = towers[0]->n();
-    checkRingSize(n);
-    for (const auto *t : towers) {
-        if (t->n() != n)
-            rpu_fatal("all towers must share the ring dimension");
-    }
-    if (towers.size() > 16)
-        rpu_fatal("batched pointwise supports at most 16 towers");
+    const uint64_t n = checkTowers(towers, "batched pointwise");
     if (opts.inverse)
         rpu_fatal("a pointwise kernel has no inverse variant");
 
@@ -653,33 +484,19 @@ generateBatchedPointwiseMul(const std::vector<const TwiddleTable *> &towers,
     kernel.kind = KernelKind::PointwiseMulBatched;
     kernel.n = n;
 
-    // Same layout and ARF conventions as the batched polymul: tower
-    // t's operands at [2tn, 2tn + n) and [2tn + n, 2tn + 2n).
-    const auto a_areg = [](size_t t) {
-        return t == 0 ? unsigned(KernelBuilder::kDataAreg)
-                      : unsigned(3 + 2 * t);
-    };
-    const auto b_areg = [](size_t t) { return unsigned(4 + 2 * t); };
-
     KernelBuilder builder(*towers[0], opts.optimized,
                           2 * towers.size() * n, opts.twiddleCompose);
     builder.emitPrologue(false);
 
     for (size_t t = 0; t < towers.size(); ++t) {
-        const uint64_t a_base = 2 * t * n;
-        const uint64_t b_base = a_base + n;
         kernel.moduli.push_back(towers[t]->modulus().value());
-        kernel.regions.push_back(
-            {"t" + std::to_string(t) + ".a", a_base, n, true, true});
-        kernel.regions.push_back(
-            {"t" + std::to_string(t) + ".b", b_base, n, true, false});
-
+        addOperandRegions(kernel, t, n);
         if (t > 0)
             builder.beginTower(towers[t]->modulus().value(),
                                unsigned(1 + t));
-        builder.beginDataRegion(a_areg(t), a_base);
-        builder.beginDataRegion(b_areg(t), b_base);
-        emitPointwiseRegion(builder, n, a_areg(t), b_areg(t));
+        builder.beginDataRegion(aAreg(t), 2 * t * n);
+        builder.beginDataRegion(bAreg(t), 2 * t * n + n);
+        emitPointwiseRegion(builder, n, aAreg(t), bAreg(t));
     }
 
     finalizeImage(kernel, builder, opts,

@@ -23,11 +23,16 @@
  * bit-reversed order of the reference NttContext; the inverse (a
  * Gentleman-Sande mirror with composed inverse butterflies and a
  * final n^-1 scaling) consumes bit-reversed and produces natural.
+ *
+ * Every generator is batched over RNS towers, one modulus register
+ * per tower; a single ring is the batch of one, so each operation
+ * (transform, fused product, pointwise product) has one generator.
  */
 
 #ifndef RPU_CODEGEN_NTT_CODEGEN_HH
 #define RPU_CODEGEN_NTT_CODEGEN_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -66,112 +71,55 @@ struct NttCodegenOptions
 };
 
 /**
- * A single-ring transform kernel. The launch state (program, memory
- * images, regions) lives in the KernelImage base shared by every
- * kernel flavour; the region named "data" holds the ring.
+ * Towers one batched kernel can carry — the per-tower register budget
+ * of the generators below: modulus registers m1.., n^-1 scalars s2..
+ * and one or two data ARFs per tower. RpuDevice's dispatch tiling cuts
+ * its tile groups at this size.
  */
-struct NttKernel : KernelImage
-{
-    u128 modulus = 0;
-    bool inverse = false;
-    bool optimized = false;
-
-    /** Ring data occupies VDM words [dataBase, dataBase + n). */
-    uint64_t dataBase = 0;
-};
-
-/**
- * Generate a forward or inverse NTT kernel for the ring dimension and
- * modulus bound to @p tw. Requires n >= 1024 (two vector registers),
- * matching the HE standard's minimum ring size cited by the paper.
- */
-NttKernel generateNttKernel(const TwiddleTable &tw,
-                            const NttCodegenOptions &opts = {});
-
-/**
- * A fused negacyclic-product kernel — the complete RLWE polynomial
- * multiplication (NTT(a), NTT(b), dyadic product, inverse NTT) in one
- * B512 program. The two forward transforms address disjoint regions
- * through different ARF bases, so the scheduler overlaps them across
- * the decoupled pipelines; the product lands in region A.
- */
-struct PolyMulKernel : KernelImage
-{
-    u128 modulus = 0;
-    bool optimized = false;
-
-    uint64_t aBase = 0; ///< input a; the product overwrites it
-    uint64_t bBase = 0; ///< input b
-};
-
-PolyMulKernel generatePolyMulKernel(const TwiddleTable &tw,
-                                    const NttCodegenOptions &opts = {});
+constexpr size_t kMaxBatchedTowers = 16;
 
 /**
  * A batched NTT across several RNS towers in a single program,
  * exercising the MRF's instruction-granularity modulus switching
  * (paper section IV-B5: "enabling the potential to process different
- * towers simultaneously"). Tower t's ring lives at dataBases[t];
+ * towers simultaneously"). Tower t's ring is region "t<t>";
  * towers are register- and memory-independent, so the scheduler
  * interleaves them freely. `opts.inverse` selects the direction (the
- * inverse form loads one n^-1 scalar per tower); these are the
- * kernels domain-resident residue polynomials launch at Coeff<->Eval
- * boundaries.
+ * inverse form loads one n^-1 scalar per tower). A single ring is the
+ * batch of one: its program is the plain n-point transform. Requires
+ * n >= 1024 (two vector registers), matching the HE standard's
+ * minimum ring size cited by the paper.
  */
-struct BatchedNttKernel : KernelImage
-{
-    std::vector<uint64_t> dataBases;
-};
-
-BatchedNttKernel
+KernelImage
 generateBatchedNtt(const std::vector<const TwiddleTable *> &towers,
                    const NttCodegenOptions &opts = {});
 
-/** Forward-only convenience wrapper around generateBatchedNtt. */
-BatchedNttKernel
-generateBatchedForwardNtt(const std::vector<const TwiddleTable *> &towers,
-                          const NttCodegenOptions &opts = {});
+/** The transform kernel's historical name; the image is the kernel. */
+using NttKernel = KernelImage;
 
 /**
- * A batched negacyclic-product kernel: the fused PolyMul flow
- * replicated across several RNS towers in a single program, each
- * tower on its own modulus register, n^-1 scalar, and pair of data
- * regions ("t<i>.a" / "t<i>.b"; the product overwrites t<i>.a).
- * This is the kernel behind the RLWE layer's RNS-tower multiply: one
- * launch computes a whole wide-modulus polynomial product.
+ * A batched negacyclic-product kernel — the complete RLWE polynomial
+ * multiplication (NTT(a), NTT(b), dyadic product, inverse NTT) in one
+ * B512 program per tower, each tower on its own modulus register,
+ * n^-1 scalar, and pair of data regions ("t<i>.a" / "t<i>.b"; the
+ * product overwrites t<i>.a). The two forward transforms address
+ * disjoint regions through different ARF bases, so the scheduler
+ * overlaps them across the decoupled pipelines. One launch computes
+ * a whole wide-modulus polynomial product.
  */
 KernelImage
 generateBatchedPolyMul(const std::vector<const TwiddleTable *> &towers,
                        const NttCodegenOptions &opts = {});
 
 /**
- * A pointwise-product kernel: a <- a .* b, lane-wise Montgomery
- * products with no butterfly stages at all. This is the entire
+ * A pointwise-product kernel: t.a <- t.a .* t.b for every tower,
+ * lane-wise Montgomery products with no butterfly stages at all,
+ * in the batched polymul's region layout. This is the entire
  * homomorphic multiply once both operands are evaluation-domain
  * resident — the kernel an NTT-amortising ciphertext representation
  * launches instead of the fused negacyclic product. The program is
- * ~n/512 load/mul/store triplets, so its runtime is the floor any
- * transform-elision strategy is chasing.
- */
-struct PointwiseMulKernel : KernelImage
-{
-    u128 modulus = 0;
-    bool optimized = false;
-
-    uint64_t aBase = 0; ///< input a; the product overwrites it
-    uint64_t bBase = 0; ///< input b
-};
-
-PointwiseMulKernel
-generatePointwiseMulKernel(const TwiddleTable &tw,
-                           const NttCodegenOptions &opts = {});
-
-/**
- * The pointwise product replicated across several RNS towers in one
- * program, each tower on its own modulus register and pair of data
- * regions ("t<i>.a" / "t<i>.b"; the product overwrites t<i>.a) —
- * one launch multiplies a whole evaluation-domain-resident residue
- * polynomial by another.
+ * ~n/512 load/mul/store triplets per tower, so its runtime is the
+ * floor any transform-elision strategy is chasing.
  */
 KernelImage
 generateBatchedPointwiseMul(const std::vector<const TwiddleTable *> &towers,

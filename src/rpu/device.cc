@@ -115,31 +115,6 @@ using RefHandler = RefInputs (*)(RpuDevice &, const KernelImage &,
                                  const RefInputs &);
 
 RefInputs
-refSingleNtt(RpuDevice &dev, const KernelImage &image,
-             const RefInputs &inputs)
-{
-    std::vector<u128> x = inputs[0];
-    const NttContext &ntt = dev.nttContext(image.n, image.moduli[0]);
-    if (image.kind == KernelKind::InverseNtt)
-        ntt.inverse(x);
-    else
-        ntt.forward(x);
-    RefInputs out;
-    out.push_back(std::move(x));
-    return out;
-}
-
-RefInputs
-refPolyMul(RpuDevice &dev, const KernelImage &image,
-           const RefInputs &inputs)
-{
-    const NttContext &ntt = dev.nttContext(image.n, image.moduli[0]);
-    RefInputs out;
-    out.push_back(negacyclicMulNtt(ntt, inputs[0], inputs[1]));
-    return out;
-}
-
-RefInputs
 refBatchedNtt(RpuDevice &dev, const KernelImage &image,
               const RefInputs &inputs)
 {
@@ -170,16 +145,6 @@ refBatchedPolyMul(RpuDevice &dev, const KernelImage &image,
 }
 
 RefInputs
-refPointwiseMul(RpuDevice &dev, const KernelImage &image,
-                const RefInputs &inputs)
-{
-    RefInputs out;
-    out.push_back(polyPointwise(dev.modulusContext(image.moduli[0]),
-                                inputs[0], inputs[1]));
-    return out;
-}
-
-RefInputs
 refBatchedPointwiseMul(RpuDevice &dev, const KernelImage &image,
                        const RefInputs &inputs)
 {
@@ -201,14 +166,10 @@ const std::map<KernelKind, RefHandler> &
 refHandlers()
 {
     static const std::map<KernelKind, RefHandler> table = {
-        {KernelKind::ForwardNtt, &refSingleNtt},
-        {KernelKind::InverseNtt, &refSingleNtt},
-        {KernelKind::PolyMul, &refPolyMul},
         {KernelKind::BatchedForwardNtt, &refBatchedNtt},
         {KernelKind::BatchedInverseNtt, &refBatchedNtt},
-        {KernelKind::BatchedPolyMul, &refBatchedPolyMul},
-        {KernelKind::PointwiseMul, &refPointwiseMul},
         {KernelKind::PointwiseMulBatched, &refBatchedPointwiseMul},
+        {KernelKind::BatchedPolyMul, &refBatchedPolyMul},
     };
     return table;
 }
@@ -487,8 +448,7 @@ RpuDevice::kernel(KernelKind kind, uint64_t n,
     lock.unlock();
 
     NttCodegenOptions gen_opts = opts;
-    gen_opts.inverse = kind == KernelKind::InverseNtt ||
-                       kind == KernelKind::BatchedInverseNtt;
+    gen_opts.inverse = kind == KernelKind::BatchedInverseNtt;
 
     std::vector<const TwiddleTable *> towers;
     towers.reserve(moduli.size());
@@ -497,32 +457,15 @@ RpuDevice::kernel(KernelKind kind, uint64_t n,
 
     auto image = std::make_unique<KernelImage>();
     switch (kind) {
-      case KernelKind::ForwardNtt:
-      case KernelKind::InverseNtt:
-        rpu_assert(moduli.size() == 1, "single-ring kernel");
-        *image = static_cast<KernelImage &&>(
-            generateNttKernel(*towers[0], gen_opts));
-        break;
-      case KernelKind::PolyMul:
-        rpu_assert(moduli.size() == 1, "single-ring kernel");
-        *image = static_cast<KernelImage &&>(
-            generatePolyMulKernel(*towers[0], gen_opts));
-        break;
       case KernelKind::BatchedForwardNtt:
       case KernelKind::BatchedInverseNtt:
-        *image = static_cast<KernelImage &&>(
-            generateBatchedNtt(towers, gen_opts));
-        break;
-      case KernelKind::BatchedPolyMul:
-        *image = generateBatchedPolyMul(towers, gen_opts);
-        break;
-      case KernelKind::PointwiseMul:
-        rpu_assert(moduli.size() == 1, "single-ring kernel");
-        *image = static_cast<KernelImage &&>(
-            generatePointwiseMulKernel(*towers[0], gen_opts));
+        *image = generateBatchedNtt(towers, gen_opts);
         break;
       case KernelKind::PointwiseMulBatched:
         *image = generateBatchedPointwiseMul(towers, gen_opts);
+        break;
+      case KernelKind::BatchedPolyMul:
+        *image = generateBatchedPolyMul(towers, gen_opts);
         break;
       case KernelKind::kCount:
         rpu_fatal("kCount is a sentinel, not a kernel kind");
@@ -581,32 +524,18 @@ RpuDevice::executeValidated(const KernelImage &image,
     // actually computes, independent of how it was dispatched.
     const uint64_t towers = image.moduli.size();
     switch (image.kind) {
-      case KernelKind::ForwardNtt:
-        counters_.forwardTransforms += 1;
-        break;
-      case KernelKind::InverseNtt:
-        counters_.inverseTransforms += 1;
-        break;
-      case KernelKind::PolyMul:
-        counters_.forwardTransforms += 2;
-        counters_.inverseTransforms += 1;
-        counters_.pointwiseMuls += 1;
-        break;
       case KernelKind::BatchedForwardNtt:
         counters_.forwardTransforms += towers;
         break;
       case KernelKind::BatchedInverseNtt:
         counters_.inverseTransforms += towers;
         break;
+      case KernelKind::PointwiseMulBatched:
+        counters_.pointwiseMuls += towers;
+        break;
       case KernelKind::BatchedPolyMul:
         counters_.forwardTransforms += 2 * towers;
         counters_.inverseTransforms += towers;
-        counters_.pointwiseMuls += towers;
-        break;
-      case KernelKind::PointwiseMul:
-        counters_.pointwiseMuls += 1;
-        break;
-      case KernelKind::PointwiseMulBatched:
         counters_.pointwiseMuls += towers;
         break;
       case KernelKind::kCount:
@@ -697,25 +626,6 @@ RpuDevice::launchAll(const std::vector<LaunchRequest> &batch)
     return results;
 }
 
-std::vector<u128>
-RpuDevice::ntt(uint64_t n, u128 q, const std::vector<u128> &x,
-               bool inverse, const NttCodegenOptions &opts)
-{
-    const KernelImage &k = kernel(
-        inverse ? KernelKind::InverseNtt : KernelKind::ForwardNtt, n,
-        {q}, opts);
-    return launch(k, {x})[0];
-}
-
-std::vector<u128>
-RpuDevice::pointwiseMul(uint64_t n, u128 q, const std::vector<u128> &a,
-                        const std::vector<u128> &b,
-                        const NttCodegenOptions &opts)
-{
-    const KernelImage &k = kernel(KernelKind::PointwiseMul, n, {q}, opts);
-    return launch(k, {a, b})[0];
-}
-
 TowerItems
 RpuDevice::dispatch(RingOp op, uint64_t n,
                     const std::vector<std::vector<u128>> &moduli,
@@ -755,7 +665,7 @@ DispatchTiles::cut(const std::vector<std::vector<u128>> &moduli)
     for (const std::vector<u128> &item : moduli) {
         for (u128 q : item) {
             if (groups.empty() ||
-                groups.back().size() == RpuDevice::kMaxBatchedTowers)
+                groups.back().size() == kMaxBatchedTowers)
                 groups.emplace_back();
             groups.back().push_back(q);
         }
@@ -787,7 +697,7 @@ DispatchTiles::DispatchTiles(RingOp op,
                    "tower count mismatch in item %zu", i);
         itemTowers.push_back(towers);
         for (size_t t = 0; t < towers; ++t, ++flat) {
-            auto &in = groupInputs[flat / RpuDevice::kMaxBatchedTowers];
+            auto &in = groupInputs[flat / kMaxBatchedTowers];
             in.push_back(std::move(a[i][t]));
             if (pointwise)
                 in.push_back(std::move(b[i][t]));

@@ -492,8 +492,9 @@ class RpuDevice
 
     /**
      * The cached kernel for (kind, n, moduli, opts); generated (and
-     * scheduled) on first use. Single-tower kinds take one modulus.
-     * The reference stays valid for the device's lifetime.
+     * scheduled) on first use, one tower per modulus (at most
+     * kMaxBatchedTowers). The reference stays valid for the device's
+     * lifetime.
      */
     const KernelImage &kernel(KernelKind kind, uint64_t n,
                               const std::vector<u128> &moduli,
@@ -526,19 +527,6 @@ class RpuDevice
     std::vector<std::vector<std::vector<u128>>>
     launchAll(const std::vector<LaunchRequest> &batch);
 
-    // -- Single-ring test references -----------------------------------
-
-    /** Transform @p x on the device via the cached (n, q) kernel. */
-    std::vector<u128> ntt(uint64_t n, u128 q, const std::vector<u128> &x,
-                          bool inverse = false,
-                          const NttCodegenOptions &opts = {});
-
-    /** Pointwise (evaluation-domain) product a .* b in one launch. */
-    std::vector<u128> pointwiseMul(uint64_t n, u128 q,
-                                   const std::vector<u128> &a,
-                                   const std::vector<u128> &b,
-                                   const NttCodegenOptions &opts = {});
-
     // -- Tiled ring dispatch ---------------------------------------------
     //
     // The one ring-operation entry point, the software counterpart of
@@ -546,17 +534,14 @@ class RpuDevice
     // item's towers (a polynomial, a ciphertext component, a tenant's
     // request — items may span different tower counts and moduli) are
     // laid end to end and cut into tile groups of at most
-    // kMaxBatchedTowers, and each group runs as one batched launch.
-    // The batched kinds compute each region's ring independently, so
-    // results are bit-identical to per-item single-ring launches
-    // however the items tile; the tower-granular transform/pointwise
-    // counters are exactly the per-item totals, and a call costs
+    // kMaxBatchedTowers (the codegen's tower budget), and each group
+    // runs as one batched launch. The batched kinds compute each
+    // region's ring independently, so results are bit-identical to
+    // one-tower launches of every ring however the items tile; the
+    // tower-granular transform/pointwise counters are exactly the
+    // per-item totals, and a call costs
     // ceil(towers / kMaxBatchedTowers) launches however many items it
     // carries.
-
-    /** Towers one batched kernel can carry — the per-tower modulus /
-     *  scalar / data-pointer register budget in the codegen. */
-    static constexpr size_t kMaxBatchedTowers = 16;
 
     /**
      * Run @p op on every tower of every item and return the results

@@ -33,7 +33,7 @@ NttRunner::withModulus(uint64_t n, u128 modulus,
 NttKernel
 NttRunner::makeKernel(const NttCodegenOptions &opts) const
 {
-    return generateNttKernel(*tw_, opts);
+    return generateBatchedNtt({tw_.get()}, opts);
 }
 
 std::vector<u128>
@@ -51,7 +51,7 @@ NttRunner::verify(const NttKernel &kernel, uint64_t seed) const
     const std::vector<u128> input = randomPoly(*mod_, n_, rng);
 
     std::vector<u128> expected = input;
-    if (kernel.inverse)
+    if (kernel.kind == KernelKind::BatchedInverseNtt)
         ref_->inverse(expected);
     else
         ref_->forward(expected);
@@ -84,14 +84,14 @@ NttRunner::evaluateProgram(const Program &program,
     return rpu::evaluateProgram(program, vdm_bytes_required, cfg);
 }
 
-PolyMulKernel
+KernelImage
 NttRunner::makePolyMulKernel(const NttCodegenOptions &opts) const
 {
-    return generatePolyMulKernel(*tw_, opts);
+    return generateBatchedPolyMul({tw_.get()}, opts);
 }
 
 std::vector<u128>
-NttRunner::executePolyMul(const PolyMulKernel &kernel,
+NttRunner::executePolyMul(const KernelImage &kernel,
                           const std::vector<u128> &a,
                           const std::vector<u128> &b) const
 {
@@ -100,7 +100,7 @@ NttRunner::executePolyMul(const PolyMulKernel &kernel,
 }
 
 bool
-NttRunner::verifyPolyMul(const PolyMulKernel &kernel, uint64_t seed) const
+NttRunner::verifyPolyMul(const KernelImage &kernel, uint64_t seed) const
 {
     Rng rng(seed);
     const std::vector<u128> a = randomPoly(*mod_, n_, rng);

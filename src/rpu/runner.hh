@@ -3,7 +3,8 @@
  * End-to-end NTT workbench: the "host side" of the RPU, now a thin
  * façade over RpuDevice.
  *
- * Owns the ring (modulus + twiddle tables), generates B512 kernels,
+ * Owns the ring (modulus + twiddle tables), generates B512 kernels
+ * (one-tower batched kernels: a single ring is the batch of one),
  * launches them through the device layer (which stages host data into
  * the scratchpads and runs the configured execution backend), verifies
  * outputs against the reference NTT, and evaluates design points with
@@ -58,19 +59,23 @@ class NttRunner
     RpuDevice &device() const { return *device_; }
     std::shared_ptr<RpuDevice> deviceHandle() const { return device_; }
 
-    /** Generate a kernel (see NttCodegenOptions). */
+    /**
+     * Generate the ring's transform: a one-tower batched NTT kernel,
+     * forward or inverse per @p opts (see NttCodegenOptions).
+     */
     NttKernel makeKernel(const NttCodegenOptions &opts = {}) const;
 
     /**
-     * Launch a kernel on the device: stage @p input at the kernel's
-     * data region, execute, and return the data region.
+     * Launch a transform kernel on the device: stage @p input at its
+     * one tower's region, execute, and return that region.
      */
     std::vector<u128> execute(const NttKernel &kernel,
                               const std::vector<u128> &input) const;
 
     /**
-     * Check a kernel end-to-end against the reference transform on a
-     * deterministic random input. Returns true on bit-exact match.
+     * Check a transform kernel end-to-end against the reference
+     * transform of the direction its kind names, on a deterministic
+     * random input. Returns true on bit-exact match.
      */
     bool verify(const NttKernel &kernel, uint64_t seed = 42) const;
 
@@ -80,16 +85,17 @@ class NttRunner
 
     // -- Fused polynomial multiplication --------------------------------
 
-    PolyMulKernel
+    /** A one-tower BatchedPolyMul kernel over the runner's ring. */
+    KernelImage
     makePolyMulKernel(const NttCodegenOptions &opts = {}) const;
 
     /** Full negacyclic product of @p a and @p b in one kernel launch. */
-    std::vector<u128> executePolyMul(const PolyMulKernel &kernel,
+    std::vector<u128> executePolyMul(const KernelImage &kernel,
                                      const std::vector<u128> &a,
                                      const std::vector<u128> &b) const;
 
     /** Check the fused kernel against the naive negacyclic product. */
-    bool verifyPolyMul(const PolyMulKernel &kernel,
+    bool verifyPolyMul(const KernelImage &kernel,
                        uint64_t seed = 42) const;
 
     /** Timing/area/energy for a fused kernel. */

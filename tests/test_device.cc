@@ -15,6 +15,7 @@
 #include <mutex>
 #include <thread>
 
+#include "host_reference.hh"
 #include "modmath/primegen.hh"
 #include "modmath/simd.hh"
 #include "rlwe/bfv.hh"
@@ -31,28 +32,28 @@ TEST(KernelCache, HitMissSemantics)
     const uint64_t n = 1024;
     const u128 q = nttPrime(60, n);
 
-    const KernelImage &fwd = dev.kernel(KernelKind::ForwardNtt, n, {q});
+    const KernelImage &fwd = dev.kernel(KernelKind::BatchedForwardNtt, n, {q});
     EXPECT_EQ(dev.counters().kernelMisses, 1u);
     EXPECT_EQ(dev.counters().kernelHits, 0u);
 
     // Same spec: a hit, and the very same image.
     const KernelImage &again =
-        dev.kernel(KernelKind::ForwardNtt, n, {q});
+        dev.kernel(KernelKind::BatchedForwardNtt, n, {q});
     EXPECT_EQ(&fwd, &again);
     EXPECT_EQ(dev.counters().kernelMisses, 1u);
     EXPECT_EQ(dev.counters().kernelHits, 1u);
 
     // Different kind, codegen flavour, or modulus: all misses.
-    dev.kernel(KernelKind::InverseNtt, n, {q});
-    dev.kernel(KernelKind::ForwardNtt, n, {q}, {.optimized = false});
-    dev.kernel(KernelKind::ForwardNtt, n, {nttPrime(59, n)});
+    dev.kernel(KernelKind::BatchedInverseNtt, n, {q});
+    dev.kernel(KernelKind::BatchedForwardNtt, n, {q}, {.optimized = false});
+    dev.kernel(KernelKind::BatchedForwardNtt, n, {nttPrime(59, n)});
     EXPECT_EQ(dev.counters().kernelMisses, 4u);
     EXPECT_EQ(dev.cachedKernels(), 4u);
 
     // A different design point reschedules, so it is a distinct kernel.
     NttCodegenOptions opts;
     opts.scheduleConfig.numHples = 32;
-    dev.kernel(KernelKind::ForwardNtt, n, {q}, opts);
+    dev.kernel(KernelKind::BatchedForwardNtt, n, {q}, opts);
     EXPECT_EQ(dev.counters().kernelMisses, 5u);
 
     // ... but unoptimized generation never consults the design point,
@@ -60,7 +61,7 @@ TEST(KernelCache, HitMissSemantics)
     NttCodegenOptions unopt;
     unopt.optimized = false;
     unopt.scheduleConfig.numHples = 32;
-    dev.kernel(KernelKind::ForwardNtt, n, {q}, unopt);
+    dev.kernel(KernelKind::BatchedForwardNtt, n, {q}, unopt);
     EXPECT_EQ(dev.counters().kernelMisses, 5u);
     EXPECT_EQ(dev.counters().kernelHits, 2u);
 }
@@ -73,11 +74,11 @@ TEST(KernelCache, LaunchesShareKernelsAndModulusContexts)
     Rng rng(7);
     const auto x = randomPoly(Modulus(q), n, rng);
 
-    dev.ntt(n, q, x);
+    dev.dispatch(RingOp::Forward, n, {{q}}, {{x}});
     const size_t contexts_after_first = dev.modulusCache().size();
     EXPECT_GT(contexts_after_first, 0u);
 
-    dev.ntt(n, q, x);
+    dev.dispatch(RingOp::Forward, n, {{q}}, {{x}});
     // Second launch: kernel cache hit, and no Montgomery context is
     // rebuilt (the per-launch rebuild this layer was added to fix).
     EXPECT_EQ(dev.counters().launches, 2u);
@@ -102,13 +103,23 @@ TEST_P(BackendEquivalence, FunctionalSimMatchesCpuReference)
     const auto b = randomPoly(Modulus(q), n, rng);
 
     // Forward, inverse, and the fused negacyclic product must be
-    // bit-identical across backends.
-    const auto fwd_sim = sim.ntt(n, q, a);
-    EXPECT_EQ(fwd_sim, ref.ntt(n, q, a));
-    EXPECT_EQ(sim.ntt(n, q, fwd_sim, true),
-              ref.ntt(n, q, fwd_sim, true));
+    // bit-identical across backends, and the transforms must match
+    // the host reference.
+    const auto one = [&](RpuDevice &dev, RingOp op,
+                         const std::vector<u128> &x) {
+        return dev.dispatch(op, n, {{q}}, {{x}})[0][0];
+    };
+    const auto host = [&](RingOp op, const std::vector<u128> &x) {
+        return testutil::hostDispatch(op, n, {{q}}, {{x}})[0][0];
+    };
+    const auto fwd_sim = one(sim, RingOp::Forward, a);
+    EXPECT_EQ(fwd_sim, host(RingOp::Forward, a));
+    EXPECT_EQ(fwd_sim, one(ref, RingOp::Forward, a));
+    const auto inv_sim = one(sim, RingOp::Inverse, fwd_sim);
+    EXPECT_EQ(inv_sim, host(RingOp::Inverse, fwd_sim));
+    EXPECT_EQ(inv_sim, one(ref, RingOp::Inverse, fwd_sim));
     const auto polyMul = [&](RpuDevice &dev) {
-        return dev.launch(dev.kernel(KernelKind::PolyMul, n, {q}),
+        return dev.launch(dev.kernel(KernelKind::BatchedPolyMul, n, {q}),
                           {a, b})[0];
     };
     EXPECT_EQ(polyMul(sim), polyMul(ref));
@@ -190,7 +201,7 @@ TEST(KernelCache, EveryScheduleFieldIsKeyed)
     const u128 q = nttPrime(60, n);
 
     NttCodegenOptions base;
-    dev.kernel(KernelKind::ForwardNtt, n, {q}, base);
+    dev.kernel(KernelKind::BatchedForwardNtt, n, {q}, base);
 
     const std::vector<std::function<void(RpuConfig &)>> mutations = {
         [](RpuConfig &c) { c.numHples = 64; },
@@ -210,12 +221,12 @@ TEST(KernelCache, EveryScheduleFieldIsKeyed)
     for (const auto &mutate : mutations) {
         NttCodegenOptions opts = base;
         mutate(opts.scheduleConfig);
-        dev.kernel(KernelKind::ForwardNtt, n, {q}, opts);
+        dev.kernel(KernelKind::BatchedForwardNtt, n, {q}, opts);
         ++expected_misses;
         EXPECT_EQ(dev.counters().kernelMisses, expected_misses)
             << "a scheduleConfig field is missing from the kernel key";
         // Requesting the same mutated config again must hit.
-        dev.kernel(KernelKind::ForwardNtt, n, {q}, opts);
+        dev.kernel(KernelKind::BatchedForwardNtt, n, {q}, opts);
     }
     EXPECT_EQ(dev.counters().kernelHits, mutations.size());
 }
@@ -230,7 +241,7 @@ TEST(LaunchAll, MatchesIndividualLaunches)
     std::vector<LaunchRequest> batch;
     for (u128 q : primes) {
         const KernelImage &k =
-            dev.kernel(KernelKind::PolyMul, n, {q});
+            dev.kernel(KernelKind::BatchedPolyMul, n, {q});
         const Modulus mod(q);
         batch.push_back(
             {&k, {randomPoly(mod, n, rng), randomPoly(mod, n, rng)}});
@@ -276,7 +287,7 @@ TEST(ParallelLaunch, ConcurrentCallersStress)
                 const auto a = randomPoly(mod, n, rng);
                 const auto b = randomPoly(mod, n, rng);
                 const auto got = dev.launch(
-                    dev.kernel(KernelKind::PolyMul, n, {q}), {a, b})[0];
+                    dev.kernel(KernelKind::BatchedPolyMul, n, {q}), {a, b})[0];
                 if (got != negacyclicMulNtt(ntt, a, b))
                     ++failures[c];
             }
@@ -341,7 +352,7 @@ TEST(ParallelLaunch, ContentionLedgerChargesOverlappingCallers)
     const uint64_t n = 1024;
     const u128 q = nttPrime(59, n);
     RpuDevice dev(std::make_unique<RendezvousBackend>(2));
-    const KernelImage &k = dev.kernel(KernelKind::PolyMul, n, {q});
+    const KernelImage &k = dev.kernel(KernelKind::BatchedPolyMul, n, {q});
     ASSERT_GT(k.modelCycles, 0u);
 
     const Modulus mod(q);
@@ -392,7 +403,7 @@ TEST(KernelCache, SameKeyRaceGeneratesOnce)
     std::vector<const KernelImage *> images(callers, nullptr);
     for (size_t c = 0; c < callers; ++c) {
         threads.emplace_back([&, c] {
-            images[c] = &dev.kernel(KernelKind::ForwardNtt, n, {q});
+            images[c] = &dev.kernel(KernelKind::BatchedForwardNtt, n, {q});
         });
     }
     for (auto &t : threads)
@@ -421,7 +432,7 @@ TEST(KernelCache, DistinctKeysGenerateConcurrently)
         threads.emplace_back([&, c] {
             const u128 q = primes[c];
             const KernelImage &k =
-                dev.kernel(KernelKind::ForwardNtt, n, {q});
+                dev.kernel(KernelKind::BatchedForwardNtt, n, {q});
             Rng rng(73 + c);
             std::vector<u128> x = randomPoly(Modulus(q), n, rng);
             const auto got = dev.launch(k, {x})[0];
@@ -580,13 +591,18 @@ TEST(PointwiseKernel, MatchesHostPointwiseAcrossBackends)
     const auto b = randomPoly(mod, n, rng);
 
     const auto expected = polyPointwise(mod, a, b);
-    EXPECT_EQ(sim.pointwiseMul(n, q, a, b), expected);
-    EXPECT_EQ(ref.pointwiseMul(n, q, a, b), expected);
+    for (RpuDevice *dev : {&sim, &ref}) {
+        EXPECT_EQ(dev->dispatch(RingOp::Pointwise, n, {{q}}, {{a}},
+                                {{b}})[0][0],
+                  expected)
+            << dev->backend().name();
+    }
 
     // The generated program really has no butterfly stages: it is a
     // small fraction of the fused polymul's size.
-    const KernelImage &pw = sim.kernel(KernelKind::PointwiseMul, n, {q});
-    const KernelImage &mul = sim.kernel(KernelKind::PolyMul, n, {q});
+    const KernelImage &pw =
+        sim.kernel(KernelKind::PointwiseMulBatched, n, {q});
+    const KernelImage &mul = sim.kernel(KernelKind::BatchedPolyMul, n, {q});
     EXPECT_LT(10 * pw.program.size(), mul.program.size());
 }
 
@@ -843,14 +859,6 @@ class ModeGuard
     simd::HostSimdMode saved_;
 };
 
-bool
-singleTower(KernelKind kind)
-{
-    return kind == KernelKind::ForwardNtt ||
-           kind == KernelKind::InverseNtt || kind == KernelKind::PolyMul ||
-           kind == KernelKind::PointwiseMul;
-}
-
 TEST(LaneWord, NarrowImagesRunOnU64Lanes)
 {
     const ModeGuard native(simd::HostSimdMode::Native);
@@ -865,7 +873,7 @@ TEST(LaneWord, NarrowImagesRunOnU64Lanes)
     EXPECT_EQ(word(62), LaneWord::U64);
     EXPECT_EQ(word(124), LaneWord::U128);
 
-    KernelImage image = dev.kernel(KernelKind::PointwiseMul, n,
+    KernelImage image = dev.kernel(KernelKind::PointwiseMulBatched, n,
                                    {nttPrime(45, n)});
     ASSERT_EQ(FunctionalSimBackend::laneWordFor(image), LaneWord::U64);
     image.moduli.push_back((u128(1) << 40) + 2); // even: no narrow kernels
@@ -902,9 +910,7 @@ TEST_P(LaneWordEquivalence, EveryKindMatchesTheCpuReference)
     Rng rng(c.bits);
     for (int k = 0; k < int(KernelKind::kCount); ++k) {
         const KernelKind kind = KernelKind(k);
-        const std::vector<u128> moduli =
-            singleTower(kind) ? std::vector<u128>{primes[0]} : primes;
-        const KernelImage &image = sim.kernel(kind, n, moduli);
+        const KernelImage &image = sim.kernel(kind, n, primes);
         EXPECT_EQ(FunctionalSimBackend::laneWordFor(image), c.word)
             << "kind " << k;
         // Below every tower's modulus, so canonical in each.
@@ -916,7 +922,7 @@ TEST_P(LaneWordEquivalence, EveryKindMatchesTheCpuReference)
             inputs.push_back(std::move(x));
         }
         EXPECT_EQ(sim.launch(image, inputs),
-                  ref.launch(ref.kernel(kind, n, moduli), inputs))
+                  ref.launch(ref.kernel(kind, n, primes), inputs))
             << "kind " << k;
     }
 }
@@ -969,7 +975,7 @@ TEST(LaneWord, LanesThatDoNotFitRerunOnU128)
     const auto launches = [&](RpuDevice &dev) {
         std::vector<std::vector<std::vector<u128>>> out;
         out.push_back(dev.launch(
-            dev.kernel(KernelKind::PointwiseMul, n, {q}), {a, b}));
+            dev.kernel(KernelKind::PointwiseMulBatched, n, {q}), {a, b}));
         out.push_back(dev.launch(sum, {x, y}));
         return out;
     };

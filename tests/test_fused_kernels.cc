@@ -2,7 +2,8 @@
  * @file
  * Tests for the fused polynomial-multiplication kernel and the
  * multi-tower batched NTT (the MRF / instruction-granularity modulus
- * switching feature of paper section IV-B5).
+ * switching feature of paper section IV-B5), including the tower
+ * budget every batched generator shares.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +23,7 @@ class PolyMulSizes : public testing::TestWithParam<uint64_t>
 TEST_P(PolyMulSizes, MatchesNttProduct)
 {
     NttRunner runner(GetParam(), 124);
-    const PolyMulKernel kernel = runner.makePolyMulKernel();
+    const KernelImage kernel = runner.makePolyMulKernel();
     EXPECT_TRUE(runner.verifyPolyMul(kernel));
 }
 
@@ -33,7 +34,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, PolyMulSizes,
 TEST(PolyMul, MatchesNaiveOracle)
 {
     NttRunner runner(1024, 124);
-    const PolyMulKernel kernel = runner.makePolyMulKernel();
+    const KernelImage kernel = runner.makePolyMulKernel();
     Rng rng(3);
     const auto a = randomPoly(runner.modulus(), 1024, rng);
     const auto b = randomPoly(runner.modulus(), 1024, rng);
@@ -44,7 +45,7 @@ TEST(PolyMul, MatchesNaiveOracle)
 TEST(PolyMul, UnoptimizedFlavourAlsoCorrect)
 {
     NttRunner runner(2048, 124);
-    const PolyMulKernel kernel =
+    const KernelImage kernel =
         runner.makePolyMulKernel({.optimized = false});
     EXPECT_TRUE(runner.verifyPolyMul(kernel));
 }
@@ -52,7 +53,7 @@ TEST(PolyMul, UnoptimizedFlavourAlsoCorrect)
 TEST(PolyMul, MultiplicationByOne)
 {
     NttRunner runner(1024, 124);
-    const PolyMulKernel kernel = runner.makePolyMulKernel();
+    const KernelImage kernel = runner.makePolyMulKernel();
     Rng rng(4);
     const auto a = randomPoly(runner.modulus(), 1024, rng);
     std::vector<u128> one(1024, 0);
@@ -70,7 +71,7 @@ TEST(PolyMul, FusedCheaperThanThreeLaunches)
     NttCodegenOptions opts;
     opts.scheduleConfig = cfg;
 
-    const PolyMulKernel fused = runner.makePolyMulKernel(opts);
+    const KernelImage fused = runner.makePolyMulKernel(opts);
     const KernelMetrics fused_m = runner.evaluateProgram(
         fused.program, fused.vdmBytesRequired, cfg);
 
@@ -90,7 +91,7 @@ TEST(PolyMul, InstructionAccounting)
     // Fused mix = 2 forward NTTs + n/512 pointwise multiplies +
     // 1 inverse NTT (3 CIs per butterfly) + n/512 scalings.
     NttRunner runner(2048, 124);
-    const PolyMulKernel kernel = runner.makePolyMulKernel();
+    const KernelImage kernel = runner.makePolyMulKernel();
     const InstructionMix mix = kernel.program.mix();
     const uint64_t fwd_bflies = (2048 / 1024) * 11; // (n/1024) log2 n
     EXPECT_EQ(mix.butterflies, 2 * fwd_bflies);
@@ -110,7 +111,7 @@ TEST(PolyMul, RejectsInverseOption)
 // ----------------------------------------------------------------------
 
 std::vector<std::vector<u128>>
-executeBatched(const BatchedNttKernel &kernel,
+executeBatched(const KernelImage &kernel,
                const std::vector<std::vector<u128>> &inputs)
 {
     ArchState state(kernel.vdmBytesRequired);
@@ -118,12 +119,12 @@ executeBatched(const BatchedNttKernel &kernel,
         state.writeSdm(i, kernel.sdmImage[i]);
     state.loadVdm(kernel.twPlanBase, kernel.twPlanImage);
     for (size_t t = 0; t < inputs.size(); ++t)
-        state.loadVdm(kernel.dataBases[t], inputs[t]);
+        state.loadVdm(kernel.regions[t].base, inputs[t]);
     FunctionalSimulator sim(state);
     sim.run(kernel.program);
     std::vector<std::vector<u128>> outs;
     for (size_t t = 0; t < inputs.size(); ++t)
-        outs.push_back(state.dumpVdm(kernel.dataBases[t], kernel.n));
+        outs.push_back(state.dumpVdm(kernel.regions[t].base, kernel.n));
     return outs;
 }
 
@@ -146,7 +147,7 @@ TEST_P(BatchedTowers, EachTowerMatchesItsReference)
         ptrs.push_back(tables.back().get());
     }
 
-    const BatchedNttKernel kernel = generateBatchedForwardNtt(ptrs);
+    const KernelImage kernel = generateBatchedNtt(ptrs);
     ASSERT_EQ(kernel.moduli.size(), towers);
 
     Rng rng(towers);
@@ -179,9 +180,8 @@ TEST(Batched, TowersInterleaveOnTheRpu)
     NttCodegenOptions opts;
     opts.scheduleConfig = cfg;
 
-    const BatchedNttKernel two =
-        generateBatchedForwardNtt({&t0, &t1}, opts);
-    const BatchedNttKernel one = generateBatchedForwardNtt({&t0}, opts);
+    const KernelImage two = generateBatchedNtt({&t0, &t1}, opts);
+    const KernelImage one = generateBatchedNtt({&t0}, opts);
 
     RpuConfig run = cfg;
     run.vdmBytes = std::max(run.vdmBytes, two.vdmBytesRequired);
@@ -197,8 +197,41 @@ TEST(Batched, RejectsMismatchedDimensions)
     const u128 qb = nttPrime(80, 2048);
     Modulus ma(qa), mb(qb);
     TwiddleTable ta(ma, 1024), tb(mb, 2048);
-    EXPECT_EXIT(generateBatchedForwardNtt({&ta, &tb}),
+    EXPECT_EXIT(generateBatchedNtt({&ta, &tb}),
                 testing::ExitedWithCode(1), "dimension");
+}
+
+TEST(Batched, EveryGeneratorTakesTheTowerBudgetAndNoMore)
+{
+    // kMaxBatchedTowers is the register budget every generator shares
+    // (and the tile size RpuDevice::dispatch cuts at): a full batch
+    // generates, one tower more is a user error.
+    const uint64_t n = 1024;
+    const Modulus mod(nttPrime(50, n));
+    const TwiddleTable tw(mod, n);
+    const std::vector<const TwiddleTable *> full(kMaxBatchedTowers, &tw);
+    const std::vector<const TwiddleTable *> over(kMaxBatchedTowers + 1,
+                                                 &tw);
+    ASSERT_EQ(kMaxBatchedTowers, 16u);
+
+    NttCodegenOptions inverse;
+    inverse.inverse = true;
+    EXPECT_EQ(generateBatchedNtt(full).moduli.size(), kMaxBatchedTowers);
+    EXPECT_EQ(generateBatchedNtt(full, inverse).moduli.size(),
+              kMaxBatchedTowers);
+    EXPECT_EQ(generateBatchedPolyMul(full).moduli.size(),
+              kMaxBatchedTowers);
+    EXPECT_EQ(generateBatchedPointwiseMul(full).moduli.size(),
+              kMaxBatchedTowers);
+
+    EXPECT_EXIT(generateBatchedNtt(over), testing::ExitedWithCode(1),
+                "at most 16 towers, got 17");
+    EXPECT_EXIT(generateBatchedNtt(over, inverse),
+                testing::ExitedWithCode(1), "at most 16 towers, got 17");
+    EXPECT_EXIT(generateBatchedPolyMul(over), testing::ExitedWithCode(1),
+                "at most 16 towers, got 17");
+    EXPECT_EXIT(generateBatchedPointwiseMul(over),
+                testing::ExitedWithCode(1), "at most 16 towers, got 17");
 }
 
 } // namespace

@@ -102,7 +102,7 @@ TEST(RnsNttIntegration, WideProductOnTheRpu)
     for (size_t t = 0; t < towers; ++t) {
         NttRunner runner =
             NttRunner::withModulus(n, basis.prime(t));
-        const PolyMulKernel kernel = runner.makePolyMulKernel();
+        const KernelImage kernel = runner.makePolyMulKernel();
         tr[t] = runner.executePolyMul(kernel, ta[t], tb[t]);
     }
     const auto via_rpu = crt.reconstructPoly(tr);

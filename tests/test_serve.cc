@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "host_reference.hh"
 #include "modmath/primegen.hh"
 #include "modmath/simd.hh"
 #include "rpu/device.hh"
@@ -171,11 +172,11 @@ TEST(DeviceStatsDelta, StatsSinceIsolatesOneWindow)
     const u128 q = 0x3001;
     const auto x = std::vector<u128>(n, 5);
 
-    (void)dev.ntt(n, q, x); // pre-window activity
+    (void)dev.dispatch(RingOp::Forward, n, {{q}}, {{x}}); // pre-window
     const DeviceStats before = dev.stats();
 
-    (void)dev.ntt(n, q, x);
-    (void)dev.pointwiseMul(n, q, x, x);
+    (void)dev.dispatch(RingOp::Forward, n, {{q}}, {{x}});
+    (void)dev.dispatch(RingOp::Pointwise, n, {{q}}, {{x}}, {{x}});
 
     const DeviceStats delta = dev.statsSince(before);
     EXPECT_EQ(delta.launches, 2u);
@@ -241,16 +242,11 @@ TEST(CoalescedLaunches, BitIdenticalToPerItemLaunchesInOneLaunch)
         b.push_back(std::move(ib));
     }
 
-    // Per-item reference via the single-ring convenience ops.
-    auto expect_fwd = xs;
-    auto expect_pw = a;
-    for (size_t i = 0; i < moduli.size(); ++i) {
-        for (size_t t = 0; t < moduli[i].size(); ++t) {
-            expect_fwd[i][t] = dev.ntt(n, moduli[i][t], xs[i][t]);
-            expect_pw[i][t] =
-                dev.pointwiseMul(n, moduli[i][t], a[i][t], b[i][t]);
-        }
-    }
+    // Per-item reference on the host.
+    const auto expect_fwd =
+        testutil::hostDispatch(RingOp::Forward, n, moduli, xs);
+    const auto expect_pw =
+        testutil::hostDispatch(RingOp::Pointwise, n, moduli, a, b);
 
     DeviceStats before = dev.stats();
     const auto fwd = dev.dispatch(RingOp::Forward, n, moduli, xs);
@@ -279,7 +275,7 @@ TEST(CoalescedLaunches, TileBoundaryMidItemOnEveryDeviceKind)
 {
     // Items of 3, 5, 9 and 1 towers: 18 towers tile into two groups,
     // and the kMaxBatchedTowers boundary falls inside the 9-tower
-    // item. Every op must match per-item single-ring launches bit for
+    // item. Every op must match the per-item host reference bit for
     // bit on the functional simulator and the CPU reference backend,
     // under both host-SIMD modes.
     const uint64_t n = 1024;
@@ -303,16 +299,12 @@ TEST(CoalescedLaunches, TileBoundaryMidItemOnEveryDeviceKind)
     }
     ASSERT_EQ(DispatchTiles::cut(moduli).size(), 2u);
 
-    RpuDevice single;
-    TowerItems want_fwd = xs, want_inv = xs, want_pw = a;
-    for (size_t i = 0; i < moduli.size(); ++i) {
-        for (size_t t = 0; t < moduli[i].size(); ++t) {
-            const u128 q = moduli[i][t];
-            want_fwd[i][t] = single.ntt(n, q, xs[i][t]);
-            want_inv[i][t] = single.ntt(n, q, xs[i][t], true);
-            want_pw[i][t] = single.pointwiseMul(n, q, a[i][t], b[i][t]);
-        }
-    }
+    const TowerItems want_fwd =
+        testutil::hostDispatch(RingOp::Forward, n, moduli, xs);
+    const TowerItems want_inv =
+        testutil::hostDispatch(RingOp::Inverse, n, moduli, xs);
+    const TowerItems want_pw =
+        testutil::hostDispatch(RingOp::Pointwise, n, moduli, a, b);
 
     for (const auto mode :
          {simd::HostSimdMode::Scalar, simd::HostSimdMode::Native}) {

@@ -3,9 +3,10 @@
  * RpuTopology and the multi-RPU serving path: shared kernel caches
  * across devices ("generate once, launch anywhere"), the
  * HBM-contention refinement of the cycle ledger, the topology stats
- * roll-up (field-wise summing, makespan as a max over devices), bit-identity of the sharded tiled dispatch against
- * per-item single-ring launches, the makespan scheduler's placement rules
- * (paused devices never selected, load-correcting bookings), and the
+ * roll-up (field-wise summing, makespan as a max over devices),
+ * bit-identity of the sharded tiled dispatch against the per-item host
+ * reference, the makespan scheduler's placement rules (paused devices
+ * never selected, load-correcting bookings), and the
  * load-bearing degeneracy: a 1-device-topology server is
  * bit-identical — outputs and launch ledger — to the single-device
  * server.
@@ -20,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "host_reference.hh"
 #include "modmath/primegen.hh"
 #include "modmath/simd.hh"
 #include "model/contention.hh"
@@ -250,12 +252,12 @@ TEST(RpuTopology, ContentionLedgerIsExactWithoutOverlap)
 // Tiled dispatch across devices
 // ----------------------------------------------------------------------
 
-TEST(RpuTopology, ShardedDispatchMatchesPerItemSingleRingLaunches)
+TEST(RpuTopology, ShardedDispatchMatchesPerItemHostReference)
 {
     // Items of 3, 5, 9 and 1 towers: 18 towers tile into two groups,
     // the boundary inside the 9-tower item. Every op, placed by a
-    // non-uniform plan in either order, must match per-item
-    // single-ring launches bit for bit under both host-SIMD modes,
+    // non-uniform plan in either order, must match the per-item host
+    // reference bit for bit under both host-SIMD modes,
     // and each device must pay exactly its planned group.
     const uint64_t n = 1024;
     const std::vector<size_t> counts = {3, 5, 9, 1};
@@ -278,16 +280,12 @@ TEST(RpuTopology, ShardedDispatchMatchesPerItemSingleRingLaunches)
     }
     ASSERT_EQ(DispatchTiles::cut(moduli).size(), 2u);
 
-    RpuDevice single;
-    TowerItems want_fwd = xs, want_inv = xs, want_pw = a;
-    for (size_t i = 0; i < moduli.size(); ++i) {
-        for (size_t t = 0; t < moduli[i].size(); ++t) {
-            const u128 q = moduli[i][t];
-            want_fwd[i][t] = single.ntt(n, q, xs[i][t]);
-            want_inv[i][t] = single.ntt(n, q, xs[i][t], true);
-            want_pw[i][t] = single.pointwiseMul(n, q, a[i][t], b[i][t]);
-        }
-    }
+    const TowerItems want_fwd =
+        testutil::hostDispatch(RingOp::Forward, n, moduli, xs);
+    const TowerItems want_inv =
+        testutil::hostDispatch(RingOp::Inverse, n, moduli, xs);
+    const TowerItems want_pw =
+        testutil::hostDispatch(RingOp::Pointwise, n, moduli, a, b);
 
     for (const auto mode :
          {simd::HostSimdMode::Scalar, simd::HostSimdMode::Native}) {
@@ -344,7 +342,7 @@ stageOfGroups(size_t groups)
     const std::vector<u128> primes = nttPrimes(45, 1024, 1);
     return {{RingOp::Forward,
              std::vector<std::vector<u128>>(
-                 groups * RpuDevice::kMaxBatchedTowers, primes)}};
+                 groups * kMaxBatchedTowers, primes)}};
 }
 
 TEST(MakespanScheduler, OneDeviceTopologyAlwaysPlacesOnDeviceZero)
