@@ -309,7 +309,7 @@ CkksContext::mulCt(const std::vector<const CkksCiphertext *> &as,
     }
 
     // Tensor and key-switch are the evaluator's; the scheme only
-    // tracks the scale product (CKKS needs no degree-2 hook).
+    // tracks the scale product.
     auto pairs = evaluator_.relinearise(
         evaluator_.tensorPair(pa, pb, route), rks, route);
     std::vector<CkksCiphertext> out(as.size());

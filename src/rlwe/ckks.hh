@@ -3,10 +3,9 @@
  * CKKS approximate-arithmetic RLWE scheme, RNS-native and
  * evaluation-domain resident, on the RPU device layer.
  *
- * The second scheme the simulated RPU executes (the paper positions
- * the RPU as a general ring processor; its OpenFHE-lineage evaluation
- * targets are CKKS workloads). Where BFV computes exactly on
- * coefficients mod t, CKKS computes approximately on n/2 complex
+ * The scheme the simulated RPU executes (the paper positions the RPU
+ * as a general ring processor; its OpenFHE-lineage evaluation targets
+ * are CKKS workloads). CKKS computes approximately on n/2 complex
  * slots: messages are fixed-point-scaled evaluations at primitive
  * 2n-th roots (see CkksEncoder), and every multiplication doubles the
  * scale until a rescale divides it back down by dropping the last
@@ -40,9 +39,8 @@
  * fully supported: every op is domain-aware, and rescaling a Coeff
  * ciphertext is plain host coefficient arithmetic, bit-identical to
  * toCoeff(rescale(Eval)). Only decryption reconstructs out of RNS
- * (CRT over the active prefix, centre mod Q, decode). Like the BFV
- * sibling this is a demonstration workload, not a hardened
- * cryptosystem.
+ * (CRT over the active prefix, centre mod Q, decode). This is a
+ * demonstration workload, not a hardened cryptosystem.
  *
  * The device ops are batch-native: encodePlain, mulPlain, mulCt and
  * rescale take a batch of same-class operands at one level (tenants
@@ -263,7 +261,7 @@ class CkksContext
      * Slot-wise ciphertext x ciphertext products as[i] x bs[i],
      * relinearised back to degree 1 with rks[i] through the
      * evaluator's batched tensor product (pure pointwise launches)
-     * and gadget key-switch; CKKS needs no degree-2 hook. Operands
+     * and gadget key-switch. Operands
      * must sit at one level; each result's scale is the product of
      * its operands' scales, so the natural follow-up is a rescale —
      * which then drops a tower, exactly as after mulPlain.

@@ -84,14 +84,6 @@ RlweEvaluator::addPair(const ResiduePoly &a0, const ResiduePoly &a1,
     return {ops_.add(a0, b0), ops_.add(a1, b1)};
 }
 
-std::array<ResiduePoly, 2>
-RlweEvaluator::subPair(const ResiduePoly &a0, const ResiduePoly &a1,
-                       const ResiduePoly &b0,
-                       const ResiduePoly &b1) const
-{
-    return {ops_.sub(a0, b0), ops_.sub(a1, b1)};
-}
-
 namespace {
 
 /**
@@ -220,15 +212,15 @@ RlweEvaluator::relinearise(std::vector<std::array<ResiduePoly, 3>> ds,
                rks.size());
     const size_t towers = ds[0][0].towerCount();
     std::vector<ResiduePoly *> c2s;
-    uint64_t c2_eval_towers = 0;
     for (size_t i = 0; i < ds.size(); ++i) {
         const RelinKey &rk = *rks[i];
         rpu_assert(ds[i][0].towerCount() == towers &&
                        ds[i][1].towerCount() == towers &&
                        ds[i][2].towerCount() == towers,
                    "degree-2 components span different tower counts");
-        rpu_assert(ds[i][0].inEval() && ds[i][1].inEval(),
-                   "degree-1 components must be evaluation-resident");
+        rpu_assert(ds[i][0].inEval() && ds[i][1].inEval() &&
+                       ds[i][2].inEval(),
+                   "degree-2 components must be evaluation-resident");
         rpu_assert(rk.towerCount() >= towers,
                    "relin key covers %zu towers, ciphertext spans %zu",
                    rk.towerCount(), towers);
@@ -238,19 +230,15 @@ RlweEvaluator::relinearise(std::vector<std::array<ResiduePoly, 3>> ds,
                        "relin key digit layout mismatch at tower %zu",
                        t);
         }
-        if (ds[i][2].inEval())
-            c2_eval_towers += towers;
         c2s.push_back(&ds[i][2]);
     }
     RpuDevice *ledger = ops_.ledger(route);
 
     // The c2s leave the evaluation domain — the key-switch's one
-    // batched inverse pass. A scheme that already returned them in
-    // Coeff (BFV's scale-and-round) makes this a recorded elision
-    // instead.
+    // batched inverse pass.
     ops_.convert(c2s, ResidueDomain::Coeff, route);
-    if (c2_eval_towers > 0 && ledger)
-        ledger->noteKeySwitchTransforms(c2_eval_towers);
+    if (ledger)
+        ledger->noteKeySwitchTransforms(ds.size() * towers);
 
     // Digit split (host) and re-entry: every item's digit polynomials
     // back into the evaluation domain through one batched forward
@@ -473,34 +461,6 @@ RlweEvaluator::inverseTower(
         hostNtt(t).inverse(out[c]);
     }
     return out;
-}
-
-std::vector<RlweEvaluator::TowerPoly>
-RlweEvaluator::forwardTowersAt(std::vector<TowerPoly> xs,
-                               size_t first) const
-{
-    if (xs.empty())
-        return xs;
-    const size_t count = xs[0].size();
-    rpu_assert(count >= 1 && first + count <= basis().towers(),
-               "tower range [%zu, %zu) outside the chain", first,
-               first + count);
-    for (const TowerPoly &x : xs)
-        rpu_assert(x.size() == count, "tower count mismatch");
-
-    if (device_) {
-        std::vector<u128> primes(count);
-        for (size_t t = 0; t < count; ++t)
-            primes[t] = basis().prime(first + t);
-        const std::vector<std::vector<u128>> moduli(xs.size(), primes);
-        return device_->dispatch(RingOp::Forward, n_, moduli,
-                                 std::move(xs));
-    }
-    for (TowerPoly &x : xs) {
-        for (size_t t = 0; t < count; ++t)
-            hostNtt(first + t).forward(x[t]);
-    }
-    return xs;
 }
 
 } // namespace rpu

@@ -1,20 +1,17 @@
 /**
  * @file
- * Scheme-generic RLWE evaluator: the op pipeline BFV and CKKS share.
+ * RLWE evaluator: the op pipeline under the CKKS scheme.
  *
- * Both schemes compute on the same object — a pair of domain-tagged
- * RNS residue polynomials over (a prefix of) one modulus chain — and
- * until this layer existed each scheme re-implemented the same
- * plumbing around it: operand domain alignment before a pointwise
- * dispatch, elision accounting for conversions skipped, the batched
- * device dispatch itself, per-tower host-NTT fallback when no device
- * is attached, the born-Eval encryption assembly (uniform mask
- * sampled directly in evaluation form), and the decrypt-side
- * c0 + c1*s inner product. RlweEvaluator owns all of that exactly
- * once; the scheme files shrink to scheme math — encoding, noise,
- * Delta/rescale arithmetic — and future shared machinery
- * (relinearisation key-switching, Galois rotations) is written here
- * once instead of per scheme.
+ * A ciphertext is a pair of domain-tagged RNS residue polynomials
+ * over (a prefix of) one modulus chain, and this layer owns the
+ * plumbing around that object exactly once: operand domain alignment
+ * before a pointwise dispatch, elision accounting for conversions
+ * skipped, the batched device dispatch itself, per-tower host-NTT
+ * fallback when no device is attached, the born-Eval encryption
+ * assembly (uniform mask sampled directly in evaluation form), the
+ * decrypt-side c0 + c1*s inner product, and ciphertext x ciphertext
+ * multiply with gadget relinearisation. The scheme file keeps only
+ * scheme math — encoding, noise, scale/rescale arithmetic.
  *
  * The ops that dispatch are batch-native: enterEval, mulPlainPair,
  * tensorPair, relinearise and inverseTower take a batch of
@@ -158,12 +155,6 @@ class RlweEvaluator
                                        const ResiduePoly &b0,
                                        const ResiduePoly &b1) const;
 
-    /** Tower-wise pair subtraction (domain-preserving, host). */
-    std::array<ResiduePoly, 2> subPair(const ResiduePoly &a0,
-                                       const ResiduePoly &a1,
-                                       const ResiduePoly &b0,
-                                       const ResiduePoly &b1) const;
-
     /**
      * Both components of every ciphertext cts[i] times its
      * Eval-resident plaintext pts[i] over the ciphertexts' towers
@@ -201,13 +192,12 @@ class RlweEvaluator
     /**
      * Key-switch every degree-2 ciphertext ds[i] = (d0, d1, d2), all
      * at one level, back to degree 1 with its own key rks[i] (a
-     * batch may mix tenants), exactly once, for every scheme: the
-     * c2s leave the evaluation domain (one batched inverse pass —
-     * skipped and elided when the scheme already returned them in
-     * Coeff, as BFV's scale-and-round does), are split into gadget
-     * digits, every item's digits re-enter in one batched forward
-     * dispatch, and one pointwise dispatch runs all items'
-     * 2 * totalDigits inner-product pairs against their keys. The digit-split transforms are annotated
+     * batch may mix tenants): the c2s, Eval-resident as tensorPair
+     * returns them, leave the evaluation domain in one batched
+     * inverse pass, are split into gadget digits, every item's digits
+     * re-enter in one batched forward dispatch, and one pointwise
+     * dispatch runs all items' 2 * totalDigits inner-product pairs
+     * against their keys. The digit-split transforms are annotated
      * as keySwitchTransforms in DeviceStats on top of the ordinary
      * forward/inverse counts, so workload elision ratios stay
      * meaningful. Returns (d0 + sum digit.*k0, d1 + sum digit.*k1)
@@ -269,18 +259,6 @@ class RlweEvaluator
     std::vector<std::vector<u128>>
     inverseTower(const std::vector<const ResiduePoly *> &polys, size_t t,
                  DispatchRoute *route = nullptr) const;
-
-    /**
-     * Forward-transform each polynomial's coefficient towers
-     * against the chain primes starting at offset @p first (so
-     * xs[i][t] enters tower first + t's evaluation domain) in one
-     * tiled device dispatch (host transforms otherwise). BFV's
-     * base extension uses this to enter only the auxiliary towers
-     * it just computed, reusing the ciphertext's existing Eval
-     * towers for the rest of the extended chain.
-     */
-    std::vector<TowerPoly> forwardTowersAt(std::vector<TowerPoly> xs,
-                                           size_t first) const;
 
   private:
     uint64_t n_ = 0;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Domain-tagged RNS residue polynomials, shared by BFV and CKKS.
+ * Domain-tagged RNS residue polynomials, the CKKS ciphertext and
+ * plaintext representation.
  *
  * The RPU paper's premise is that NTTs dominate RLWE workloads; the
  * corollary is that a scheme which re-enters coefficient form after

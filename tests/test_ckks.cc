@@ -161,7 +161,21 @@ TEST(Ckks, EncryptDecryptRoundTrip)
     const CkksCiphertext ct = ctx.encrypt(sk, values);
     EXPECT_EQ(ct.towers(), ctx.params().towers);
     EXPECT_EQ(ct.scale, ctx.params().scale);
-    expectWithinRelative(ctx.decrypt(sk, ct), values);
+    const auto slots = ctx.decrypt(sk, ct);
+    expectWithinRelative(slots, values);
+
+    // A Coeff-resident copy decrypts to the same slots bit for bit.
+    CkksCiphertext coeff = ct;
+    ctx.toCoeff(coeff);
+    EXPECT_EQ(ctx.decrypt(sk, coeff), slots);
+
+    // Another key recovers nothing near the message.
+    const CkksSecretKey other = ctx.keygen();
+    const auto wrong = ctx.decrypt(other, ct);
+    double worst = 0.0;
+    for (size_t i = 0; i < values.size(); ++i)
+        worst = std::max(worst, std::abs(wrong[i] - values[i]));
+    EXPECT_GT(worst, 1.0);
 }
 
 TEST(Ckks, HomomorphicAdd)

@@ -2,9 +2,9 @@
  * @file
  * The RpuDevice backend layer: kernel-cache semantics, shared numeric
  * context caches, backend equivalence (functional simulator vs CPU
- * reference baseline), batched tower launches, and the BFV RNS-tower
- * multiply path that makes the simulated RPU the execution engine of
- * the HE pipeline.
+ * reference baseline), batched tower launches, launch-state reuse,
+ * u64 lane words, and one device shared by a CKKS context and an
+ * NttRunner workbench.
  */
 
 #include <gtest/gtest.h>
@@ -18,8 +18,7 @@
 #include "host_reference.hh"
 #include "modmath/primegen.hh"
 #include "modmath/simd.hh"
-#include "rlwe/bfv.hh"
-#include "rlwe_test_util.hh"
+#include "rlwe/ckks.hh"
 #include "rpu/device.hh"
 #include "rpu/runner.hh"
 
@@ -453,115 +452,6 @@ TEST(KernelCache, DistinctKeysGenerateConcurrently)
 }
 
 // ----------------------------------------------------------------------
-// BFV on the device
-// ----------------------------------------------------------------------
-
-RlweParams
-smallParams()
-{
-    RlweParams p;
-    p.n = 1024;
-    p.towers = 2;
-    p.towerBits = 50;
-    p.plaintextModulus = 65537;
-    p.noiseBound = 4;
-    return p;
-}
-
-TEST(BfvOnDevice, PlaintextMultiplyExecutesOnTheRpu)
-{
-    // The acceptance check: an HE multiply must actually run on the
-    // simulated RPU through the device (non-zero launch and cache
-    // counters) and produce ciphertexts identical to the host
-    // pointwise path, tower for tower.
-    BfvContext ctx(smallParams());
-    const SecretKey sk = ctx.keygen();
-
-    Rng rng(33);
-    std::vector<uint64_t> msg(ctx.params().n);
-    for (auto &v : msg)
-        v = rng.below64(ctx.params().plaintextModulus);
-    std::vector<uint64_t> plain(ctx.params().n, 0);
-    plain[0] = 2;
-    plain[5] = 40000;
-    const Ciphertext ct = ctx.encrypt(sk, msg);
-
-    // Host reference path first (no device attached yet).
-    const Ciphertext via_host = ctx.mulPlain(ct, plain);
-
-    const auto device = std::make_shared<RpuDevice>();
-    ctx.attachDevice(device);
-    const Ciphertext via_rpu = ctx.mulPlain(ct, plain);
-
-    // Identical ciphertexts, bit for bit, still Eval-resident.
-    EXPECT_EQ(via_rpu.c0, via_host.c0);
-    EXPECT_EQ(via_rpu.c1, via_host.c1);
-    EXPECT_EQ(via_rpu.domain(), ResidueDomain::Eval);
-
-    // The device did the work, and only the minimal work: one
-    // batched forward transform for the plaintext encode, then one
-    // tiled pointwise launch for both ciphertext components — the
-    // Eval-resident ciphertext itself was never transformed (the
-    // elision ledger shows both components skipped).
-    const size_t towers = ctx.basis().towers();
-    {
-        const DeviceStats s = device->stats();
-        // 3 -> 2: the serial path now tiles across items (both
-        // components share one pointwise launch).
-        EXPECT_EQ(s.launches, 2u);
-        EXPECT_EQ(s.kernelMisses, 2u);
-        EXPECT_EQ(s.towerLaunches, 3 * towers);
-        EXPECT_EQ(s.forwardTransforms, towers);
-        EXPECT_EQ(s.inverseTransforms, 0u);
-        EXPECT_EQ(s.pointwiseMuls, 2 * towers);
-        EXPECT_EQ(s.transformsElided, 2 * towers);
-    }
-
-    // A second multiply reuses both cached kernels.
-    const Ciphertext again = ctx.mulPlain(ct, plain);
-    EXPECT_EQ(again.c0, via_host.c0);
-    const DeviceCounters &c = device->counters();
-    EXPECT_EQ(c.launches, 4u); // 6 -> 4: serial path tiles across items
-    EXPECT_EQ(c.kernelMisses, 2u);
-    EXPECT_EQ(c.kernelHits, 2u);
-
-    // And the result still decrypts correctly.
-    EXPECT_EQ(ctx.decrypt(sk, via_rpu),
-              testutil::naiveNegacyclicModT(
-                  msg, plain, ctx.params().plaintextModulus));
-}
-
-TEST(BfvOnDevice, EvalResidentPathMatchesAcrossBackends)
-{
-    // Backend-equivalence for the full encode + pointwise-multiply
-    // path: the functional simulator and the CPU reference baseline
-    // must both reproduce the host-path ciphertexts bit for bit.
-    BfvContext ctx(smallParams());
-    const SecretKey sk = ctx.keygen();
-
-    Rng rng(53);
-    std::vector<uint64_t> msg(ctx.params().n), plain(ctx.params().n);
-    for (auto &v : msg)
-        v = rng.below64(ctx.params().plaintextModulus);
-    for (auto &v : plain)
-        v = rng.below64(ctx.params().plaintextModulus);
-    const Ciphertext ct = ctx.encrypt(sk, msg);
-    const Ciphertext reference = ctx.mulPlain(ct, plain); // no device
-
-    ctx.attachDevice(
-        std::make_shared<RpuDevice>(
-            std::make_unique<CpuReferenceBackend>()));
-    const Ciphertext via_cpu_ref = ctx.mulPlain(ct, plain);
-    EXPECT_EQ(via_cpu_ref.c0, reference.c0);
-    EXPECT_EQ(via_cpu_ref.c1, reference.c1);
-
-    ctx.attachDevice(std::make_shared<RpuDevice>());
-    const Ciphertext via_sim = ctx.mulPlain(ct, plain);
-    EXPECT_EQ(via_sim.c0, reference.c0);
-    EXPECT_EQ(via_sim.c1, reference.c1);
-}
-
-// ----------------------------------------------------------------------
 // Pointwise kernels and the domain-boundary dispatch paths
 // ----------------------------------------------------------------------
 
@@ -716,28 +606,34 @@ TEST(DeviceStats, AggregatesLaunchesTransformsAndCycles)
     EXPECT_EQ(cleared.busyCycleTotal(), 0u);
 }
 
-TEST(BfvOnDevice, SharedDeviceAccumulatesAcrossContexts)
+TEST(CkksOnDevice, SharedDeviceAccumulatesAcrossContexts)
 {
-    // One device can serve several scheme contexts (and NttRunner
-    // workbenches); its caches are shared.
+    // One device can serve a scheme context and an NttRunner
+    // workbench at once; its caches and counters are shared.
     const auto device = std::make_shared<RpuDevice>();
-    BfvContext ctx(smallParams());
+    CkksParams params;
+    params.n = 1024;
+    params.towers = 2;
+    params.towerBits = 50;
+    CkksContext ctx(params);
     ctx.attachDevice(device);
     NttRunner runner = NttRunner::withModulus(
-        ctx.params().n, ctx.basis().prime(0), device);
+        params.n, ctx.basis().prime(0), device);
 
-    // encode (1 batched forward launch) + mulPlain (1 tiled
-    // pointwise launch for both components).
-    const SecretKey sk = ctx.keygen();
-    std::vector<uint64_t> msg(ctx.params().n, 1), plain(ctx.params().n,
-                                                        2);
-    ctx.mulPlain(ctx.encrypt(sk, msg), plain);
+    // encrypt is born Eval on the host (no launch); mulPlain against
+    // raw slot values is encodePlain's one batched forward launch
+    // plus one tiled pointwise launch for both components.
+    const CkksSecretKey sk = ctx.keygen();
+    const std::vector<std::complex<double>> ones(ctx.slots(), 1.0);
+    const std::vector<std::complex<double>> twos(ctx.slots(), 2.0);
+    ctx.mulPlain(ctx.encrypt(sk, ones), twos);
+    EXPECT_EQ(device->counters().launches, 2u);
 
+    // The workbench's forward NTT is the third launch.
     const NttKernel fwd = runner.makeKernel();
     Rng rng(41);
     runner.execute(fwd, randomPoly(Modulus(ctx.basis().prime(0)),
-                                   ctx.params().n, rng));
-    // 4 -> 3: the serial path now tiles across items.
+                                   params.n, rng));
     EXPECT_EQ(device->counters().launches, 3u);
     EXPECT_GT(device->modulusCache().size(), 0u);
 }

@@ -1,17 +1,13 @@
 /**
  * @file
- * Scheme-generic ct x ct multiply tests: gadget digit decomposition
+ * Ciphertext x ciphertext multiply tests: gadget digit decomposition
  * edges (recomposition identity across digit bases, partial last
- * digits, replicated towers), BFV mulCt correctness pinned against
- * the naive negacyclic product and the independent wide-integer
- * reference decrypt, bit-identity across every backend and both
- * host-SIMD modes, noise growth across a 4-deep multiply chain, the
- * CKKS mulCt / rescale interplay (including a key-switch at a
- * dropped level reading the key through its tower prefix), and the
- * key-switch transform ledger: per relinearisation, exactly one
- * batched inverse pass plus digits * towers forward re-entry NTTs,
- * all annotated as keySwitchTransforms so workload elision ratios
- * stay meaningful.
+ * digits, replicated towers), the CKKS mulCt / rescale interplay
+ * (including a key-switch at a dropped level reading the key through
+ * its tower prefix), and the key-switch transform ledger at every
+ * digit base: per relinearisation, exactly one batched inverse pass
+ * plus digits * towers forward re-entry NTTs, all annotated as
+ * keySwitchTransforms so workload elision ratios stay meaningful.
  */
 
 #include <gtest/gtest.h>
@@ -19,55 +15,13 @@
 #include <cmath>
 #include <complex>
 
-#include "modmath/simd.hh"
-#include "rlwe/bfv.hh"
 #include "rlwe/ckks.hh"
-#include "rlwe_test_util.hh"
 #include "rpu/device.hh"
-#include "wide/biguint.hh"
 
 namespace rpu {
 namespace {
 
 using Cplx = std::complex<double>;
-using testutil::naiveNegacyclicModT;
-
-/** Restores the host-SIMD mode on scope exit (tests must not leak). */
-class ModeGuard
-{
-  public:
-    explicit ModeGuard(simd::HostSimdMode mode)
-        : saved_(simd::hostSimdMode())
-    {
-        simd::setHostSimdMode(mode);
-    }
-    ~ModeGuard() { simd::setHostSimdMode(saved_); }
-
-  private:
-    simd::HostSimdMode saved_;
-};
-
-RlweParams
-smallParams()
-{
-    RlweParams p;
-    p.n = 1024;
-    p.towers = 2;
-    p.towerBits = 50;
-    p.plaintextModulus = 65537;
-    p.noiseBound = 4;
-    return p;
-}
-
-std::vector<uint64_t>
-randomMessage(const RlweParams &p, uint64_t seed)
-{
-    Rng rng(seed);
-    std::vector<uint64_t> m(p.n);
-    for (auto &v : m)
-        v = rng.below64(p.plaintextModulus);
-    return m;
-}
 
 std::vector<Cplx>
 randomSlots(size_t count, uint64_t seed)
@@ -93,18 +47,16 @@ expectWithinRelative(const std::vector<Cplx> &got,
     }
 }
 
-void
-expectBitIdentical(const Ciphertext &got, const Ciphertext &want,
-                   const char *label)
+/** Two 50-bit towers: every digit base below splits a tower with a
+ *  partial last digit. */
+CkksParams
+gadgetParams()
 {
-    ASSERT_EQ(got.towers(), want.towers()) << label;
-    EXPECT_EQ(got.domain(), want.domain()) << label;
-    for (size_t t = 0; t < got.towers(); ++t) {
-        EXPECT_EQ(got.c0.towers[t], want.c0.towers[t])
-            << label << " c0 tower " << t;
-        EXPECT_EQ(got.c1.towers[t], want.c1.towers[t])
-            << label << " c1 tower " << t;
-    }
+    CkksParams p;
+    p.n = 1024;
+    p.towers = 2;
+    p.towerBits = 50;
+    return p;
 }
 
 // ----------------------------------------------------------------------
@@ -119,8 +71,8 @@ TEST(GadgetDecompose, RecompositionIdentityAcrossDigitBases)
     // tower residue exactly, and every digit polynomial's towers
     // must be identical replicas (digit values sit below every
     // chain prime).
-    BfvContext ctx(smallParams());
-    const ResidueOps &ops = ctx.evaluator().ops();
+    CkksContext ctx(gadgetParams());
+    const ResidueOps &ops = ctx.residueOps();
     const size_t L = ctx.params().towers;
     const uint64_t n = ctx.params().n;
 
@@ -170,8 +122,8 @@ TEST(GadgetDecompose, RecompositionIdentityAcrossDigitBases)
 
 TEST(GadgetDecompose, DigitValuesStayBelowTheBase)
 {
-    BfvContext ctx(smallParams());
-    const ResidueOps &ops = ctx.evaluator().ops();
+    CkksContext ctx(gadgetParams());
+    const ResidueOps &ops = ctx.residueOps();
     const size_t L = ctx.params().towers;
 
     Rng rng(72);
@@ -192,127 +144,6 @@ TEST(GadgetDecompose, DigitValuesStayBelowTheBase)
                     ASSERT_LT(v, base);
             }
         }
-    }
-}
-
-// ----------------------------------------------------------------------
-// BFV ct x ct
-// ----------------------------------------------------------------------
-
-TEST(BfvMulCt, DecryptsToNegacyclicProduct)
-{
-    BfvContext ctx(smallParams());
-    const SecretKey sk = ctx.keygen();
-    const RelinKey rk = ctx.makeRelinKey(sk, 16);
-    const auto a = randomMessage(ctx.params(), 81);
-    const auto b = randomMessage(ctx.params(), 82);
-
-    const Ciphertext ct =
-        ctx.mulCt(ctx.encrypt(sk, a), ctx.encrypt(sk, b), rk);
-    // Stays degree 1, Eval-resident, on the ciphertext chain.
-    EXPECT_EQ(ct.towers(), ctx.params().towers);
-    EXPECT_EQ(ct.domain(), ResidueDomain::Eval);
-
-    const auto got = ctx.decrypt(sk, ct);
-    EXPECT_EQ(got, naiveNegacyclicModT(
-                       a, b, ctx.params().plaintextModulus));
-    // The independent wide-integer reference decrypt must agree bit
-    // for bit — it shares nothing with the RNS tower path.
-    EXPECT_EQ(ctx.decryptWideReference(sk, ct), got);
-}
-
-TEST(BfvMulCt, CoeffResidentOperandsMultiplyIdentically)
-{
-    BfvContext ctx(smallParams());
-    const SecretKey sk = ctx.keygen();
-    const RelinKey rk = ctx.makeRelinKey(sk, 16);
-    const auto a = randomMessage(ctx.params(), 83);
-    const auto b = randomMessage(ctx.params(), 84);
-
-    const Ciphertext ct_a = ctx.encrypt(sk, a);
-    const Ciphertext ct_b = ctx.encrypt(sk, b);
-    const Ciphertext want = ctx.mulCt(ct_a, ct_b, rk);
-
-    Ciphertext ca = ct_a, cb = ct_b;
-    ctx.toCoeff(ca);
-    ctx.toCoeff(cb);
-    expectBitIdentical(ctx.mulCt(ca, cb, rk), want, "coeff operands");
-}
-
-TEST(BfvMulCt, BitIdenticalAcrossBackendsAndSimdModes)
-{
-    BfvContext ctx(smallParams());
-    const SecretKey sk = ctx.keygen();
-    const RelinKey rk = ctx.makeRelinKey(sk, 16);
-    const auto a = randomMessage(ctx.params(), 85);
-    const auto b = randomMessage(ctx.params(), 86);
-    const auto expected =
-        naiveNegacyclicModT(a, b, ctx.params().plaintextModulus);
-
-    const Ciphertext ct_a = ctx.encrypt(sk, a);
-    const Ciphertext ct_b = ctx.encrypt(sk, b);
-    const Ciphertext host_ct = ctx.mulCt(ct_a, ct_b, rk);
-    ASSERT_EQ(ctx.decrypt(sk, host_ct), expected);
-
-    for (simd::HostSimdMode mode :
-         {simd::HostSimdMode::Scalar, simd::HostSimdMode::Native}) {
-        ModeGuard guard(mode);
-        const char *mode_name = simd::hostSimdModeName();
-
-        // Host path under this mode.
-        expectBitIdentical(ctx.mulCt(ct_a, ct_b, rk), host_ct,
-                           mode_name);
-
-        const auto run_device = [&](std::shared_ptr<RpuDevice> device,
-                                    const char *label) {
-            ctx.attachDevice(device);
-            const Ciphertext ct = ctx.mulCt(ct_a, ct_b, rk);
-            expectBitIdentical(ct, host_ct, label);
-            EXPECT_EQ(ctx.decrypt(sk, ct), expected) << label;
-            EXPECT_EQ(ctx.decryptWideReference(sk, ct), expected)
-                << label;
-        };
-        run_device(std::make_shared<RpuDevice>(), "functional-sim");
-        run_device(std::make_shared<RpuDevice>(
-                       std::make_unique<CpuReferenceBackend>()),
-                   "cpu-reference");
-    }
-}
-
-TEST(BfvMulCt, NoiseBoundedAcrossFourDeepMultiplyChain)
-{
-    // Four chained ct x ct multiplies on a q ~ 2^180 chain: the
-    // budget must shrink every level but stay positive through
-    // depth 4, and every intermediate must decrypt exactly.
-    RlweParams params;
-    params.n = 1024;
-    params.towers = 4;
-    params.towerBits = 45;
-    params.plaintextModulus = 65537;
-    params.noiseBound = 4;
-
-    BfvContext ctx(params);
-    const SecretKey sk = ctx.keygen();
-    const RelinKey rk = ctx.makeRelinKey(sk, 16);
-
-    std::vector<uint64_t> expected = randomMessage(params, 90);
-    Ciphertext ct = ctx.encrypt(sk, expected);
-    double budget = ctx.noiseBudgetBits(sk, ct, expected);
-    EXPECT_GT(budget, 100.0);
-
-    for (int depth = 1; depth <= 4; ++depth) {
-        const auto m = randomMessage(params, 90 + uint64_t(depth));
-        ct = ctx.mulCt(ct, ctx.encrypt(sk, m), rk);
-        expected = naiveNegacyclicModT(expected, m,
-                                       params.plaintextModulus);
-
-        ASSERT_EQ(ctx.decrypt(sk, ct), expected)
-            << "depth " << depth;
-        const double remaining =
-            ctx.noiseBudgetBits(sk, ct, expected);
-        EXPECT_LT(remaining, budget) << "depth " << depth;
-        EXPECT_GT(remaining, 0.0) << "depth " << depth;
-        budget = remaining;
     }
 }
 
@@ -340,11 +171,22 @@ TEST(CkksMulCt, RescaleInterplayApproximatesSlotProducts)
     const auto x = randomSlots(ctx.slots(), 31);
     const auto y = randomSlots(ctx.slots(), 32);
 
-    const CkksCiphertext prod =
-        ctx.mulCt(ctx.encrypt(sk, x), ctx.encrypt(sk, y), rk);
+    const CkksCiphertext ct_x = ctx.encrypt(sk, x);
+    const CkksCiphertext ct_y = ctx.encrypt(sk, y);
+    const CkksCiphertext prod = ctx.mulCt(ct_x, ct_y, rk);
     EXPECT_EQ(prod.towers(), ctx.params().towers);
+    EXPECT_EQ(prod.domain(), ResidueDomain::Eval);
     EXPECT_DOUBLE_EQ(prod.scale,
                      ctx.params().scale * ctx.params().scale);
+
+    // Coeff-resident operands convert on copies and multiply to the
+    // same ciphertext bit for bit.
+    CkksCiphertext coeff_x = ct_x, coeff_y = ct_y;
+    ctx.toCoeff(coeff_x);
+    ctx.toCoeff(coeff_y);
+    const CkksCiphertext via_coeff = ctx.mulCt(coeff_x, coeff_y, rk);
+    EXPECT_EQ(via_coeff.c0, prod.c0);
+    EXPECT_EQ(via_coeff.c1, prod.c1);
 
     std::vector<Cplx> want(ctx.slots());
     for (size_t i = 0; i < want.size(); ++i)
@@ -379,66 +221,54 @@ TEST(CkksMulCt, KeySwitchLedgerMatchesPrediction)
     // inner-product pairs — every one of those transforms annotated
     // as key-switch plumbing, leaving the workload transform count
     // at zero.
-    CkksContext ctx(ckksParams());
-    const CkksSecretKey sk = ctx.keygen();
-    const RelinKey rk = ctx.makeRelinKey(sk, 16);
-    const auto x = randomSlots(ctx.slots(), 33);
-    const auto y = randomSlots(ctx.slots(), 34);
-    const CkksCiphertext ct_x = ctx.encrypt(sk, x);
-    const CkksCiphertext ct_y = ctx.encrypt(sk, y);
+    //
+    // The prediction holds at every digit base, and the base is the
+    // noise-vs-work knob: a smaller base means more digits, so more
+    // key-switch transforms. On 45-bit towers 2^20 and 2^16 both
+    // split a tower into 3 digits; on 50-bit towers the three bases
+    // take 3, 4 and 5, so there the count strictly grows.
+    for (unsigned towerBits : {45u, 50u}) {
+        CkksParams params = ckksParams();
+        params.towerBits = towerBits;
+        CkksContext ctx(params);
+        const CkksSecretKey sk = ctx.keygen();
+        const CkksCiphertext ct_x =
+            ctx.encrypt(sk, randomSlots(ctx.slots(), 33));
+        const CkksCiphertext ct_y =
+            ctx.encrypt(sk, randomSlots(ctx.slots(), 34));
 
-    const auto device = std::make_shared<RpuDevice>();
-    ctx.attachDevice(device);
+        const auto device = std::make_shared<RpuDevice>();
+        ctx.attachDevice(device);
 
-    const size_t L = ctx.params().towers;
-    const uint64_t digits = rk.totalDigits(L);
-    device->resetCounters();
-    const CkksCiphertext prod = ctx.mulCt(ct_x, ct_y, rk);
-    (void)prod;
-    const DeviceStats s = device->stats();
+        const size_t L = params.towers;
+        uint64_t previous = 0;
+        for (unsigned digitBits : {20u, 16u, 10u}) {
+            const RelinKey rk = ctx.makeRelinKey(sk, digitBits);
+            const uint64_t digits = rk.totalDigits(L);
+            ASSERT_EQ(digits,
+                      L * ((towerBits + digitBits - 1) / digitBits));
+            device->resetCounters();
+            const CkksCiphertext prod = ctx.mulCt(ct_x, ct_y, rk);
+            (void)prod;
+            const DeviceStats s = device->stats();
 
-    EXPECT_EQ(s.inverseTransforms, L);
-    EXPECT_EQ(s.forwardTransforms, digits * L);
-    EXPECT_EQ(s.keySwitchTransforms, (digits + 1) * L);
-    EXPECT_EQ(s.workloadTransforms(), 0u);
-    EXPECT_EQ(s.pointwiseMuls, 4 * L + 2 * digits * L);
-    EXPECT_EQ(s.transformsElided, 4 * L);
-}
+            EXPECT_EQ(s.inverseTransforms, L);
+            EXPECT_EQ(s.forwardTransforms, digits * L);
+            // c2 leaves the tensor product in Eval, so its split
+            // inverse is key-switch plumbing too.
+            EXPECT_EQ(s.keySwitchTransforms, (digits + 1) * L);
+            EXPECT_EQ(s.workloadTransforms(), 0u);
+            EXPECT_EQ(s.pointwiseMuls, 4 * L + 2 * digits * L);
+            EXPECT_EQ(s.transformsElided, 4 * L);
 
-TEST(BfvMulCt, SmallerDigitBaseCostsMoreTransforms)
-{
-    // The digit-base knob, visible in the ledger: halving the digit
-    // width roughly doubles the re-entry forward NTTs and the
-    // inner-product launches of a multiply.
-    BfvContext ctx(smallParams());
-    const SecretKey sk = ctx.keygen();
-    const auto a = randomMessage(ctx.params(), 95);
-    const auto b = randomMessage(ctx.params(), 96);
-    const Ciphertext ct_a = ctx.encrypt(sk, a);
-    const Ciphertext ct_b = ctx.encrypt(sk, b);
-
-    const auto device = std::make_shared<RpuDevice>();
-    ctx.attachDevice(device);
-
-    uint64_t previous = 0;
-    for (unsigned digitBits : {20u, 10u}) {
-        const RelinKey rk = ctx.makeRelinKey(sk, digitBits);
-        device->resetCounters();
-        const Ciphertext ct = ctx.mulCt(ct_a, ct_b, rk);
-        const DeviceStats s = device->stats();
-        EXPECT_EQ(ctx.decrypt(sk, ct),
-                  naiveNegacyclicModT(
-                      a, b, ctx.params().plaintextModulus))
-            << "base 2^" << digitBits;
-        // Key-switch plumbing = the digit re-entry forwards plus
-        // c2's split inverse (elided here: the scale-and-round hook
-        // returns c2 already in Coeff).
-        const uint64_t L = ctx.params().towers;
-        EXPECT_EQ(s.keySwitchTransforms,
-                  rk.totalDigits(L) * L);
-        if (previous != 0)
-            EXPECT_GT(s.keySwitchTransforms, previous);
-        previous = s.keySwitchTransforms;
+            if (towerBits == 50)
+                EXPECT_GT(s.keySwitchTransforms, previous)
+                    << "base 2^" << digitBits;
+            else
+                EXPECT_GE(s.keySwitchTransforms, previous)
+                    << "base 2^" << digitBits;
+            previous = s.keySwitchTransforms;
+        }
     }
 }
 

@@ -9,20 +9,21 @@
  * across ~20 NTT primes of widths spanning the narrow domain, drives the
  * lazy butterfly kernels at their reduction boundaries, checks the
  * transforms stage-for-stage across ring dimensions that cross the
- * cache-blocking tile, and runs full BFV and CKKS pipelines under
- * both modes on every execution backend, demanding bit-identical
- * ciphertexts, decrypts, and device ledgers.
+ * cache-blocking tile, and runs full CKKS pipelines (mulPlain and
+ * mulCt, each followed by a rescale) under both modes on every
+ * execution backend, demanding bit-identical ciphertexts, decrypts,
+ * and device ledgers.
  */
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "modmath/primegen.hh"
 #include "modmath/simd.hh"
 #include "poly/ntt.hh"
 #include "poly/polynomial.hh"
-#include "rlwe/bfv.hh"
 #include "rlwe/ckks.hh"
 #include "rpu/device.hh"
 
@@ -296,150 +297,111 @@ expectStatsEqual(const DeviceStats &a, const DeviceStats &b)
     EXPECT_EQ(a.inverseTransforms, b.inverseTransforms);
     EXPECT_EQ(a.pointwiseMuls, b.pointwiseMuls);
     EXPECT_EQ(a.transformsElided, b.transformsElided);
+    EXPECT_EQ(a.keySwitchTransforms, b.keySwitchTransforms);
 }
 
 /**
- * The full BFV hot path under one mode: fresh contexts (same seeds),
- * encrypt -> add -> mulPlain -> decrypt on the given device. Returns
- * the chain ciphertext (in coefficient form) and the decrypt.
+ * The CKKS hot paths under one mode: a fresh context (same seed) on
+ * the given device, encrypt -> mulPlain -> rescale and
+ * encrypt x encrypt -> mulCt -> rescale. Returns both results'
+ * decrypts, the results themselves in coefficient form, and the
+ * device ledger.
  */
-struct BfvRun
+struct CkksRun
 {
-    Ciphertext chain;
-    std::vector<uint64_t> decrypted;
+    CkksCiphertext plainChain;
+    CkksCiphertext ctChain;
+    std::vector<std::complex<double>> plainDecrypted;
+    std::vector<std::complex<double>> ctDecrypted;
     DeviceStats stats;
 };
 
-BfvRun
-runBfvChain(simd::HostSimdMode mode, size_t towers,
-            const std::shared_ptr<RpuDevice> &device)
-{
-    ModeGuard g(mode);
-    RlweParams params;
-    params.n = 1024;
-    params.towers = towers;
-    params.towerBits = 45;
-    params.plaintextModulus = 65537;
-    params.noiseBound = 4;
-
-    BfvContext ctx(params, /*seed=*/7);
-    if (device) {
-        device->resetCounters();
-        ctx.attachDevice(device);
-    }
-    const SecretKey sk = ctx.keygen();
-
-    Rng rng(1234);
-    std::vector<uint64_t> a(params.n), b(params.n), p(params.n);
-    for (size_t i = 0; i < params.n; ++i) {
-        a[i] = rng.below64(params.plaintextModulus);
-        b[i] = rng.below64(params.plaintextModulus);
-        p[i] = rng.below64(params.plaintextModulus);
-    }
-
-    BfvRun run;
-    run.chain = ctx.add(
-        ctx.mulPlain(ctx.add(ctx.encrypt(sk, a), ctx.encrypt(sk, b)),
-                     ctx.encodePlain(p)),
-        ctx.encrypt(sk, b));
-    run.decrypted = ctx.decrypt(sk, run.chain);
-    ctx.toCoeff(run.chain);
-    if (device)
-        run.stats = device->stats();
-    return run;
-}
-
-void
-expectBfvRunsIdentical(const BfvRun &s, const BfvRun &v)
-{
-    EXPECT_EQ(s.decrypted, v.decrypted);
-    ASSERT_EQ(s.chain.towers(), v.chain.towers());
-    EXPECT_EQ(s.chain.c0.towers, v.chain.c0.towers);
-    EXPECT_EQ(s.chain.c1.towers, v.chain.c1.towers);
-}
-
-TEST(Pipelines, BfvChainBitIdenticalAcrossModesAndBackends)
-{
-    for (const size_t towers : {size_t(1), size_t(3)}) {
-        // Host-only (no device attached).
-        const BfvRun host_s =
-            runBfvChain(simd::HostSimdMode::Scalar, towers, nullptr);
-        const BfvRun host_v =
-            runBfvChain(simd::HostSimdMode::Native, towers, nullptr);
-        expectBfvRunsIdentical(host_s, host_v);
-
-        // Functional-sim backend.
-        const auto serial = std::make_shared<RpuDevice>();
-        const BfvRun ser_s =
-            runBfvChain(simd::HostSimdMode::Scalar, towers, serial);
-        const BfvRun ser_v =
-            runBfvChain(simd::HostSimdMode::Native, towers, serial);
-        expectBfvRunsIdentical(ser_s, ser_v);
-        expectStatsEqual(ser_s.stats, ser_v.stats);
-        expectBfvRunsIdentical(host_s, ser_v);
-
-        // CPU-reference backend (the non-simulator executor).
-        const auto cpuref = std::make_shared<RpuDevice>(
-            std::make_unique<CpuReferenceBackend>());
-        const BfvRun ref_s =
-            runBfvChain(simd::HostSimdMode::Scalar, towers, cpuref);
-        const BfvRun ref_v =
-            runBfvChain(simd::HostSimdMode::Native, towers, cpuref);
-        expectBfvRunsIdentical(ref_s, ref_v);
-        expectStatsEqual(ref_s.stats, ref_v.stats);
-        expectBfvRunsIdentical(host_s, ref_v);
-    }
-}
-
-/** CKKS encrypt -> mulPlain -> rescale under one mode. */
-CkksCiphertext
-runCkksChain(simd::HostSimdMode mode,
+CkksRun
+runCkksChain(simd::HostSimdMode mode, size_t towers,
              const std::shared_ptr<RpuDevice> &device)
 {
     ModeGuard g(mode);
     CkksParams params;
     params.n = 1024;
-    params.towers = 3;
+    params.towers = towers;
     params.towerBits = 45;
     params.scale = 1099511627776.0; // 2^40
     params.noiseBound = 4;
 
     CkksContext ctx(params, /*seed=*/11);
-    if (device)
+    if (device) {
+        device->resetCounters();
         ctx.attachDevice(device);
+    }
     const CkksSecretKey sk = ctx.keygen();
+    const RelinKey rk = ctx.makeRelinKey(sk);
 
     std::vector<std::complex<double>> z(ctx.slots()), w(ctx.slots());
     for (size_t i = 0; i < z.size(); ++i) {
         z[i] = std::complex<double>(double(i % 17) / 4.0, double(i % 5) - 2.0);
         w[i] = std::complex<double>(1.5, double(i % 3) / 2.0);
     }
-    CkksCiphertext out =
-        ctx.rescale(ctx.mulPlain(ctx.encrypt(sk, z), w));
-    ctx.toCoeff(out);
-    return out;
+    const CkksCiphertext ct = ctx.encrypt(sk, z);
+
+    CkksRun run;
+    run.plainChain = ctx.rescale(ctx.mulPlain(ct, w));
+    run.ctChain = ctx.rescale(ctx.mulCt(ct, ctx.encrypt(sk, w), rk));
+    run.plainDecrypted = ctx.decrypt(sk, run.plainChain);
+    run.ctDecrypted = ctx.decrypt(sk, run.ctChain);
+    ctx.toCoeff(run.plainChain);
+    ctx.toCoeff(run.ctChain);
+    if (device)
+        run.stats = device->stats();
+    return run;
+}
+
+void
+expectCkksRunsIdentical(const CkksRun &s, const CkksRun &v)
+{
+    for (const auto &[a, b] :
+         {std::pair(&s.plainChain, &v.plainChain),
+          std::pair(&s.ctChain, &v.ctChain)}) {
+        ASSERT_EQ(a->towers(), b->towers());
+        EXPECT_EQ(a->c0.towers, b->c0.towers);
+        EXPECT_EQ(a->c1.towers, b->c1.towers);
+        EXPECT_DOUBLE_EQ(a->scale, b->scale);
+    }
+    EXPECT_EQ(s.plainDecrypted, v.plainDecrypted);
+    EXPECT_EQ(s.ctDecrypted, v.ctDecrypted);
 }
 
 TEST(Pipelines, CkksMulRescaleBitIdenticalAcrossModes)
 {
-    const CkksCiphertext host_s =
-        runCkksChain(simd::HostSimdMode::Scalar, nullptr);
-    const CkksCiphertext host_v =
-        runCkksChain(simd::HostSimdMode::Native, nullptr);
-    ASSERT_EQ(host_s.towers(), host_v.towers());
-    EXPECT_EQ(host_s.c0.towers, host_v.c0.towers);
-    EXPECT_EQ(host_s.c1.towers, host_v.c1.towers);
-    EXPECT_DOUBLE_EQ(host_s.scale, host_v.scale);
+    for (const size_t towers : {size_t(2), size_t(3)}) {
+        SCOPED_TRACE(towers);
+        // Host-only (no device attached).
+        const CkksRun host_s =
+            runCkksChain(simd::HostSimdMode::Scalar, towers, nullptr);
+        const CkksRun host_v =
+            runCkksChain(simd::HostSimdMode::Native, towers, nullptr);
+        expectCkksRunsIdentical(host_s, host_v);
 
-    const auto device = std::make_shared<RpuDevice>();
-    const CkksCiphertext dev_s =
-        runCkksChain(simd::HostSimdMode::Scalar, device);
-    const CkksCiphertext dev_v =
-        runCkksChain(simd::HostSimdMode::Native, device);
-    EXPECT_EQ(dev_s.c0.towers, dev_v.c0.towers);
-    EXPECT_EQ(dev_s.c1.towers, dev_v.c1.towers);
-    EXPECT_EQ(host_s.c0.towers, dev_v.c0.towers);
-    EXPECT_EQ(host_s.c1.towers, dev_v.c1.towers);
+        // Functional-sim backend.
+        const auto serial = std::make_shared<RpuDevice>();
+        const CkksRun ser_s =
+            runCkksChain(simd::HostSimdMode::Scalar, towers, serial);
+        const CkksRun ser_v =
+            runCkksChain(simd::HostSimdMode::Native, towers, serial);
+        expectCkksRunsIdentical(ser_s, ser_v);
+        expectStatsEqual(ser_s.stats, ser_v.stats);
+        expectCkksRunsIdentical(host_s, ser_v);
+
+        // CPU-reference backend (the non-simulator executor).
+        const auto cpuref = std::make_shared<RpuDevice>(
+            std::make_unique<CpuReferenceBackend>());
+        const CkksRun ref_s =
+            runCkksChain(simd::HostSimdMode::Scalar, towers, cpuref);
+        const CkksRun ref_v =
+            runCkksChain(simd::HostSimdMode::Native, towers, cpuref);
+        expectCkksRunsIdentical(ref_s, ref_v);
+        expectStatsEqual(ref_s.stats, ref_v.stats);
+        expectCkksRunsIdentical(host_s, ref_v);
+    }
 }
 
 } // namespace

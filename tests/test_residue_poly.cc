@@ -152,7 +152,7 @@ TEST(ResiduePoly, EvalPointwiseMatchesFusedNegacyclicProduct)
 TEST(ResiduePoly, AddSubRoundTripInBothDomains)
 {
     // sub is add's exact inverse, tower for tower, in either
-    // residency — the algebra the RNS-resident BFV add/sub ride on.
+    // residency.
     const size_t towers = 2;
     Fixture fx(towers);
     ResiduePoly a = fx.randomCoeffPoly(37, towers);
