@@ -10,7 +10,14 @@
  * v = floor((2^256 - 1) / d) - 2^128 precomputed at construction
  * ("Improved division by invariant integers", IEEE TC 2011). So the
  * ISA-level semantics ("a * b mod q") hold exactly for any modulus
- * and any operand values.
+ * and any operand values. A full-width modulus (s == 0, as is every
+ * 128-bit NTT prime) runs the same division with the normalisation
+ * shifts compiled out.
+ *
+ * A hot loop may take a local copy of its Modulus: stores through a
+ * u128 pointer may alias the constants behind a reference, which
+ * forces a reload of them on every lane; a local copy cannot be
+ * aliased. The reference forward NTT and the u128 simulator lanes do.
  *
  * All public entry points take and return *plain* (non-Montgomery)
  * representatives in [0, q). Montgomery form (R = 2^128, odd moduli
@@ -71,12 +78,10 @@ class Modulus
     u128
     mul(u128 a, u128 b) const
     {
-        U256 p = mulWide(a, b);
-        // Reduced operands give p.hi < q; unreduced ones may not, and
-        // rem() needs it.
-        if (p.hi >= q_)
-            p.hi = rem(0, p.hi);
-        return rem(p.hi, p.lo);
+        // One branch per product: a full-width modulus (s == 0, as is
+        // every prime of the design sweep) takes the instance with the
+        // normalisation shifts compiled out.
+        return s_ == 0 ? mulRem<false>(a, b) : mulRem<true>(a, b);
     }
 
     /** a^e mod q. */
@@ -135,18 +140,34 @@ class Modulus
         return (u128(m) << 64) | m;
     }
 
+    /** mul() on the rem() instance @p kShift. */
+    template <bool kShift>
+    u128
+    mulRem(u128 a, u128 b) const
+    {
+        U256 p = mulWide(a, b);
+        // Reduced operands give p.hi < q; unreduced ones may not, and
+        // rem() needs it.
+        if (p.hi >= q_)
+            p.hi = rem<kShift>(0, p.hi);
+        return rem<kShift>(p.hi, p.lo);
+    }
+
     /**
      * (hi * 2^128 + lo) mod q, for hi < q: Algorithm 4 of
-     * Möller–Granlund on the dividend shifted left by s.
+     * Möller–Granlund on the dividend shifted left by s. The
+     * @p kShift = true instance needs s > 0; the false one needs
+     * s == 0, where d = q and the shifts are the identity, so it
+     * leaves them out.
      */
+    template <bool kShift>
     u128
     rem(u128 hi, u128 lo) const
     {
         // hi < q keeps the shifted top word u1 below d, as the division
-        // requires. (lo >> 1) >> (127 - s) is lo >> (128 - s) without a
-        // shift by 128 when s == 0.
-        const u128 u1 = (hi << s_) | ((lo >> 1) >> (127 - s_));
-        const u128 u0 = lo << s_;
+        // requires.
+        const u128 u1 = kShift ? (hi << s_) | (lo >> (128 - s_)) : hi;
+        const u128 u0 = kShift ? lo << s_ : lo;
         // Quotient estimate <q1, q0> = v * u1 + <u1 + 1, u0>.
         const U256 p = mulWide(v_, u1);
         const u128 q0 = p.lo + u0;
@@ -157,7 +178,7 @@ class Modulus
         r += d_ & mask(r > q0);
         if (r >= d_)
             r -= d_;
-        return r >> s_;
+        return kShift ? r >> s_ : r;
     }
 
     /** Montgomery reduction: t * 2^-128 mod q, for t < q * 2^128. */

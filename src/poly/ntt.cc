@@ -30,7 +30,9 @@ NttContext::forward(std::vector<u128> &x) const
         forwardNarrow(x);
         return;
     }
-    const Modulus &mod = tw_.modulus();
+    // A local copy: the stores to x cannot alias its constants, so the
+    // butterfly loop need not reload them after every store.
+    const Modulus mod = tw_.modulus();
 
     // m: butterflies-per-group doubles each stage; t: half-gap.
     uint64_t t = n;
@@ -58,6 +60,9 @@ NttContext::inverse(std::vector<u128> &x) const
         inverseNarrow(x);
         return;
     }
+    // Unlike forward(), a reference: a local copy measured about 3%
+    // slower here (n = 64K, 128-bit), where the longer sub-then-mul
+    // chain leaves no registers for the constants.
     const Modulus &mod = tw_.modulus();
 
     // Exact mirror of forward(): stages run backwards, each butterfly

@@ -272,21 +272,4 @@ ResidueOps::add(const ResiduePoly &a, const ResiduePoly &b) const
     return out;
 }
 
-ResiduePoly
-ResidueOps::sub(const ResiduePoly &a, const ResiduePoly &b) const
-{
-    rpu_assert(a.domain == b.domain,
-               "domain mismatch: subtraction needs both operands in "
-               "the same representation");
-    rpu_assert(a.towerCount() == b.towerCount(), "tower count mismatch");
-    ResiduePoly out;
-    out.domain = a.domain;
-    out.towers.reserve(a.towerCount());
-    for (size_t t = 0; t < a.towerCount(); ++t) {
-        out.towers.push_back(
-            polySub(basis().modulus(t), a.towers[t], b.towers[t]));
-    }
-    return out;
-}
-
 } // namespace rpu

@@ -199,9 +199,6 @@ class ResidueOps
     /** Tower-wise a + b (host); domains must match and are kept. */
     ResiduePoly add(const ResiduePoly &a, const ResiduePoly &b) const;
 
-    /** Tower-wise a - b (host); domains must match and are kept. */
-    ResiduePoly sub(const ResiduePoly &a, const ResiduePoly &b) const;
-
   private:
     /** Primes for the first @p towers of the basis. */
     std::vector<u128> prefixPrimes(size_t towers) const;

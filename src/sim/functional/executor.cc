@@ -268,10 +268,10 @@ BasicFunctionalSimulator<Word>::execCompute(const Instruction &instr)
         counts_.laneAdds += VL;
     }
 
-    const Modulus &mod = modulusFor(state_.mreg(instr.rm));
+    const Modulus &cached = modulusFor(state_.mreg(instr.rm));
     if constexpr (std::is_same_v<Word, uint64_t>) {
         const simd::NarrowModulus *nm =
-            simd::narrowLanesActive() ? mod.narrow() : nullptr;
+            simd::narrowLanesActive() ? cached.narrow() : nullptr;
         if (nm && narrowCompute(state_, instr, *nm))
             return;
     }
@@ -279,7 +279,9 @@ BasicFunctionalSimulator<Word>::execCompute(const Instruction &instr)
     // The exact reference loop. Sources are read in place through the
     // const view (reads never mark a register dirty); every lane reads
     // all of its sources before it writes, per the aliasing rule in
-    // executor.hh.
+    // executor.hh. The modulus is a local copy, so the lane stores
+    // cannot alias its constants and force their reload.
+    const Modulus mod = cached;
     const State &in = state_;
     const Word *vs = in.vreg(instr.vs).data();
     const auto lane = [this](u128 v) { return state_.toLane(v); };

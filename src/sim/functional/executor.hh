@@ -75,12 +75,15 @@ class ModulusContextCache
  * Executes B512 programs against a BasicArchState<Word>.
  *
  * Lane arithmetic: the u128 simulator runs every compute op through
- * the exact per-lane Modulus loop, the reference semantics. The u64
- * simulator, with narrow lanes active (RPU_HOST_SIMD) and a modulus in
- * the narrow-kernel domain, runs the vectorised simd:: kernels in
- * place on the register file when every source lane is canonical,
- * and the same exact loop otherwise; a lane result of 2^64 or more
- * is truncated and recorded (BasicArchState::truncated()).
+ * the exact per-lane Modulus loop, the reference semantics. The loop
+ * works on a local copy of the modulus, so lane stores cannot alias
+ * its constants, and a full-width modulus (every 128-bit NTT prime)
+ * takes mul()'s shift-free branch. The u64 simulator, with narrow
+ * lanes active (RPU_HOST_SIMD) and a modulus in the narrow-kernel
+ * domain, runs the vectorised simd:: kernels in place on the register
+ * file when every source lane is canonical, and the same exact loop
+ * otherwise; a lane result of 2^64 or more is truncated and recorded
+ * (BasicArchState::truncated()).
  *
  * Lane-wise aliasing rule: a destination register may alias any of
  * its instruction's sources, and the result is what hardware with

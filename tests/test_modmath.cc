@@ -194,6 +194,13 @@ TEST(ModulusOracle, EveryWidthOddAndEvenAnyOperands)
     for (u128 q : {two64 - 59, two64 + 13, two127 - 1, two127 + 1,
                    ~u128(0) - 158, ~u128(0) - 1})
         expectExactOn(q, rng);
+    // The design sweep's primes are full-width, so its products take
+    // mul()'s shift-free branch.
+    for (uint64_t n : {1024u, 4096u, 16384u, 65536u}) {
+        const u128 q = nttPrime(128, n);
+        EXPECT_EQ(Modulus(q).bits(), 128u) << "n=" << n;
+        expectExactOn(q, rng);
+    }
 }
 
 TEST(Modulus, PowMatchesRepeatedMul)

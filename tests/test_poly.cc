@@ -66,16 +66,21 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Ntt, PlainAndMontgomeryPathsAgree)
 {
-    Ring ring(1024, 124);
-    Rng rng(2);
-    std::vector<u128> a = randomPoly(*ring.mod, 1024, rng);
-    std::vector<u128> b = a;
-    ring.ntt->forward(a);
-    ring.ntt->forwardPlain(b);
-    EXPECT_EQ(a, b);
-    ring.ntt->inverse(a);
-    ring.ntt->inversePlain(b);
-    EXPECT_EQ(a, b);
+    // (65536, 128) is the design sweep's ring, where the plain loop's
+    // mul() takes the shift-free branch.
+    for (auto [n, bits] : {std::pair{1024ull, 124u},
+                           std::pair{65536ull, 128u}}) {
+        Ring ring(n, bits);
+        Rng rng(2);
+        std::vector<u128> a = randomPoly(*ring.mod, n, rng);
+        std::vector<u128> b = a;
+        ring.ntt->forward(a);
+        ring.ntt->forwardPlain(b);
+        EXPECT_EQ(a, b) << "n=" << n;
+        ring.ntt->inverse(a);
+        ring.ntt->inversePlain(b);
+        EXPECT_EQ(a, b) << "n=" << n;
+    }
 }
 
 TEST(Ntt, Linearity)

@@ -149,22 +149,26 @@ TEST(ResiduePoly, EvalPointwiseMatchesFusedNegacyclicProduct)
         EXPECT_EQ(prod.towers[t], fused[t]) << "tower " << t;
 }
 
-TEST(ResiduePoly, AddSubRoundTripInBothDomains)
+TEST(ResiduePoly, AddMatchesPolyAddInBothDomains)
 {
-    // sub is add's exact inverse, tower for tower, in either
-    // residency.
+    // add is polyAdd tower for tower, in either residency, and keeps
+    // the operands' domain.
     const size_t towers = 2;
     Fixture fx(towers);
     ResiduePoly a = fx.randomCoeffPoly(37, towers);
     ResiduePoly b = fx.randomCoeffPoly(41, towers);
 
-    const ResiduePoly coeff_rt = fx.ops.sub(fx.ops.add(a, b), b);
-    EXPECT_EQ(coeff_rt, a);
-
-    fx.ops.convert({&a, &b}, ResidueDomain::Eval);
-    const ResiduePoly eval_rt = fx.ops.sub(fx.ops.add(a, b), b);
-    EXPECT_EQ(eval_rt, a);
-    EXPECT_TRUE(eval_rt.inEval());
+    for (ResidueDomain domain : {ResidueDomain::Coeff, ResidueDomain::Eval}) {
+        fx.ops.convert({&a, &b}, domain);
+        const ResiduePoly sum = fx.ops.add(a, b);
+        EXPECT_EQ(sum.domain, domain);
+        ASSERT_EQ(sum.towerCount(), towers);
+        for (size_t t = 0; t < towers; ++t) {
+            EXPECT_EQ(sum.towers[t], polyAdd(fx.basis.modulus(t),
+                                             a.towers[t], b.towers[t]))
+                << "tower " << t;
+        }
+    }
 }
 
 TEST(ResiduePoly, SharedRightOperandAndPrefixLevels)
