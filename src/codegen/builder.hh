@@ -128,6 +128,39 @@ class KernelBuilder
     unsigned modReg() const { return mod_reg_; }
     unsigned ninvSreg() const { return ninv_sreg_; }
 
+    /**
+     * The registers one tower's emission goes through: its modulus
+     * register, its n^-1 scalar and its data region's ARF and base,
+     * as beginTower / beginTowerNinv / beginDataRegion last set them.
+     */
+    struct TowerRegs
+    {
+        unsigned modReg;
+        unsigned ninvSreg;
+        unsigned dataAreg;
+        uint64_t dataBase;
+    };
+
+    TowerRegs
+    towerRegs() const
+    {
+        return {mod_reg_, ninv_sreg_, data_areg_, data_base_};
+    }
+
+    /**
+     * Make @p regs current without emitting anything: how a kernel
+     * whose towers' registers were all loaded up front moves between
+     * towers.
+     */
+    void
+    switchTower(const TowerRegs &regs)
+    {
+        mod_reg_ = regs.modReg;
+        ninv_sreg_ = regs.ninvSreg;
+        data_areg_ = regs.dataAreg;
+        data_base_ = regs.dataBase;
+    }
+
     /** Load data vector-register index @p vreg_index (contiguous). */
     void emitDataLoad(unsigned reg, uint32_t vreg_index);
 

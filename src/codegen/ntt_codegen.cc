@@ -1,6 +1,8 @@
 #include "codegen/ntt_codegen.hh"
 
 #include <algorithm>
+#include <array>
+#include <span>
 
 #include "codegen/builder.hh"
 #include "codegen/scheduler.hh"
@@ -49,36 +51,136 @@ planPasses(uint64_t vregs)
     return plan;
 }
 
-/** Generator state shared by the pass emitters. */
+/**
+ * Lockstep width (see emitLockstep). Between steps every tower of a
+ * lockstep group holds its final-pass register group live: 2
+ * registers at n = 1024, 4 at 2048, 8 from 4096. Beside the
+ * broadcast cache's 18 and one step's own temporaries (at most 13:
+ * the pair's unpack and butterfly outputs, a composed twiddle's tree
+ * and the inverse butterfly's difference), kLockstepRegs of them
+ * leave the FIFO pool at least 16 registers to rotate through; at 32
+ * it has none, and 4 towers of 8 registers measured slower than 2 on
+ * inverse kernels. Past 4 towers the interleave stops paying (16
+ * towers at n = 1024: 2226 cycles forward at 4, 2311 at 8). So 4
+ * towers at 1K and 2K, 2 from 4K.
+ */
+constexpr unsigned kLockstepTowers = 4;
+constexpr unsigned kLockstepRegs = 16;
+
+/**
+ * One tower's transform. The generator captures the builder's tower
+ * registers when it is made; emitLockstep runs several generators'
+ * final passes step by step, and each generator keeps its final-pass
+ * register group between its steps.
+ */
 class NttGenerator
 {
   public:
     NttGenerator(const TwiddleTable &tw, KernelBuilder &builder,
-                 bool inverse)
-        : tw_(tw), b_(builder), inverse_(inverse),
-          vregs_(tw.n() / VL), log_v_(log2Floor(tw.n() / VL))
+                 bool inverse, const KernelPlan &plan)
+        : tw_(tw), b_(builder), inverse_(inverse), plan_(plan),
+          regs_(builder.towerRegs()), vregs_(tw.n() / VL),
+          log_v_(log2Floor(tw.n() / VL)),
+          group_(1u << plan.finalVerticalStages)
     {
     }
 
-    void
-    emitForward(const KernelPlan &plan)
-    {
-        for (const auto &pass : plan.verticalPasses)
-            verticalPass(pass.startStage, pass.depth, false);
-        finalPass(plan.finalVerticalStages, false);
-    }
+    bool inverse() const { return inverse_; }
+    const KernelBuilder::TowerRegs &towerRegs() const { return regs_; }
 
+    /** The whole transform, this tower alone. */
+    void emit();
+
+    /**
+     * The vertical rectangles: all of them before the final pass
+     * forward, in reverse after it inverse, where the n^-1 scaling
+     * folds into the last.
+     */
     void
-    emitInverse(const KernelPlan &plan)
+    verticalPasses()
     {
-        // Exact mirror: the final (intra) pass runs first, then the
-        // vertical rectangles in reverse. The n^-1 scaling folds into
-        // whichever pass touches the data last.
-        const bool only_pass = plan.verticalPasses.empty();
-        finalPass(plan.finalVerticalStages, only_pass);
-        for (size_t p = plan.verticalPasses.size(); p-- > 0;) {
-            const auto &pass = plan.verticalPasses[p];
+        if (!inverse_) {
+            for (const auto &pass : plan_.verticalPasses)
+                verticalPass(pass.startStage, pass.depth, false);
+            return;
+        }
+        for (size_t p = plan_.verticalPasses.size(); p-- > 0;) {
+            const auto &pass = plan_.verticalPasses[p];
             verticalPass(pass.startStage, pass.depth, p == 0);
+        }
+    }
+
+    /** Register groups of the final pass. */
+    unsigned finalGroups() const { return unsigned(vregs_) / group_; }
+
+    /**
+     * Steps of one final-pass group: its loads, its F vertical
+     * stages, and per register pair the nine intra stages plus the
+     * unpack and stores (forward) or the undo of that unpack plus the
+     * nine stages (inverse), whose stores are one more step.
+     */
+    unsigned
+    finalSteps() const
+    {
+        return 1 + plan_.finalVerticalStages + 10 * (group_ / 2) +
+               (inverse_ ? 1 : 0);
+    }
+
+    /**
+     * Step @p k of final-pass group @p g: groups of 2^F consecutive
+     * registers run the last F vertical stages plus all nine
+     * intra-register stages per pair. Run in order, the steps of a
+     * group are the whole group.
+     */
+    void
+    finalStep(unsigned g, unsigned k)
+    {
+        const unsigned f = plan_.finalVerticalStages;
+        const unsigned s0 = log_v_ - f;
+        const std::span<unsigned> regs(group_regs_.data(), group_);
+        if (k == 0) {
+            for (unsigned i = 0; i < group_; ++i) {
+                regs[i] = b_.allocReg();
+                b_.emitDataLoad(regs[i], g * group_ + i);
+            }
+            return;
+        }
+        --k;
+        if (!inverse_) {
+            if (k < f) {
+                groupStage(regs, s0, f, k);
+                return;
+            }
+            k -= f;
+            unsigned &a = regs[2 * (k / 10)];
+            unsigned &b = regs[2 * (k / 10) + 1];
+            if (k % 10 < 9)
+                intraForwardStage(a, b, k % 10);
+            else
+                intraForwardStore(a, b); // stores and frees the pair
+            return;
+        }
+        if (k < 10 * (group_ / 2)) {
+            unsigned &a = regs[2 * (k / 10)];
+            unsigned &b = regs[2 * (k / 10) + 1];
+            if (k % 10 == 0)
+                intraInverseUnpack(a, b);
+            else
+                intraInverseStage(a, b, 9 - k % 10);
+            return;
+        }
+        k -= 10 * (group_ / 2);
+        if (k < f) {
+            groupStage(regs, s0, f, f - 1 - k);
+            return;
+        }
+        // The inverse's n^-1 lands here when no rectangle follows.
+        const bool scale = plan_.verticalPasses.empty();
+        for (unsigned reg : regs) {
+            if (scale)
+                b_.emitScaleByNinv(reg);
+            b_.emitDataStore(reg);
+            b_.freeReg(reg);
         }
     }
 
@@ -115,9 +217,10 @@ class NttGenerator
         const unsigned group = 1u << depth;
         const unsigned window = 2 * gv0;
 
+        std::array<unsigned, 16> storage;
+        const std::span<unsigned> regs(storage.data(), group);
         for (unsigned base = 0; base < vregs_; base += window) {
             for (unsigned j0 = 0; j0 < gstep; ++j0) {
-                std::vector<unsigned> regs(group);
                 for (unsigned k = 0; k < group; ++k) {
                     regs[k] = b_.allocReg();
                     b_.emitDataLoad(regs[k],
@@ -142,7 +245,7 @@ class NttGenerator
 
     /** All butterflies of stage (start_stage + e) inside one group. */
     void
-    groupStage(std::vector<unsigned> &regs, unsigned start_stage,
+    groupStage(std::span<unsigned> regs, unsigned start_stage,
                unsigned depth, unsigned e)
     {
         const unsigned stage = start_stage + e;
@@ -158,67 +261,32 @@ class NttGenerator
     }
 
     /**
-     * The final pass: groups of 2^F consecutive registers run the last
-     * F vertical stages plus all nine intra-register stages per pair.
+     * Constant-geometry stage @p d (of nine) on one 1024-element block
+     * held in registers (A, B): unpack, then butterfly into fresh
+     * registers, which replace A and B.
      */
     void
-    finalPass(unsigned f_stages, bool scale_at_end)
+    intraForwardStage(unsigned &a, unsigned &b, unsigned d)
     {
-        const unsigned group = 1u << f_stages;
-        const unsigned s0 = log_v_ - f_stages;
-
-        for (unsigned base = 0; base < vregs_; base += group) {
-            std::vector<unsigned> regs(group);
-            for (unsigned k = 0; k < group; ++k) {
-                regs[k] = b_.allocReg();
-                b_.emitDataLoad(regs[k], base + k);
-            }
-
-            if (!inverse_) {
-                for (unsigned e = 0; e < f_stages; ++e)
-                    groupStage(regs, s0, f_stages, e);
-                for (unsigned u = 0; u < group; u += 2)
-                    intraForwardPair(regs[u], regs[u + 1]);
-                // intraForwardPair stores and frees its registers.
-            } else {
-                for (unsigned u = 0; u < group; u += 2)
-                    intraInversePair(regs[u], regs[u + 1]);
-                for (unsigned e = f_stages; e-- > 0;)
-                    groupStage(regs, s0, f_stages, e);
-                for (unsigned k = 0; k < group; ++k) {
-                    if (scale_at_end)
-                        b_.emitScaleByNinv(regs[k]);
-                    b_.emitDataStore(regs[k]);
-                    b_.freeReg(regs[k]);
-                }
-            }
-        }
+        const unsigned x = b_.allocReg();
+        b_.emitShuffle(Opcode::UNPKLO, x, a, b);
+        const unsigned y = b_.allocReg();
+        b_.emitShuffle(Opcode::UNPKHI, y, a, b);
+        b_.freeReg(a);
+        b_.freeReg(b);
+        const unsigned p = b_.allocReg();
+        const unsigned q = b_.allocReg();
+        emitStageButterfly(log_v_ + d, p, q, x, y);
+        b_.freeReg(x);
+        b_.freeReg(y);
+        a = p;
+        b = q;
     }
 
-    /**
-     * Nine constant-geometry stages on one 1024-element block held in
-     * registers (A, B), ending with the layout-restoring unpack and
-     * contiguous stores.
-     */
+    /** The layout-restoring unpack and contiguous stores of a block. */
     void
-    intraForwardPair(unsigned a, unsigned b)
+    intraForwardStore(unsigned a, unsigned b)
     {
-        for (unsigned d = 0; d < 9; ++d) {
-            const unsigned stage = log_v_ + d;
-            const unsigned x = b_.allocReg();
-            b_.emitShuffle(Opcode::UNPKLO, x, a, b);
-            const unsigned y = b_.allocReg();
-            b_.emitShuffle(Opcode::UNPKHI, y, a, b);
-            b_.freeReg(a);
-            b_.freeReg(b);
-            const unsigned p = b_.allocReg();
-            const unsigned q = b_.allocReg();
-            emitStageButterfly(stage, p, q, x, y);
-            b_.freeReg(x);
-            b_.freeReg(y);
-            a = p;
-            b = q;
-        }
         const unsigned x = b_.allocReg();
         b_.emitShuffle(Opcode::UNPKLO, x, a, b);
         const unsigned y = b_.allocReg();
@@ -231,48 +299,92 @@ class NttGenerator
         b_.freeReg(y);
     }
 
-    /**
-     * Mirror of intraForwardPair. On return the pair registers are
-     * replaced in place (caller's reg array stays valid) holding the
-     * natural pre-intra layout.
-     */
+    /** Undo the forward pass's final unpack; (A, B) are replaced. */
     void
-    intraInversePair(unsigned &a_ref, unsigned &b_ref)
+    intraInverseUnpack(unsigned &a, unsigned &b)
     {
-        unsigned a = a_ref, b = b_ref;
-        // Undo the forward pass's final unpack.
-        unsigned x = b_.allocReg();
+        const unsigned x = b_.allocReg();
         b_.emitShuffle(Opcode::PKLO, x, a, b);
-        unsigned y = b_.allocReg();
+        const unsigned y = b_.allocReg();
         b_.emitShuffle(Opcode::PKHI, y, a, b);
         b_.freeReg(a);
         b_.freeReg(b);
+        a = x;
+        b = y;
+    }
 
-        for (unsigned d = 9; d-- > 0;) {
-            const unsigned stage = log_v_ + d;
-            const unsigned p = b_.allocReg();
-            const unsigned q = b_.allocReg();
-            emitStageButterfly(stage, p, q, x, y);
-            b_.freeReg(x);
-            b_.freeReg(y);
-            // Undo this stage's forward unpack.
-            x = b_.allocReg();
-            b_.emitShuffle(Opcode::PKLO, x, p, q);
-            y = b_.allocReg();
-            b_.emitShuffle(Opcode::PKHI, y, p, q);
-            b_.freeReg(p);
-            b_.freeReg(q);
-        }
-        a_ref = x;
-        b_ref = y;
+    /**
+     * Mirror of intraForwardStage: butterfly, then undo stage @p d's
+     * forward unpack. After stage 0 the pair holds the natural
+     * pre-intra layout.
+     */
+    void
+    intraInverseStage(unsigned &a, unsigned &b, unsigned d)
+    {
+        const unsigned p = b_.allocReg();
+        const unsigned q = b_.allocReg();
+        emitStageButterfly(log_v_ + d, p, q, a, b);
+        b_.freeReg(a);
+        b_.freeReg(b);
+        a = b_.allocReg();
+        b_.emitShuffle(Opcode::PKLO, a, p, q);
+        b = b_.allocReg();
+        b_.emitShuffle(Opcode::PKHI, b, p, q);
+        b_.freeReg(p);
+        b_.freeReg(q);
     }
 
     const TwiddleTable &tw_;
     KernelBuilder &b_;
     bool inverse_;
+    const KernelPlan &plan_;
+    KernelBuilder::TowerRegs regs_;
     uint64_t vregs_;
     unsigned log_v_;
+    unsigned group_;
+    /** The final-pass group in flight between finalStep calls. */
+    std::array<unsigned, 8> group_regs_{};
 };
+
+/**
+ * Emit the transforms of @p gens, one per tower and all in one
+ * direction, with their final passes in lockstep: step k of every
+ * tower's final-pass group before step k + 1 of any, each under its
+ * own tower's registers. Towers share the register pool, so a
+ * tower-after-tower order makes one tower's register reuse wait on
+ * the last's; interleaved, the towers' stages are independent work
+ * the scheduler overlaps (paper section IV-B5, "process different
+ * towers simultaneously"). The vertical rectangles, which reuse
+ * cached broadcasts across register groups, stay tower after tower.
+ * One generator is emitted exactly as a whole transform.
+ */
+void
+emitLockstep(std::span<NttGenerator> gens, KernelBuilder &builder)
+{
+    const auto each = [&](const auto &step) {
+        for (NttGenerator &gen : gens) {
+            builder.switchTower(gen.towerRegs());
+            step(gen);
+        }
+    };
+    const auto vertical = [](NttGenerator &gen) { gen.verticalPasses(); };
+    const bool inverse = gens.front().inverse();
+    if (!inverse)
+        each(vertical);
+    const NttGenerator &first = gens.front();
+    for (unsigned g = 0; g < first.finalGroups(); ++g) {
+        for (unsigned k = 0; k < first.finalSteps(); ++k)
+            each([&](NttGenerator &gen) { gen.finalStep(g, k); });
+    }
+    if (inverse)
+        each(vertical);
+}
+
+void
+NttGenerator::emit()
+{
+    emitLockstep(std::span(this, 1), b_);
+}
 
 /**
  * Shared tower validation: one to kMaxBatchedTowers towers over one
@@ -395,13 +507,16 @@ generateBatchedNtt(const std::vector<const TwiddleTable *> &towers,
     builder.emitPrologue(opts.inverse);
     const KernelPlan plan = planPasses(n / VL);
 
+    // Every tower's modulus register, n^-1 scalar and data ARF are
+    // loaded up front; towers are register- and memory-independent,
+    // and emission moves between them by switchTower alone.
+    std::vector<NttGenerator> gens;
+    gens.reserve(towers.size());
     for (size_t t = 0; t < towers.size(); ++t) {
         kernel.moduli.push_back(towers[t]->modulus().value());
         kernel.regions.push_back(
             {"t" + std::to_string(t), t * n, n, true, true});
         if (t > 0) {
-            // Per-tower modulus register and data region: towers are
-            // fully independent, so the scheduler interleaves them.
             builder.beginTower(towers[t]->modulus().value(),
                                unsigned(1 + t));
             if (opts.inverse)
@@ -409,11 +524,18 @@ generateBatchedNtt(const std::vector<const TwiddleTable *> &towers,
                                        unsigned(2 + t));
             builder.beginDataRegion(unsigned(4 + (t - 1)), t * n);
         }
-        NttGenerator gen(*towers[t], builder, opts.inverse);
-        if (opts.inverse)
-            gen.emitInverse(plan);
-        else
-            gen.emitForward(plan);
+        gens.emplace_back(*towers[t], builder, opts.inverse, plan);
+    }
+    // Lockstep groups of at most `width` towers, sizes within one of
+    // each other (5 towers run as 3 + 2, not 4 + 1).
+    const size_t width = std::min(
+        kLockstepTowers, kLockstepRegs >> plan.finalVerticalStages);
+    const size_t groups = (gens.size() + width - 1) / width;
+    for (size_t g = 0, first = 0; g < groups; ++g) {
+        const size_t count =
+            gens.size() / groups + (g < gens.size() % groups ? 1 : 0);
+        emitLockstep(std::span(gens).subspan(first, count), builder);
+        first += count;
     }
 
     finalizeImage(kernel, builder, opts,
@@ -455,15 +577,15 @@ generateBatchedPolyMul(const std::vector<const TwiddleTable *> &towers,
         // Forward transform of both operands, each through its own
         // ARF base so the scheduler can interleave them.
         builder.beginDataRegion(aAreg(t), 2 * t * n);
-        NttGenerator(*towers[t], builder, false).emitForward(plan);
+        NttGenerator(*towers[t], builder, false, plan).emit();
         builder.beginDataRegion(bAreg(t), 2 * t * n + n);
-        NttGenerator(*towers[t], builder, false).emitForward(plan);
+        NttGenerator(*towers[t], builder, false, plan).emit();
 
         emitPointwiseRegion(builder, n, aAreg(t), bAreg(t));
 
         // Inverse transform of the product, back in region a.
         builder.beginDataRegion(aAreg(t), 2 * t * n);
-        NttGenerator(*towers[t], builder, true).emitInverse(plan);
+        NttGenerator(*towers[t], builder, true, plan).emit();
     }
 
     finalizeImage(kernel, builder, opts,

@@ -325,10 +325,14 @@ TEST(Codegen, GoldenDigests)
         // instructions and 2921 cycles, one of each more than the
         // single-ring polymul this digest first pinned.
         {"polymul4096", 0x8d82d7358aa112c8ull},
-        {"batched_ntt1024x3", 0x199ef9446fb0b57cull},
+        // The batched transforms emit their towers in lockstep (see
+        // Codegen.LockstepBatchedNtt): same instruction count and mix,
+        // reordered and reassigned registers, 741 -> 527 cycles
+        // forward and 771 -> 556 inverse.
+        {"batched_ntt1024x3", 0xd46a17378d1a750eull},
         {"batched_pointwise1024x3", 0x998c5b7e9b3c1162ull},
         {"batched_polymul1024x3", 0x107a05852819432cull},
-        {"batched_intt1024x3", 0x7cf40605747d0dafull},
+        {"batched_intt1024x3", 0x5ec5758b708a5ee3ull},
     };
     const std::vector<GoldenCase> got = computeGoldenDigests();
     ASSERT_EQ(got.size(), std::size(pinned));
@@ -336,6 +340,57 @@ TEST(Codegen, GoldenDigests)
         EXPECT_EQ(got[i].name, pinned[i].name);
         EXPECT_EQ(got[i].digest, pinned[i].digest)
             << got[i].name << " digest 0x" << std::hex << got[i].digest;
+    }
+}
+
+TEST(Codegen, LockstepBatchedNtt)
+{
+    // Lockstep emission reorders a batched transform and reassigns its
+    // registers; every tower still runs the one-tower program body, so
+    // the instruction counts are those of tower-after-tower emission
+    // (206 / 275 at 3 towers, 1090 / 1458 at 16), while the cycles
+    // fall from 741 / 771 and 3364 / 3630.
+    const struct
+    {
+        size_t towers;
+        bool inverse;
+        size_t instructions;
+        uint64_t cycles;
+    } pinned[] = {{3, false, 206, 527},
+                  {3, true, 275, 556},
+                  {16, false, 1090, 2226},
+                  {16, true, 1458, 2710}};
+    const RpuConfig cfg = designPoint(128, 128);
+    for (const auto &p : pinned) {
+        std::vector<std::unique_ptr<Ring>> rings;
+        std::vector<const TwiddleTable *> tables;
+        for (u128 q : nttPrimes(45, 1024, p.towers)) {
+            rings.push_back(std::make_unique<Ring>(q, 1024));
+            tables.push_back(&rings.back()->tw);
+        }
+        NttCodegenOptions opts;
+        opts.inverse = p.inverse;
+        opts.scheduleConfig = cfg;
+        const KernelImage batch = generateBatchedNtt(tables, opts);
+        const KernelImage one = generateBatchedNtt({tables[0]}, opts);
+        SCOPED_TRACE(testing::Message() << p.towers << " towers "
+                                        << (p.inverse ? "inverse" : "forward"));
+
+        EXPECT_EQ(batch.program.size(), p.instructions);
+        EXPECT_EQ(simulateCycles(batch.program, cfg).cycles, p.cycles);
+
+        // The mix is the one-tower body per tower plus each further
+        // tower's MLOAD and ALOAD (and SLOAD of n^-1 inverse).
+        const InstructionMix m = batch.program.mix();
+        const InstructionMix m1 = one.program.mix();
+        const uint64_t t = p.towers;
+        EXPECT_EQ(m.loads, t * m1.loads);
+        EXPECT_EQ(m.stores, t * m1.stores);
+        EXPECT_EQ(m.broadcasts, t * m1.broadcasts);
+        EXPECT_EQ(m.compute, t * m1.compute);
+        EXPECT_EQ(m.butterflies, t * m1.butterflies);
+        EXPECT_EQ(m.shuffles, t * m1.shuffles);
+        EXPECT_EQ(m.scalarLs, m1.scalarLs + (t - 1) * (p.inverse ? 3 : 2));
     }
 }
 
