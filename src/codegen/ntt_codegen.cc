@@ -110,16 +110,16 @@ towerSetupSize(bool ninv, unsigned aloads)
 
 /**
  * Lockstep width (see emitLockstep). Between steps every tower of a
- * lockstep group holds its final-pass register group live: 2
- * registers at n = 1024, 4 at 2048, 8 from 4096. Beside the
- * broadcast cache's 18 and one step's own temporaries (at most 13:
- * the pair's unpack and butterfly outputs, a composed twiddle's tree
- * and the inverse butterfly's difference), kLockstepRegs of them
- * leave the FIFO pool at least 16 registers to rotate through; at 32
- * it has none, and 4 towers of 8 registers measured slower than 2 on
- * inverse kernels. Past 4 towers the interleave stops paying (16
- * towers at n = 1024: 2226 cycles forward at 4, 2311 at 8). So 4
- * towers at 1K and 2K, 2 from 4K.
+ * lockstep group holds its final-pass register group live (2
+ * registers at n = 1024, 4 at 2048, 8 from 4096) beside the
+ * broadcast cache and one step's temporaries, and what is left of the
+ * 63-register pool is the FIFO's reuse distance. With 32 group
+ * registers in flight (4 towers from 4K) inverse kernels measured
+ * slower than tower after tower (3860 -> 3963 cycles, 4 towers at
+ * 4K), so groups hold at most kLockstepRegs. Past 4 towers the
+ * interleave stops paying (16 towers at 1K: 2226 cycles forward in
+ * groups of 4, 2311 in groups of 8). So 4 towers at 1K and 2K, 2 from
+ * 4K.
  */
 constexpr unsigned kLockstepTowers = 4;
 constexpr unsigned kLockstepRegs = 16;
