@@ -53,14 +53,6 @@ KernelBuilder::KernelBuilder(const TwiddleTable &tw, bool optimized,
     bcast_.reserve(kBroadcastCacheCap);
 }
 
-void
-KernelBuilder::reserve(size_t instructions, size_t plan_vectors)
-{
-    constexpr size_t kPrologue = 5; // MLOAD, three ALOADs, n^-1 SLOAD
-    prog_.instructions().reserve(kPrologue + instructions);
-    twplan_image_.reserve(plan_vectors * VL);
-}
-
 unsigned
 KernelBuilder::allocReg()
 {

@@ -69,13 +69,6 @@ class KernelBuilder
     LayoutOracle &oracle() { return oracle_; }
     bool optimized() const { return optimized_; }
 
-    /**
-     * Reserve the program for @p instructions past the prologue and
-     * the twiddle plan for @p plan_vectors, so neither grows by
-     * doubling while the kernel is emitted.
-     */
-    void reserve(size_t instructions, size_t plan_vectors);
-
     // -- Register pool -------------------------------------------------
 
     unsigned allocReg();

@@ -51,63 +51,6 @@ planPasses(uint64_t vregs)
     return plan;
 }
 
-/** What one tower's part of a kernel adds to its program and plan. */
-struct KernelSize
-{
-    size_t instructions = 0;
-    size_t planVectors = 0;
-
-    KernelSize
-    operator+(const KernelSize &o) const
-    {
-        return {instructions + o.instructions, planVectors + o.planVectors};
-    }
-};
-
-/**
- * One n-point transform's size, for KernelBuilder::reserve. The plan
- * count is exact: intra stage d's pattern holds 2^(d+1) distinct
- * twiddles, so with composition the first log2(kMaxComposeLeaves)
- * stages are broadcast/unpack trees, and every other intra stage of
- * every register pair loads a plan vector of its own. The instruction
- * count is a bound, within 10% of the program: it charges every
- * vertical butterfly a broadcast the broadcast cache may save.
- */
-KernelSize
-transformSize(uint64_t n, const KernelPlan &plan, bool inverse,
-              bool compose)
-{
-    const uint64_t vregs = n / VL;
-    const uint64_t pairs = vregs / 2;
-    const unsigned composed =
-        compose ? log2Floor(KernelBuilder::kMaxComposeLeaves) : 0;
-    // The inverse butterfly is a VSUBMOD, VADDMOD, VMULMOD triple.
-    const uint64_t butterfly = inverse ? 3 : 1;
-    uint64_t twiddles = 9 - composed; // plan loads
-    for (unsigned d = 0; d < composed; ++d)
-        twiddles += 2 * (2u << d) - 1; // broadcast leaves + unpacks
-    const uint64_t instructions =
-        2 * vregs * (plan.verticalPasses.size() + 1) +   // loads, stores
-        log2Floor(vregs) * pairs * (butterfly + 1) +     // + broadcasts
-        pairs * (9 * (2 + butterfly) + twiddles + 2) +   // intra stages
-        (inverse ? vregs : 0);                           // n^-1 scaling
-    return {size_t(instructions), size_t(pairs * (9 - composed))};
-}
-
-/** The pointwise product of one tower: load, load, multiply, store. */
-KernelSize
-pointwiseSize(uint64_t n)
-{
-    return {size_t(4 * (n / VL)), 0};
-}
-
-/** A tower's MLOAD, its n^-1 SLOAD if any and @p aloads ALOADs. */
-KernelSize
-towerSetupSize(bool ninv, unsigned aloads)
-{
-    return {size_t(1 + ninv + aloads), 0};
-}
-
 /**
  * Lockstep width (see emitLockstep). Between steps every tower of a
  * lockstep group holds its final-pass register group live (2
@@ -561,13 +504,8 @@ generateBatchedNtt(const std::vector<const TwiddleTable *> &towers,
 
     KernelBuilder builder(*towers[0], opts.optimized,
                           towers.size() * n, opts.twiddleCompose);
-    const KernelPlan plan = planPasses(n / VL);
-    const KernelSize tower =
-        towerSetupSize(opts.inverse, 1) +
-        transformSize(n, plan, opts.inverse, opts.twiddleCompose);
-    builder.reserve(towers.size() * tower.instructions,
-                    towers.size() * tower.planVectors);
     builder.emitPrologue(opts.inverse);
+    const KernelPlan plan = planPasses(n / VL);
 
     // Every tower's modulus register, n^-1 scalar and data ARF are
     // loaded up front; towers are register- and memory-independent,
@@ -624,17 +562,8 @@ generateBatchedPolyMul(const std::vector<const TwiddleTable *> &towers,
 
     KernelBuilder builder(*towers[0], opts.optimized,
                           2 * towers.size() * n, opts.twiddleCompose);
-    const KernelPlan plan = planPasses(n / VL);
-    // Both operands' forward transforms share their plan vectors.
-    const KernelSize forward =
-        transformSize(n, plan, false, opts.twiddleCompose);
-    const KernelSize tower =
-        towerSetupSize(true, 3) + KernelSize{forward.instructions, 0} +
-        forward + transformSize(n, plan, true, opts.twiddleCompose) +
-        pointwiseSize(n);
-    builder.reserve(towers.size() * tower.instructions,
-                    towers.size() * tower.planVectors);
     builder.emitPrologue(true); // tower 0's inverse phase scales by n^-1
+    const KernelPlan plan = planPasses(n / VL);
 
     for (size_t t = 0; t < towers.size(); ++t) {
         kernel.moduli.push_back(towers[t]->modulus().value());
@@ -679,8 +608,6 @@ generateBatchedPointwiseMul(const std::vector<const TwiddleTable *> &towers,
 
     KernelBuilder builder(*towers[0], opts.optimized,
                           2 * towers.size() * n, opts.twiddleCompose);
-    const KernelSize tower = towerSetupSize(false, 2) + pointwiseSize(n);
-    builder.reserve(towers.size() * tower.instructions, 0);
     builder.emitPrologue(false);
 
     for (size_t t = 0; t < towers.size(); ++t) {
