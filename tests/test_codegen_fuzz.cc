@@ -12,7 +12,9 @@
  * device cache), its memory plan is checked against its VDM size,
  * and it is launched on the functional simulator under both lane
  * words and on the CPU reference backend; every launch must equal
- * testutil::hostDispatch, which shares no code with the device.
+ * testutil::hostDispatch, which shares no code with the device. The
+ * same key through two devices' kernel caches must give the same
+ * program and the same modelled cycles.
  */
 
 #include <gtest/gtest.h>
@@ -264,6 +266,14 @@ TEST_P(CodegenFuzz, KernelMatchesHostReference)
             << "functional simulator, u128 lanes";
     }
     EXPECT_TRUE(ref.launch(image, inputs) == want) << "CPU reference";
+
+    // A device's kernel cache generates the same program for the same
+    // key, and every device stamps it with the same modelled cycles.
+    const KernelImage &cached = sim.kernel(c.kind, c.n, moduli, c.opts);
+    EXPECT_TRUE(cached.program.instructions() ==
+                image.program.instructions());
+    EXPECT_EQ(cached.modelCycles,
+              ref.kernel(c.kind, c.n, moduli, c.opts).modelCycles);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodegenFuzz, testing::Range(0u, 64u));
