@@ -85,14 +85,14 @@ constexpr size_t kMaxBatchedTowers = 16;
  * towers simultaneously"). Tower t's ring is region "t<t>";
  * towers are register- and memory-independent. Every tower's modulus
  * register, n^-1 scalar and data ARF are loaded up front, and the
- * towers' final passes are emitted in lockstep, up to four towers
- * stage by stage, so the scheduler overlaps their stages instead of
- * waiting on the register reuse a tower-after-tower order would
- * thread through them. `opts.inverse` selects the direction (the
- * inverse form loads one n^-1 scalar per tower). A single ring is the
- * batch of one: its program is the plain n-point transform. Requires
- * n >= 1024 (two vector registers), matching the HE standard's
- * minimum ring size cited by the paper.
+ * towers' final passes are emitted in lockstep, stage by stage in
+ * groups of up to four towers (two from n = 4096), so the scheduler
+ * overlaps their stages instead of waiting on the register reuse a
+ * tower-after-tower order would thread through them. `opts.inverse`
+ * selects the direction (the inverse form loads one n^-1 scalar per
+ * tower). A single ring is the batch of one: its program is the plain
+ * n-point transform. Requires n >= 1024 (two vector registers),
+ * matching the HE standard's minimum ring size cited by the paper.
  */
 KernelImage
 generateBatchedNtt(const std::vector<const TwiddleTable *> &towers,
