@@ -373,8 +373,9 @@ TEST(Codegen, LockstepBatchedNtt)
         opts.scheduleConfig = cfg;
         const KernelImage batch = generateBatchedNtt(tables, opts);
         const KernelImage one = generateBatchedNtt({tables[0]}, opts);
-        SCOPED_TRACE(testing::Message() << p.towers << " towers "
-                                        << (p.inverse ? "inverse" : "forward"));
+        SCOPED_TRACE(testing::Message()
+                     << p.towers << " towers "
+                     << (p.inverse ? "inverse" : "forward"));
 
         EXPECT_EQ(batch.program.size(), p.instructions);
         EXPECT_EQ(simulateCycles(batch.program, cfg).cycles, p.cycles);
